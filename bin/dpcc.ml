@@ -391,11 +391,11 @@ let interp_arg =
         ("ref", Dpc_sim.Interp.Reference) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
-       ~doc:"Interpreter back end for profiling runs: $(b,compiled) \
-             (closure fast path, the default), $(b,bytecode) (fused \
-             linear bytecode dispatch) or $(b,ref) (reference AST \
-             walker).  All three produce byte-identical reports; \
-             overrides $(b,DPC_INTERP).")
+       ~doc:"Interpreter back end for profiling runs: $(b,bytecode) \
+             (fused linear bytecode dispatch, the default), $(b,compiled) \
+             (closure fast path) or $(b,ref) (reference AST walker).  All \
+             three produce byte-identical reports; overrides \
+             $(b,DPC_INTERP).")
 
 let profile_arg =
   Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE"

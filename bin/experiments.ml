@@ -253,8 +253,8 @@ let interp =
         ("ref", Dpc_sim.Interp.Reference) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
-       ~doc:"Interpreter back end: $(b,compiled) (closure fast path, the \
-             default), $(b,bytecode) (fused linear bytecode dispatch) or \
+       ~doc:"Interpreter back end: $(b,bytecode) (fused linear bytecode \
+             dispatch, the default), $(b,compiled) (closure fast path) or \
              $(b,ref) (reference AST walker).  All three emit \
              byte-identical metrics; overrides $(b,DPC_INTERP).")
 

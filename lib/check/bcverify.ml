@@ -12,24 +12,30 @@
     alone, every property the executor assumes:
 
     - {b BC01} opcode validity / fallback-matrix conformance: only the
-      fifteen documented stream ops may appear; anything else means an
-      op the lowering documents as unlowerable (atomics, launches,
-      mallocs, barriers — always [CALL] fallbacks) was encoded directly.
+      eighteen documented stream ops may appear, with their enumerated
+      immediates in range (ATOMIC buffer kind 0–1, op 0–4, old-value
+      kind 0–2; MALLOC scope 0–2, destination kind 0–1); anything else
+      means an op the lowering documents as unlowerable (launches,
+      syncs, frees, barriers — always [CALL] fallbacks) was encoded
+      directly.
     - {b BC02} instruction fit: every operand (including each FUSE
       quad) lies inside its enclosing region — a truncated stream is
       caught before the executor reads past the end.
-    - {b BC03}/{b BC04} register-plane typing: every int/float operand
-      resolves inside its plane — temp rows below the temp-plane
-      height, warp rows below the plane row count, constants inside
-      the pool.
+    - {b BC03}/{b BC04} register-plane typing: every int (and boxed) /
+      float operand resolves inside its plane — temp rows below the
+      temp-plane height, warp rows below the plane row count, constants
+      inside the pool; boxed destinations (BOX quads, an ATOMIC old
+      value, a MALLOC handle) are warp rows of the boxed plane, which
+      has neither temps nor constants.
     - {b BC05} FUSE well-formedness: a positive quad count, documented
       sub-ops only, SPECIAL kinds 0–6, and raising quads (IDIV/IMOD) of
       at most one kind per group (the lowering's abort-ordering rule).
     - {b BC06} structured control: IF/WHILE/FOR/ANDOR region targets
       monotone and inside the enclosing region, condition kinds 0/1.
-    - {b BC07} CALL fallback indices inside the statement table.
+    - {b BC07} table indices: CALL fallback slots inside the statement
+      table, MALLOC sites inside the kernel's site caches.
     - {b BC08} shared-memory operands: array slot and interned name in
-      range, SHSTORE kinds 0–2.
+      range (SHLOAD, SHLOADN, SHSTORE), SHSTORE kinds 0–2.
     - {b BC09} no write destination may address the constant pool
       (rows there are shared across lanes; a write would corrupt every
       use of the constant).
@@ -90,6 +96,16 @@ let check_stream (s : B.stream) : Diag.t list =
         pc what (plane_name pl) (-r - 1)
     else reg_read pl ~pc ~what r
   in
+  let box_write ~pc ~what r =
+    if r < 0 then
+      emit ~id:"BC09"
+        "pc %d: %s writes constant-pool entry %d (constants are read-only)"
+        pc what (-r - 1)
+    else if r >= s.B.s_nbox then
+      emit ~id:"BC03"
+        "pc %d: %s writes boxed row %d, but the warp boxed plane has %d rows"
+        pc what r s.B.s_nbox
+  in
   let cond ~pc ~what kind row =
     if kind <> 0 && kind <> 1 then
       emit ~id:"BC06" "pc %d: %s condition kind %d (expected 0=int 1=float)"
@@ -125,6 +141,8 @@ let check_stream (s : B.stream) : Diag.t list =
     | 33 | 35 | 37 -> r1 Pf Pi; 0  (* FNOT F2I F2I_FREE *)
     | 34 | 36 -> r1 Pi Pf; 0  (* I2F I2F_FREE *)
     | 40 -> 0  (* CHARGE1: operands unused *)
+    | 42 | 44 -> reg_read Pi ~pc ~what a; box_write ~pc ~what d; 0
+    | 43 -> reg_read Pf ~pc ~what a; box_write ~pc ~what d; 0
     | 41 ->
       if a < 0 || a > 6 then
         emit ~id:"BC05" "pc %d: %s: SPECIAL kind %d (expected 0..6)" pc what
@@ -280,11 +298,62 @@ let check_stream (s : B.stream) : Diag.t list =
             reg_read Pi ~pc:p ~what:"BUFLEN buffer" code.(p + 1);
             reg_write Pi ~pc:p ~what:"BUFLEN destination" code.(p + 2);
             walk (p + 3) stop)
-      | 13 | 14 ->
-        let shload = op = 13 in
+      | 15 ->
+        need 9 (fun () ->
+            let kind = code.(p + 1) and aop = code.(p + 2) in
+            let dk = code.(p + 7) and d = code.(p + 8) in
+            if kind <> 0 && kind <> 1 then
+              emit ~id:"BC01"
+                "pc %d: ATOMIC buffer kind %d (expected 0=int 1=float)" p kind;
+            if aop < 0 || aop > 4 then
+              emit ~id:"BC01"
+                "pc %d: ATOMIC op %d (expected 0=add 1=min 2=max 3=exch \
+                 4=cas)"
+                p aop;
+            let vpl = if kind = 1 then Pf else Pi in
+            reg_read Pi ~pc:p ~what:"ATOMIC buffer" code.(p + 3);
+            reg_read Pi ~pc:p ~what:"ATOMIC index" code.(p + 4);
+            reg_read vpl ~pc:p ~what:"ATOMIC operand" code.(p + 5);
+            if aop = 4 then
+              reg_read Pi ~pc:p ~what:"ATOMIC compare" code.(p + 6);
+            (match dk with
+            | 0 -> ()
+            | 1 -> reg_write vpl ~pc:p ~what:"ATOMIC old value" d
+            | 2 -> box_write ~pc:p ~what:"ATOMIC old value" d
+            | _ ->
+              emit ~id:"BC01"
+                "pc %d: ATOMIC old-value kind %d (expected 0=none \
+                 1=unboxed 2=boxed)"
+                p dk);
+            walk (p + 9) stop)
+      | 16 ->
+        need 6 (fun () ->
+            let scope = code.(p + 1) and site = code.(p + 2) in
+            let dk = code.(p + 4) and d = code.(p + 5) in
+            if scope < 0 || scope > 2 then
+              emit ~id:"BC01"
+                "pc %d: MALLOC scope %d (expected 0=warp 1=block 2=grid)" p
+                scope;
+            if site < 0 || site >= s.B.s_nsites then
+              emit ~id:"BC07"
+                "pc %d: MALLOC site %d, but the kernel has %d malloc sites" p
+                site s.B.s_nsites;
+            reg_read Pi ~pc:p ~what:"MALLOC count" code.(p + 3);
+            (match dk with
+            | 0 -> reg_write Pi ~pc:p ~what:"MALLOC destination" d
+            | 1 -> box_write ~pc:p ~what:"MALLOC destination" d
+            | _ ->
+              emit ~id:"BC01"
+                "pc %d: MALLOC destination kind %d (expected 0=int 1=boxed)"
+                p dk);
+            walk (p + 6) stop)
+      | 13 | 14 | 17 ->
+        let shload = op <> 14 in
         let n = if shload then 5 else 6 in
         need n (fun () ->
-            let what = if shload then "SHLOAD" else "SHSTORE" in
+            let what =
+              match op with 13 -> "SHLOAD" | 14 -> "SHSTORE" | _ -> "SHLOADN"
+            in
             let sh = code.(p + (if shload then 3 else 4)) in
             let nm = code.(p + (if shload then 4 else 5)) in
             if sh < 0 || sh >= s.B.s_nshared then
@@ -297,8 +366,11 @@ let check_stream (s : B.stream) : Diag.t list =
                 "pc %d: %s name id %d, but %d names are interned" p what nm
                 s.B.s_nnames;
             if shload then begin
-              reg_read Pi ~pc:p ~what:"SHLOAD index" code.(p + 1);
-              reg_write Pi ~pc:p ~what:"SHLOAD destination" code.(p + 2)
+              reg_read Pi ~pc:p ~what:(what ^ " index") code.(p + 1);
+              reg_write
+                (if op = 13 then Pi else Pf)
+                ~pc:p ~what:(what ^ " destination")
+                code.(p + 2)
             end
             else begin
               let kind = code.(p + 1) in
@@ -316,7 +388,7 @@ let check_stream (s : B.stream) : Diag.t list =
       | _ ->
         emit ~id:"BC01"
           "pc %d: opcode %d is not a stream op — an unlowerable statement \
-           (atomic/launch/malloc/sync) must be a CALL fallback"
+           (launch/sync/free/barrier) must be a CALL fallback"
           p op
         (* Unknown width: nothing after this pc can be decoded. *)
     end

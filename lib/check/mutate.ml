@@ -579,7 +579,8 @@ let tv_clean_grid = tv_case ~gran:P.Grid Fun.id
 (* ------------------------------------------------------------------ *)
 
 let bc_stream ?(nstmts = 3) ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
-    ?(nint = 4) ?(nflt = 2) ?(nshared = 1) ?(nnames = 2) code () =
+    ?(nint = 4) ?(nflt = 2) ?(nbox = 2) ?(nsites = 2) ?(nshared = 1)
+    ?(nnames = 2) code () =
   {
     Bc.s_kname = "bc_mutant";
     s_code = Array.of_list code;
@@ -590,8 +591,11 @@ let bc_stream ?(nstmts = 3) ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
     s_ntmpf = ntmpf;
     s_nint = nint;
     s_nflt = nflt;
+    s_nbox = nbox;
+    s_nsites = nsites;
     s_nshared = nshared;
     s_nnames = nnames;
+    s_calls = Array.make nstmts "let";
   }
 
 (* Encoding cheat sheet (mirrors the executor): FUSE groups are
@@ -638,6 +642,59 @@ let bc01_real_damaged_tail () =
   { s with Bc.s_code = Array.append s.Bc.s_code [| 99 |] }
 
 let bc_clean_real_lowering () = bc_real_stream ()
+
+(* The natively lowered statement ops: ATOMIC [15; kind; op; b; i; o; c;
+   dk; d], MALLOC [16; scope; site; n; dk; d], SHLOADN [17; i; d; sh;
+   nm] and the BOXI/BOXF/BOXU quads 42-44 (destination a boxed warp
+   row). *)
+let bc01_atomic_bad_op = bc_stream [ 15; 0; 7; 0; 1; 2; 0; 0; 0 ]
+let bc01_malloc_bad_scope = bc_stream [ 16; 5; 0; 0; 0; 3 ]
+let bc02_truncated_atomic = bc_stream [ 15; 0; 0; 0 ]
+let bc03_atomic_buffer_oob = bc_stream [ 15; 0; 0; 9; 1; 2; 0; 0; 0 ]
+let bc03_box_row_oob = bc_stream [ 7; 1; 0; 42; 0; 0; 5 ]
+let bc04_atomic_float_operand_oob = bc_stream [ 15; 1; 0; 0; 1; 5; 0; 0; 0 ]
+let bc04_shloadn_dst_oob = bc_stream [ 17; 0; 7; 0; 0 ]
+let bc07_malloc_site_oob = bc_stream [ 16; 0; 7; 0; 0; 3 ]
+let bc08_shloadn_slot_oob = bc_stream [ 17; 0; 1; 5; 0 ]
+let bc09_atomic_old_to_const = bc_stream [ 15; 0; 0; 0; 1; 2; 0; 1; -1 ]
+let bc09_box_to_const = bc_stream [ 7; 1; 0; 43; 0; 0; -1 ]
+let bc09_malloc_dst_const = bc_stream [ 16; 0; 0; 0; 0; -2 ]
+
+let bc_clean_native_ops =
+  bc_stream
+    [ 15; 0; 0; 0; 1; 2; 0; 1; 3;  (* int atomicAdd, old -> int row 3 *)
+      15; 1; 4; 0; 1; 0; 2; 2; 1;  (* float CAS, old -> boxed row 1 *)
+      16; 1; 0; -1; 0; 3;  (* per-block malloc, count from the pool *)
+      7; 2; 0; 42; 0; 0; 0; 43; 0; 0; 1;  (* BOXI, BOXF *)
+      17; 0; 1; 0; 0 ]
+
+(* A real lowering of every natively lowered statement kind — a per-warp
+   malloc, an atomic returning its old value, a boxed let — pristine and
+   with its ATOMIC buffer kind damaged. *)
+let bc_real_native_stream () =
+  let k =
+    kernel ~name:"bc_native" ~params:[ pi "a"; p "n" ]
+      [
+        malloc ~scope:A.Per_warp "buf" (i 4);
+        atomic_add ~old:"old" (v "a") (i 0) (v "n");
+        if_ (v "old" >: i 0) [ set "x" (i 1) ] [ set "x" (f 2.0) ];
+        store (v "buf") (i 0) (v "old");
+      ]
+  in
+  K.finalize k;
+  match Bc.streams_of_kernel k with
+  | Some [ s ] when s.Bc.s_calls = [||] -> s
+  | _ -> failwith "bc_native: kernel did not lower natively"
+
+let bc01_real_atomic_bad_kind () =
+  let s = bc_real_native_stream () in
+  let code = Array.copy s.Bc.s_code in
+  let rec find p = if code.(p) = 15 then p else find (p + 1) in
+  let p = find 0 in
+  code.(p + 1) <- 2;
+  { s with Bc.s_code = code }
+
+let bc_clean_real_native () = bc_real_native_stream ()
 
 (* ------------------------------------------------------------------ *)
 (* The catalog                                                          *)
@@ -771,12 +828,42 @@ let all : mutant list =
       expect = Some "BC08"; target = Stream bc08_shstore_bad_kind };
     { mname = "bc09_write_to_const"; analysis = "bytecode";
       expect = Some "BC09"; target = Stream bc09_write_to_const };
+    { mname = "bc01_atomic_bad_op"; analysis = "bytecode";
+      expect = Some "BC01"; target = Stream bc01_atomic_bad_op };
+    { mname = "bc01_malloc_bad_scope"; analysis = "bytecode";
+      expect = Some "BC01"; target = Stream bc01_malloc_bad_scope };
+    { mname = "bc01_real_atomic_bad_kind"; analysis = "bytecode";
+      expect = Some "BC01"; target = Stream bc01_real_atomic_bad_kind };
+    { mname = "bc02_truncated_atomic"; analysis = "bytecode";
+      expect = Some "BC02"; target = Stream bc02_truncated_atomic };
+    { mname = "bc03_atomic_buffer_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_atomic_buffer_oob };
+    { mname = "bc03_box_row_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_box_row_oob };
+    { mname = "bc04_atomic_float_operand_oob"; analysis = "bytecode";
+      expect = Some "BC04"; target = Stream bc04_atomic_float_operand_oob };
+    { mname = "bc04_shloadn_dst_oob"; analysis = "bytecode";
+      expect = Some "BC04"; target = Stream bc04_shloadn_dst_oob };
+    { mname = "bc07_malloc_site_oob"; analysis = "bytecode";
+      expect = Some "BC07"; target = Stream bc07_malloc_site_oob };
+    { mname = "bc08_shloadn_slot_oob"; analysis = "bytecode";
+      expect = Some "BC08"; target = Stream bc08_shloadn_slot_oob };
+    { mname = "bc09_atomic_old_to_const"; analysis = "bytecode";
+      expect = Some "BC09"; target = Stream bc09_atomic_old_to_const };
+    { mname = "bc09_box_to_const"; analysis = "bytecode";
+      expect = Some "BC09"; target = Stream bc09_box_to_const };
+    { mname = "bc09_malloc_dst_const"; analysis = "bytecode";
+      expect = Some "BC09"; target = Stream bc09_malloc_dst_const };
     { mname = "bc_clean_straightline"; analysis = "bytecode";
       expect = None; target = Stream bc_clean_straightline };
     { mname = "bc_clean_structured"; analysis = "bytecode";
       expect = None; target = Stream bc_clean_structured };
     { mname = "bc_clean_real_lowering"; analysis = "bytecode";
       expect = None; target = Stream bc_clean_real_lowering };
+    { mname = "bc_clean_native_ops"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_native_ops };
+    { mname = "bc_clean_real_native"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_real_native };
   ]
 
 type outcome = {

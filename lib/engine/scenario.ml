@@ -448,10 +448,13 @@ let variant_weight = function
   | Harness.Cons Dpc_kir.Pragma.Block -> 1.00
   | Harness.Cons Dpc_kir.Pragma.Grid -> 1.0
 
-let interp_weight = function
-  | Some Dpc_sim.Interp.Reference -> 1.48
-  | Some Dpc_sim.Interp.Bytecode -> 0.54
-  | Some Dpc_sim.Interp.Compiled | None -> 1.0
+(* A spec that leaves the tier open runs under the session default, so
+   it is priced as that tier. *)
+let interp_weight m =
+  match Option.value m ~default:(Dpc_sim.Interp.default_mode ()) with
+  | Dpc_sim.Interp.Reference -> 1.48
+  | Dpc_sim.Interp.Bytecode -> 0.54
+  | Dpc_sim.Interp.Compiled -> 1.0
 
 (* Deep-memory-model scenarios spend extra interpreter wall per memory
    instruction (bank-conflict index collection and the MSHR ledger in

@@ -66,7 +66,11 @@ let rec read_frame t : (string, string) result =
         Error "server closed the connection"
       | n ->
         t.queued <- Framing.feed t.framing buf ~len:n;
-        read_frame t
+        if t.queued = [] && Framing.overflowed t.framing then begin
+          close t;
+          Error "server sent a frame over the size limit"
+        end
+        else read_frame t
     end
 
 let read_event t : (Protocol.event, string) result =

@@ -357,7 +357,24 @@ let read_conn t (c : conn) =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     close_conn t c
   | 0 -> close_conn t c
-  | n -> List.iter (handle_request t c) (Framing.feed c.framing buf ~len:n)
+  | n ->
+    List.iter (handle_request t c) (Framing.feed c.framing buf ~len:n);
+    if Framing.overflowed c.framing then begin
+      t.bad_requests <- t.bad_requests + 1;
+      send t c
+        (Protocol.Error_event
+           {
+             id = "";
+             code = "frame-too-long";
+             message =
+               Printf.sprintf
+                 "request line exceeds %d bytes without a newline; closing \
+                  the connection"
+                 Framing.max_frame;
+           });
+      log t "conn %d: frame over %d bytes" c.cid Framing.max_frame;
+      close_conn t c
+    end
 
 let accept_conn t =
   match Unix.accept t.listen_fd with

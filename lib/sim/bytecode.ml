@@ -30,11 +30,19 @@
       ([mask land lnot returned]) is emitted as a [FILTER] op only when
       something since the previous filter could have changed
       [returned]; runs of pure ops fuse across statement boundaries.
-    - {b Fallback.}  Anything the bytecode does not lower natively
-      falls back {e per statement} to {!Compile.compile_stmt} via a
-      [CALL] op, so coverage and error identity are exactly the closure
-      tier's ({!Compile.Not_compilable} propagates and the whole kernel
-      then takes the reference walker, as before).
+    - {b Native statements.}  Besides arithmetic, loads/stores, shared
+      memory and structured control, the statements consolidated kernels
+      execute most lower natively: atomics on int and float buffers
+      ([ATOMIC], mirroring {!Compile}'s unboxed atomic paths), lets into
+      boxed slots (BOX quads), device mallocs ([MALLOC], through the
+      allocation path shared with the closure tier) and reads of shared
+      arrays that provably hold only numbers ([SHLOADN]).
+    - {b Fallback.}  Anything the bytecode does not lower natively —
+      launches, syncs, frees, statements over boxed or type-mixed
+      operands — falls back {e per statement} to {!Compile.compile_stmt}
+      via a [CALL] op, so coverage and error identity are exactly the
+      closure tier's ({!Compile.Not_compilable} propagates and the whole
+      kernel then takes the reference walker, as before).
 
     Charge-for-charge equivalence with the walker and the closure tier
     is proven by the three-way differential suite. *)
@@ -115,6 +123,15 @@ let temp_base = tmpb
     12 BUFLEN b d                   3
     13 SHLOAD i d sh nm             5
     14 SHSTORE kind i x sh nm       6
+    15 ATOMIC kind op b i o c dk d   9   kind 0 int / 1 float buffer; op
+                                        0 add 1 min 2 max 3 exch 4 cas
+                                        (c read for cas only); dk 0 no
+                                        old / 1 unboxed row / 2 boxed row
+    16 MALLOC scope site n dk d     6   scope 0 warp / 1 block / 2 grid;
+                                        n read at the lowest active lane;
+                                        dk 0 int row / 1 boxed row
+    17 SHLOADN i d sh nm            5   boxed read of a numeric shared
+                                        array, coerced to float
 
    Fused sub-ops, one quad [op; a; b; d] each:
      0..11  IADD ISUB IMUL IDIV IMOD IMIN IMAX ISHL ISHR IAND IOR IXOR
@@ -124,6 +141,7 @@ let temp_base = tmpb
      30 INEG  31 FNEG  32 INOT  33 FNOT
      34 I2F   35 F2I   36 I2F_FREE  37 F2I_FREE   (36/37 charge nothing)
      38 MOVI  39 MOVF  40 CHARGE1   41 SPECIAL (a = special kind)
+     42 BOXI  43 BOXF  44 BOXU      (d = boxed warp row)
 *)
 
 (* --- compiled program ----------------------------------------------------- *)
@@ -157,8 +175,12 @@ type stream = {
   s_ntmpf : int;  (** float temp-plane rows *)
   s_nint : int;  (** warp int-plane rows (buffer handles included) *)
   s_nflt : int;  (** warp float-plane rows *)
+  s_nbox : int;  (** warp boxed-plane rows *)
+  s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
   s_nnames : int;  (** interned shared-name ids *)
+  s_calls : string array;
+      (** statement kind behind each [CALL] slot (see {!stmt_tag}) *)
 }
 
 (* Lane list for a full mask: the identity, shared by every program. *)
@@ -560,8 +582,7 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
         Array.unsafe_set d l (Array.unsafe_get a l)
       done
     | 40 -> ()
-    | _ ->
-      (* 41 SPECIAL *)
+    | 41 ->
       let arg = Array.unsafe_get code (q + 1) in
       let d = row_i bp w (Array.unsafe_get code (q + 3)) in
       if arg = 0 then
@@ -587,7 +608,136 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
           Array.unsafe_set d (Array.unsafe_get lanes t) v
         done
       end
+    | 42 ->
+      let a = row_i bp w (Array.unsafe_get code (q + 1)) in
+      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      for t = 0 to nact - 1 do
+        let l = Array.unsafe_get lanes t in
+        Array.unsafe_set d l (V.Vint (Array.unsafe_get a l))
+      done
+    | 43 ->
+      let a = row_f bp w (Array.unsafe_get code (q + 1)) in
+      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      for t = 0 to nact - 1 do
+        let l = Array.unsafe_get lanes t in
+        Array.unsafe_set d l (V.Vfloat (Array.unsafe_get a l))
+      done
+    | _ ->
+      (* 44 BOXU *)
+      let a = row_i bp w (Array.unsafe_get code (q + 1)) in
+      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      for t = 0 to nact - 1 do
+        let l = Array.unsafe_get lanes t in
+        Array.unsafe_set d l (V.Vbuf (Array.unsafe_get a l))
+      done
   done
+
+(* One warp atomic (ATOMIC), lane by lane in mask order, exactly as
+   {!Compile}'s unboxed atomic paths: charge [atomic_cycles * n], then
+   per lane read-modify-write the element and record its address, then
+   one {!C.account}.  Payload arrays are touched directly when the index
+   is in range; otherwise the read goes through [Mem], which raises the
+   identical Out_of_bounds (the write then reuses the checked index).
+   The [old] value is written per lane straight into its row: a lane
+   reads only its own operand lanes, and a raise aborts the launch, so
+   nothing can observe the difference from a post-loop copy. *)
+let exec_atomic bp c (w : C.warp) (code : int array) p m =
+  let op = code.(p + 2) in
+  let ids = row_i bp w code.(p + 3) in
+  let ii = row_i bp w code.(p + 4) in
+  let dk = code.(p + 7) in
+  let n = pc m in
+  chg c (c.C.cfg.Cfg.atomic_cycles * n) m;
+  let addrs = bp.addrs in
+  let k = ref 0 in
+  let mm = ref m in
+  let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
+  let boxed = if dk = 2 then w.C.boxd.(code.(p + 8)) else [||] in
+  if code.(p + 1) = 0 then begin
+    let oi = row_i bp w code.(p + 5) in
+    let ci = if op = 4 then row_i bp w code.(p + 6) else oi in
+    let di = if dk = 1 then row_i bp w code.(p + 8) else oi in
+    while !mm <> 0 do
+      let l = lb !mm in
+      let id = Array.unsafe_get ids l in
+      let bf =
+        let bf = !b in
+        if id = bf.Mem.id then bf
+        else begin
+          let nb = Mem.get_buf c.C.mem id in
+          b := nb;
+          nb
+        end
+      in
+      let idx = Array.unsafe_get ii l in
+      let old =
+        match bf.Mem.data with
+        | Mem.I a when idx >= 0 && idx < Array.length a ->
+          Array.unsafe_get a idx
+        | _ -> Mem.read_int bf idx
+      in
+      let o = Array.unsafe_get oi l in
+      let nv =
+        match op with
+        | 0 -> old + o
+        | 1 -> Int.min old o
+        | 2 -> Int.max old o
+        | 3 -> o
+        | _ -> if old = Array.unsafe_get ci l then o else old
+      in
+      (match bf.Mem.data with
+      | Mem.I a -> Array.unsafe_set a idx nv
+      | Mem.F a -> Array.unsafe_set a idx (Float.of_int nv));
+      if dk = 1 then Array.unsafe_set di l old
+      else if dk = 2 then boxed.(l) <- V.Vint old;
+      Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
+      incr k;
+      mm := !mm land (!mm - 1)
+    done
+  end
+  else begin
+    let oi = row_f bp w code.(p + 5) in
+    let ci = if op = 4 then row_i bp w code.(p + 6) else ii in
+    let df = if dk = 1 then row_f bp w code.(p + 8) else oi in
+    while !mm <> 0 do
+      let l = lb !mm in
+      let id = Array.unsafe_get ids l in
+      let bf =
+        let bf = !b in
+        if id = bf.Mem.id then bf
+        else begin
+          let nb = Mem.get_buf c.C.mem id in
+          b := nb;
+          nb
+        end
+      in
+      let idx = Array.unsafe_get ii l in
+      let old =
+        match bf.Mem.data with
+        | Mem.F a when idx >= 0 && idx < Array.length a ->
+          Array.unsafe_get a idx
+        | _ -> Mem.read_float bf idx
+      in
+      let o = Array.unsafe_get oi l in
+      let nv =
+        match op with
+        | 0 -> old +. o
+        | 1 -> Float.min old o
+        | 2 -> Float.max old o
+        | 3 -> o
+        | _ -> if Float.to_int old = Array.unsafe_get ci l then o else old
+      in
+      (match bf.Mem.data with
+      | Mem.F a -> Array.unsafe_set a idx nv
+      | Mem.I a -> Array.unsafe_set a idx (Float.to_int nv));
+      if dk = 1 then Array.unsafe_set df l old
+      else if dk = 2 then boxed.(l) <- V.Vfloat old;
+      Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
+      incr k;
+      mm := !mm land (!mm - 1)
+    done
+  end;
+  C.account c w addrs !k
 
 (* The dispatch loop: one region [pc0, stop) of one warp under region
    mask [rmask].  Control flow recurses with freshly scanned sub-masks,
@@ -960,6 +1110,56 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
        end);
       C.account_shared c idxs !k;
       p := q + 6
+    | 15 ->
+      (* ATOMIC *)
+      exec_atomic bp c w code !p !cur;
+      p := !p + 9
+    | 16 ->
+      (* MALLOC: the allocation itself is {!C.malloc_value}, shared with
+         the closure tier *)
+      let q = !p in
+      let m = !cur in
+      let n = Array.unsafe_get (row_i bp w code.(q + 3)) (lb m) in
+      let scope =
+        match code.(q + 1) with
+        | 0 -> A.Per_warp
+        | 1 -> A.Per_block
+        | _ -> A.Per_grid
+      in
+      let v =
+        C.malloc_value c ~kname:bp.kname ~site:code.(q + 2) scope ~mask:m n
+      in
+      if code.(q + 4) = 0 then
+        Array.fill (row_i bp w code.(q + 5)) 0 32 (V.as_buf v)
+      else Array.fill w.C.boxd.(code.(q + 5)) 0 32 v;
+      p := q + 6
+    | 17 ->
+      (* SHLOADN: every value in the array is a number, so the float
+         coercion the consumer would apply lane by lane cannot raise and
+         is applied here instead *)
+      let q = !p in
+      let ii = row_i bp w code.(q + 1) in
+      let df = row_f bp w code.(q + 2) in
+      let arr = c.C.shared.(code.(q + 3)) in
+      let name = bp.shnames.(code.(q + 4)) in
+      let m = !cur in
+      chg c 1 m;
+      let idxs = bp.addrs in
+      let k = ref 0 in
+      let mm = ref m in
+      while !mm <> 0 do
+        let l = lb !mm in
+        let i = ii.(l) in
+        if i < 0 || i >= Array.length arr then
+          err "kernel %s: shared array %s[%d] out of bounds (size %d)"
+            bp.kname name i (Array.length arr);
+        Array.unsafe_set idxs !k i;
+        incr k;
+        df.(l) <- V.as_float arr.(i);
+        mm := !mm land (!mm - 1)
+      done;
+      C.account_shared c idxs !k;
+      p := q + 5
     | _ -> assert false
   done
 
@@ -979,10 +1179,14 @@ let bpush b x =
   b.len <- b.len + 1
 
 (* A lowered operand: the kind mirrors {!Compile}'s cexpr typing exactly
-   ([Ri]/[Rf]/[Ru] for Xi/Xf/Xu); anything that would be boxed (or that
-   the bytecode has no native form for) raises [Fallback] and the whole
-   statement takes the closure path. *)
-type reg = Ri of int | Rf of int | Ru of Ty.elem * int
+   ([Ri]/[Rf]/[Ru] for Xi/Xf/Xu).  [Rn] is the one boxed (Xb) form the
+   bytecode keeps: a read of a numeric shared array, held as its float
+   coercion — exact for consumers that coerce it to float (float
+   arithmetic and comparisons against an unboxed operand), and a
+   [Fallback] everywhere else.  Anything else that would be boxed (or
+   that the bytecode has no native form for) raises [Fallback] and the
+   whole statement takes the closure path. *)
+type reg = Ri of int | Rf of int | Ru of Ty.elem * int | Rn of int
 
 exception Fallback
 
@@ -990,6 +1194,7 @@ type lstate = {
   env : C.env;
   code : buf;
   mutable stmts : (C.cctx -> C.warp -> int -> unit) list;  (* rev *)
+  mutable tags : string list;  (* rev, aligned with [stmts] *)
   mutable nstmts : int;
   icst : (int, int) Hashtbl.t;
   mutable icsts : int list;  (* rev *)
@@ -1096,7 +1301,7 @@ let int_free l = function
     let d = ntmpi l in
     push_q l 37 r 0 d ~rk:0 ~ch:0;
     d
-  | Ru _ -> raise Fallback
+  | Ru _ | Rn _ -> raise Fallback
 
 let flt_free l = function
   | Rf r -> r
@@ -1104,7 +1309,12 @@ let flt_free l = function
     let d = ntmpf l in
     push_q l 36 r 0 d ~rk:0 ~ch:0;
     d
-  | Ru _ -> raise Fallback
+  | Ru _ | Rn _ -> raise Fallback
+
+(* [flt_free] for the consumers that coerce a boxed operand lane by lane
+   with [V.as_float] ({!Compile}'s float_arith / float_cmp getters):
+   there an [Rn] is already its coercion. *)
+let flt_num l = function Rn r -> r | r -> flt_free l r
 
 let is_rf = function Rf _ -> true | _ -> false
 
@@ -1163,7 +1373,7 @@ and lx_unop l op a =
       let d = ntmpf l in
       push_op l 31 r 0 d;
       Rf d
-    | Ru _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Fallback)
   | A.Not -> (
     match lx l a with
     | Ri r ->
@@ -1174,7 +1384,7 @@ and lx_unop l op a =
       let d = ntmpi l in
       push_op l 33 r 0 d;
       Ri d
-    | Ru _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Fallback)
   | A.To_float -> (
     match lx l a with
     | Rf r ->
@@ -1185,7 +1395,7 @@ and lx_unop l op a =
       let d = ntmpf l in
       push_op l 34 r 0 d;
       Rf d
-    | Ru _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Fallback)
   | A.To_int -> (
     match lx l a with
     | Ri r ->
@@ -1195,12 +1405,15 @@ and lx_unop l op a =
       let d = ntmpi l in
       push_op l 35 r 0 d;
       Ri d
-    | Ru _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Fallback)
 
 and lx_andor l ~is_and a b =
   let ra = lx l a in
   let ak, ar =
-    match ra with Ri r -> (0, r) | Rf r -> (1, r) | Ru _ -> raise Fallback
+    match ra with
+    | Ri r -> (0, r)
+    | Rf r -> (1, r)
+    | Ru _ | Rn _ -> raise Fallback
   in
   flush l;
   let d = ntmpi l in
@@ -1215,7 +1428,10 @@ and lx_andor l ~is_and a b =
   bpush l.code 0;
   let rb = lx l b in
   let bk, br =
-    match rb with Ri r -> (0, r) | Rf r -> (1, r) | Ru _ -> raise Fallback
+    match rb with
+    | Ri r -> (0, r)
+    | Rf r -> (1, r)
+    | Ru _ | Rn _ -> raise Fallback
   in
   flush l;
   l.code.a.(patch) <- bk;
@@ -1228,15 +1444,18 @@ and lx_binop l op a b =
   let rb = lx l b in
   (* [iop]/[fop]/[cop] are fused sub-opcodes (int form, float-arith
      form, float-cmp form). *)
+  (* A numeric boxed read ([Rn]) takes the float path exactly where
+     {!Compile} coerces its boxed operand with [V.as_float]: arithmetic
+     beside a float, comparison beside any unboxed number. *)
   let arith iop fop =
     match (ra, rb) with
     | Ri x, Ri y ->
       let d = ntmpi l in
       push_op l iop x y d;
       Ri d
-    | (Ri _ | Rf _), (Ri _ | Rf _) ->
-      let x = flt_free l ra in
-      let y = flt_free l rb in
+    | (Ri _ | Rf _), (Ri _ | Rf _) | Rf _, Rn _ | Rn _, Rf _ ->
+      let x = flt_num l ra in
+      let y = flt_num l rb in
       let d = ntmpf l in
       push_op l fop x y d;
       Rf d
@@ -1248,9 +1467,9 @@ and lx_binop l op a b =
       let d = ntmpi l in
       push_op l iop x y d;
       Ri d
-    | (Ri _ | Rf _), (Ri _ | Rf _) ->
-      let x = flt_free l ra in
-      let y = flt_free l rb in
+    | (Ri _ | Rf _ | Rn _), (Ri _ | Rf _) | (Ri _ | Rf _), Rn _ ->
+      let x = flt_num l ra in
+      let y = flt_num l rb in
       let d = ntmpi l in
       push_op l cop x y d;
       Ri d
@@ -1351,6 +1570,16 @@ and lx_shload l name ie =
       bpush l.code idx;
       bpush l.code (name_id l name);
       Ri d
+    | Ty.Sh_boxed when l.env.C.shnum.(idx) ->
+      let ir = int_free l (lx l ie) in
+      flush l;
+      let d = ntmpf l in
+      bpush l.code 17;
+      bpush l.code ir;
+      bpush l.code d;
+      bpush l.code idx;
+      bpush l.code (name_id l name);
+      Rn d
     | Ty.Sh_boxed -> raise Fallback)
 
 (* --- statement lowering --------------------------------------------------- *)
@@ -1364,6 +1593,28 @@ let begin_stmt l =
   l.ti <- 0;
   l.tf <- 0
 
+(* Census tag of a statement kind, recorded per [CALL] slot. *)
+let stmt_tag (env : C.env) (s : A.stmt) =
+  match s with
+  | A.Let (v, _) -> (
+    if v.A.slot < 0 then "let"
+    else
+      match env.C.storage.(v.A.slot) with
+      | C.Sb _ -> "let-boxed"
+      | _ -> "let")
+  | A.Store _ -> "store"
+  | A.Shared_store _ -> "shared-store"
+  | A.If _ -> "if"
+  | A.While _ -> "while"
+  | A.For _ -> "for"
+  | A.Atomic _ -> "atomic"
+  | A.Launch _ -> "launch"
+  | A.Device_sync -> "devsync"
+  | A.Malloc _ -> "malloc"
+  | A.Free _ -> "free"
+  | A.Return -> "return"
+  | A.Syncthreads | A.Grid_barrier -> "barrier"
+
 (* Closure fallback for one statement.  {!Compile.compile_stmt} may
    raise Not_compilable here; it propagates out of the whole lowering
    and the kernel takes the reference walker, exactly as the closure
@@ -1372,6 +1623,7 @@ let emit_call l s =
   flush l;
   let f = C.compile_stmt l.env s in
   l.stmts <- f :: l.stmts;
+  l.tags <- stmt_tag l.env s :: l.tags;
   bpush l.code 2;
   bpush l.code l.nstmts;
   l.nstmts <- l.nstmts + 1;
@@ -1397,6 +1649,7 @@ let rec ls l (s : A.stmt) =
     l.code.len <- cl;
     while l.nstmts > ns do
       l.stmts <- List.tl l.stmts;
+      l.tags <- List.tl l.tags;
       l.nstmts <- l.nstmts - 1
     done;
     l.pend.len <- pl;
@@ -1416,12 +1669,18 @@ and ls_native l (s : A.stmt) =
     | C.Si r -> (
       match lx l e with
       | Ri x | Ru (_, x) -> push_op l 38 x 0 r
-      | Rf _ -> raise Fallback)
+      | Rf _ | Rn _ -> raise Fallback)
     | C.Sf r -> (
       match lx l e with
       | Rf x -> push_op l 39 x 0 r
       | _ -> raise Fallback)
-    | C.Sb _ -> raise Fallback)
+    | C.Sb r -> (
+      (* boxed destination: box each lane by the operand's static kind *)
+      match lx l e with
+      | Ri x -> push_op l 42 x 0 r
+      | Rf x -> push_op l 43 x 0 r
+      | Ru (_, x) -> push_op l 44 x 0 r
+      | Rn _ -> raise Fallback))
   | A.Store (be, ie, xe) -> (
     let rb = lx l be in
     let ri = lx l ie in
@@ -1454,6 +1713,7 @@ and ls_native l (s : A.stmt) =
         | Ri r -> (0, r)
         | Rf r -> (1, r)
         | Ru (_, r) -> (2, r)
+        | Rn _ -> raise Fallback
       in
       flush l;
       bpush l.code 14;
@@ -1467,7 +1727,7 @@ and ls_native l (s : A.stmt) =
       match lx l cond with
       | Ri r -> (0, r)
       | Rf r -> (1, r)
-      | Ru _ -> raise Fallback
+      | Ru _ | Rn _ -> raise Fallback
     in
     flush l;
     bpush l.code 3;
@@ -1497,7 +1757,7 @@ and ls_native l (s : A.stmt) =
       match lx l cond with
       | Ri r -> (0, r)
       | Rf r -> (1, r)
-      | Ru _ -> raise Fallback
+      | Ru _ | Rn _ -> raise Fallback
     in
     flush l;
     l.code.a.(patch) <- l.code.len;
@@ -1537,23 +1797,102 @@ and ls_native l (s : A.stmt) =
     flush l;
     bpush l.code 1;
     l.dirty <- true
-  | A.Atomic _ | A.Launch _ | A.Device_sync | A.Malloc _ | A.Free _
-  | A.Syncthreads | A.Grid_barrier ->
+  | A.Atomic { op; buf = be; idx = ie; operand = oe; compare = ce; old } ->
+    ls_atomic l op be ie oe ce old
+  | A.Malloc { dst; count; scope; site } ->
+    if site < 0 || dst.A.slot < 0 then raise Fallback;
+    let dk, d =
+      match l.env.C.storage.(dst.A.slot) with
+      | C.Si r -> (0, r)
+      | C.Sb r -> (1, r)
+      | C.Sf _ -> raise Fallback (* the handle cannot coerce to float *)
+    in
+    let nr = int_free l (lx l count) in
+    flush l;
+    bpush l.code 16;
+    bpush l.code
+      (match scope with A.Per_warp -> 0 | A.Per_block -> 1 | A.Per_grid -> 2);
+    bpush l.code site;
+    bpush l.code nr;
+    bpush l.code dk;
+    bpush l.code d
+  | A.Launch _ | A.Device_sync | A.Free _ | A.Syncthreads | A.Grid_barrier ->
     raise Fallback
+
+(* Atomics lower natively exactly where {!Compile.compile_atomic} takes
+   an unboxed path with the same observable semantics: an int buffer
+   with an int operand (and an int-coercible compare for CAS), or a float
+   buffer with a numeric operand (CAS compares [Float.to_int] of the old
+   value with the int-coerced compare, as the boxed path does).  The
+   [old] destination must be the buffer's unboxed kind or boxed.  Every
+   other shape keeps the closure fallback, and with it the closure tier's
+   coverage and error identity. *)
+and ls_atomic l op be ie oe ce old =
+  let rb = lx l be in
+  let ri = lx l ie in
+  let ro = lx l oe in
+  let rc = Option.map (lx l) ce in
+  let is_cas = op = A.Acas in
+  let opc =
+    match op with
+    | A.Aadd -> 0
+    | A.Amin -> 1
+    | A.Amax -> 2
+    | A.Aexch -> 3
+    | A.Acas -> 4
+  in
+  let dest unboxed =
+    match old with
+    | None -> (0, 0)
+    | Some v -> (
+      if v.A.slot < 0 then raise Fallback;
+      match l.env.C.storage.(v.A.slot) with
+      | C.Sb r -> (2, r)
+      | st -> (
+        match unboxed st with Some r -> (1, r) | None -> raise Fallback))
+  in
+  let kind, br, orr, cr, (dk, d) =
+    match (rb, rc) with
+    | Ru (Ty.Eint, br), _ ->
+      let orr = match ro with Ri r -> r | _ -> raise Fallback in
+      let cr =
+        match rc with
+        | Some rc -> int_free l rc
+        | None -> if is_cas then raise Fallback else 0
+      in
+      (0, br, orr, cr, dest (function C.Si r -> Some r | _ -> None))
+    | Ru (Ty.Efloat, br), None when not is_cas ->
+      (1, br, flt_free l ro, 0, dest (function C.Sf r -> Some r | _ -> None))
+    | Ru (Ty.Efloat, br), Some rc when is_cas ->
+      let orr = flt_free l ro in
+      (1, br, orr, int_free l rc, dest (function C.Sf r -> Some r | _ -> None))
+    | _ -> raise Fallback
+  in
+  let ir = int_free l ri in
+  flush l;
+  bpush l.code 15;
+  bpush l.code kind;
+  bpush l.code opc;
+  bpush l.code br;
+  bpush l.code ir;
+  bpush l.code orr;
+  bpush l.code cr;
+  bpush l.code dk;
+  bpush l.code d
 
 (* --- entry points --------------------------------------------------------- *)
 
 (* Warp register-plane row counts, recovered from the slot storage map
    (the planes themselves are sized the same way in [Compile]). *)
 let plane_rows (env : C.env) =
-  let ni = ref 0 and nf = ref 0 in
+  let ni = ref 0 and nf = ref 0 and nb = ref 0 in
   Array.iter
     (function
       | C.Si r -> if r + 1 > !ni then ni := r + 1
       | C.Sf r -> if r + 1 > !nf then nf := r + 1
-      | C.Sb _ -> ())
+      | C.Sb r -> if r + 1 > !nb then nb := r + 1)
     env.C.storage;
-  (!ni, !nf)
+  (!ni, !nf, !nb)
 
 let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
   let l =
@@ -1561,6 +1900,7 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
       env;
       code = bmake ();
       stmts = [];
+      tags = [];
       nstmts = 0;
       icst = Hashtbl.create 16;
       icsts = [];
@@ -1601,7 +1941,7 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
       addrs = Array.make 32 0;
     }
   in
-  let ni, nf = plane_rows env in
+  let ni, nf, nb = plane_rows env in
   let sm =
     {
       s_kname = env.C.kname;
@@ -1613,8 +1953,11 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
       s_ntmpf = l.max_tf;
       s_nint = ni;
       s_nflt = nf;
+      s_nbox = nb;
+      s_nsites = env.C.nsites;
       s_nshared = Array.length env.C.shtys;
       s_nnames = l.nnames;
+      s_calls = Array.of_list (List.rev l.tags);
     }
   in
   (bp, sm)

@@ -27,8 +27,14 @@ type stream = {
   s_ntmpf : int;  (** float temp-plane rows *)
   s_nint : int;  (** warp int-plane rows (buffer handles included) *)
   s_nflt : int;  (** warp float-plane rows *)
+  s_nbox : int;  (** warp boxed-plane rows *)
+  s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
   s_nnames : int;  (** interned shared-name ids *)
+  s_calls : string array;
+      (** the statement kind behind each [CALL] slot ([let], [let-boxed],
+          [atomic], [malloc], [launch], [devsync], [free], [store], ...):
+          the closure-fallback census *)
 }
 
 (** The register encoding's temp-plane split point: an operand [r >=

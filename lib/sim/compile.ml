@@ -279,6 +279,11 @@ type env = {
   storage : storage array;
   shindex : (string, int) Hashtbl.t;  (** shared name -> decl index *)
   shtys : Ty.sh_ty array;
+  shnum : bool array;
+      (** shared arrays that only ever hold numbers (every store into
+          them is statically int or float), so a boxed read of one
+          coerces to int/float without a possible type error *)
+  nsites : int;  (** [Malloc] sites of the kernel *)
   run_lower : (env -> A.stmt list -> cctx -> warp -> unit) option;
       (** alternative lowering for barrier-free statement runs (the
           bytecode tier installs itself here); [None] lowers runs to
@@ -1063,6 +1068,45 @@ let assign_all env (v : A.var) : warp -> V.t -> unit =
     fun w value -> Array.fill w.flts.(r) 0 32 (V.as_float value)
   | Sb r -> fun w value -> Array.fill w.boxd.(r) 0 32 value
 
+(* One [Malloc] of [n_elems] elements under [mask], shared by the
+   closure and bytecode tiers so the allocator call order, the
+   [grid_alloc_count] contention, the segment's alloc_* fields and the
+   per-site block/grid caches have a single implementation.  A per-warp
+   malloc always allocates; per-block and per-grid ones allocate once
+   per site and charge a 2-cycle cache hit afterwards. *)
+let malloc_value c ~kname ~site scope ~mask n_elems : V.t =
+  let fresh () =
+    let name = Printf.sprintf "%s#m%d@g%d" kname site c.gid in
+    let contention = !(c.grid_alloc_count) in
+    incr c.grid_alloc_count;
+    let fallbacks_before = Alloc.pool_fallbacks c.alloc in
+    let buf, cost =
+      Alloc.alloc ~contention c.alloc c.mem ~name ~count:n_elems
+    in
+    c.add_alloc_cycles cost;
+    c.seg.Trace.allocs <- c.seg.Trace.allocs + 1;
+    c.seg.Trace.alloc_fb <-
+      c.seg.Trace.alloc_fb
+      + (Alloc.pool_fallbacks c.alloc - fallbacks_before);
+    c.seg.Trace.alloc_cyc <- c.seg.Trace.alloc_cyc + cost;
+    charge c cost 1;
+    V.Vbuf buf.Mem.id
+  in
+  let cached cache =
+    match cache.(site) with
+    | Some v ->
+      charge c 2 (pc mask);
+      v
+    | None ->
+      let v = fresh () in
+      cache.(site) <- Some v;
+      v
+  in
+  match (scope : A.alloc_scope) with
+  | A.Per_warp -> fresh ()
+  | A.Per_block -> cached c.block_mallocs
+  | A.Per_grid -> cached c.grid_mallocs
+
 let rec compile_stmt env (s : A.stmt) : cctx -> warp -> int -> unit =
   let f = compile_stmt_inner env s in
   fun c w mask ->
@@ -1205,48 +1249,7 @@ and compile_stmt_inner env (s : A.stmt) : cctx -> warp -> int -> unit =
     let kname = env.kname in
     fun c w mask ->
       let g = gcount c w mask in
-      let first = lb mask in
-      let n_elems = ig g first in
-      let fresh () =
-        let name = Printf.sprintf "%s#m%d@g%d" kname site c.gid in
-        let contention = !(c.grid_alloc_count) in
-        incr c.grid_alloc_count;
-        let fallbacks_before = Alloc.pool_fallbacks c.alloc in
-        let buf, cost =
-          Alloc.alloc ~contention c.alloc c.mem ~name ~count:n_elems
-        in
-        c.add_alloc_cycles cost;
-        c.seg.Trace.allocs <- c.seg.Trace.allocs + 1;
-        c.seg.Trace.alloc_fb <-
-          c.seg.Trace.alloc_fb
-          + (Alloc.pool_fallbacks c.alloc - fallbacks_before);
-        c.seg.Trace.alloc_cyc <- c.seg.Trace.alloc_cyc + cost;
-        charge c cost 1;
-        V.Vbuf buf.Mem.id
-      in
-      let value =
-        match scope with
-        | A.Per_warp -> fresh ()
-        | A.Per_block -> (
-          match c.block_mallocs.(site) with
-          | Some v ->
-            charge c 2 (pc mask);
-            v
-          | None ->
-            let v = fresh () in
-            c.block_mallocs.(site) <- Some v;
-            v)
-        | A.Per_grid -> (
-          match c.grid_mallocs.(site) with
-          | Some v ->
-            charge c 2 (pc mask);
-            v
-          | None ->
-            let v = fresh () in
-            c.grid_mallocs.(site) <- Some v;
-            v)
-      in
-      set w value
+      set w (malloc_value c ~kname ~site scope ~mask (ig g (lb mask)))
   | A.Free e -> (
     let cb = compile_expr env e in
     match cb with
@@ -1999,6 +2002,40 @@ type ckernel = {
   ck_run : cctx -> unit;
 }
 
+(* Which shared arrays only ever hold numbers?  Shared arrays start as
+   [Vint 0] and change only through [Shared_store]; every expression
+   except a buffer constant, a buffer/boxed variable or a boxed shared
+   read evaluates to a number (or raises), so an array whose every
+   stored value is one of those numeric forms never holds a handle. *)
+let numeric_shared ~slots ~shindex ~shtys body =
+  let numeric (e : A.expr) =
+    match e with
+    | A.Const (V.Vbuf _) -> false
+    | A.Var v -> (
+      v.A.slot >= 0
+      &&
+      match slots.(v.A.slot) with
+      | Ty.St_bot | Ty.St_int | Ty.St_float -> true
+      | Ty.St_buf _ | Ty.St_boxed -> false)
+    | A.Shared_load (name, _) -> (
+      match Hashtbl.find_opt shindex name with
+      | Some i -> shtys.(i) <> Ty.Sh_boxed
+      | None -> false)
+    | A.Const _ | A.Special _ | A.Unop _ | A.Binop _ | A.Load _
+    | A.Buf_len _ ->
+      true
+  in
+  let num = Array.make (Array.length shtys) true in
+  A.iter_block
+    ~on_stmt:(function
+      | A.Shared_store (name, _, xe) when not (numeric xe) -> (
+        match Hashtbl.find_opt shindex name with
+        | Some i -> num.(i) <- false
+        | None -> ())
+      | _ -> ())
+    ~on_expr:ignore body;
+  num
+
 let compile_kernel ?run_lower (k : K.t) : ckernel option =
   match k.K.typing with
   | None -> None
@@ -2026,8 +2063,9 @@ let compile_kernel ?run_lower (k : K.t) : ckernel option =
         (fun i (name, _) -> Hashtbl.replace shindex name i)
         k.K.shared;
       let shtys = Array.of_list (List.map snd ty.Ty.shared) in
+      let shnum = numeric_shared ~slots:ty.Ty.slots ~shindex ~shtys k.K.body in
       let env = { kname = k.K.kname; slots = ty.Ty.slots; storage; shindex;
-                  shtys; run_lower }
+                  shtys; shnum; nsites = k.K.nsites; run_lower }
       in
       let run = compile_block env k.K.body in
       let param_store =

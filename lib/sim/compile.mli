@@ -89,12 +89,31 @@ type env = {
   storage : storage array;
   shindex : (string, int) Hashtbl.t;  (** shared name -> decl index *)
   shtys : Dpc_kir.Typing.sh_ty array;
+  shnum : bool array;
+      (** shared arrays that only ever hold numbers (every store into
+          them is statically int or float): a boxed read of one coerces
+          to int/float without a possible type error *)
+  nsites : int;  (** [Malloc] sites of the kernel *)
   run_lower : (env -> Dpc_kir.Ast.stmt list -> cctx -> warp -> unit) option;
 }
 
 val storage_of : env -> Dpc_kir.Ast.var -> storage
 (** Storage row of a resolved variable; raises {!Not_compilable} on an
     unresolved slot. *)
+
+val malloc_value :
+  cctx ->
+  kname:string ->
+  site:int ->
+  Dpc_kir.Ast.alloc_scope ->
+  mask:int ->
+  int ->
+  Dpc_kir.Value.t
+(** [malloc_value c ~kname ~site scope ~mask n] performs one [Malloc] of
+    [n] elements for a warp under [mask] and returns the buffer handle:
+    per-warp scope always allocates, per-block/per-grid scope allocates
+    once per site and charges a 2-cycle cache hit afterwards.  The one
+    allocation path of both the closure and the bytecode tier. *)
 
 val compile_stmt : env -> Dpc_kir.Ast.stmt -> cctx -> warp -> int -> unit
 (** Lower one statement to a closure.  The closure re-filters its mask

@@ -7,19 +7,23 @@
     into 128-byte segments filtered through an L2 model.  It records the
     per-block {!Trace.segment}s consumed by the timing model.
 
-    Two back ends implement the semantics:
+    Three back ends implement the semantics:
 
     - the {e reference walker} below re-traverses the AST per warp with
       boxed {!V.t} vectors — slow, obviously correct, and the oracle for
       differential testing;
     - the {e compiled fast path} ({!Compile}) lowers each kernel once
-      into closures over an unboxed register plane and is dispatched to
-      whenever the kernel compiles and the launch arguments match the
-      inferred types.
+      into closures over an unboxed register plane;
+    - the {e bytecode tier} ({!Bytecode}) lowers each kernel's
+      barrier-free runs into dense int-coded streams executed by a fused
+      dispatch loop, with a per-statement closure fallback.
 
-    Both paths emit byte-identical traces (same charges in the same
-    order).  The default is the compiled path; set [DPC_INTERP=ref] (or
-    call {!set_default_mode}) to force the walker.
+    A lowered tier is dispatched to whenever the kernel compiles and the
+    launch arguments match the inferred types; otherwise the launch takes
+    the walker.  All paths emit byte-identical traces (same charges in
+    the same order).  The default is the bytecode tier, lowered lazily at
+    a kernel's first launch in a session; set [DPC_INTERP=compiled] or
+    [DPC_INTERP=ref] (or call {!set_default_mode}) to pick another.
 
     Device-side launches are recorded and executed when the launching
     block reaches [cudaDeviceSynchronize] or finishes.  This is sound for
@@ -57,17 +61,6 @@ type pending_launch = Runtime.pending_launch = {
 
 type mode = Compiled | Bytecode | Reference
 
-let default_mode_ref =
-  ref
-    (match Sys.getenv_opt "DPC_INTERP" with
-    | Some ("ref" | "reference" | "walker") -> Reference
-    | Some ("bytecode" | "bc") -> Bytecode
-    | _ -> Compiled)
-
-let set_default_mode m = default_mode_ref := m
-
-let default_mode () = !default_mode_ref
-
 let mode_to_string = function
   | Compiled -> "compiled"
   | Bytecode -> "bytecode"
@@ -79,6 +72,16 @@ let mode_of_string s =
   | "bytecode" | "bc" -> Some Bytecode
   | "ref" | "reference" | "walker" -> Some Reference
   | _ -> None
+
+let default_mode_ref =
+  ref
+    (match Option.bind (Sys.getenv_opt "DPC_INTERP") mode_of_string with
+    | Some m -> m
+    | None -> Bytecode)
+
+let set_default_mode m = default_mode_ref := m
+
+let default_mode () = !default_mode_ref
 
 type session = {
   cfg : Cfg.t;

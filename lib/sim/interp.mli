@@ -28,8 +28,9 @@ type pending_launch = Runtime.pending_launch
 type mode = Compiled | Bytecode | Reference
 
 (** Set the back end used by sessions created without an explicit [?mode].
-    The initial default is [Compiled], or as overridden by the
-    environment variable [DPC_INTERP] ([ref] or [bytecode]). *)
+    The initial default is [Bytecode], or as overridden by the
+    environment variable [DPC_INTERP] (any {!mode_of_string} spelling,
+    e.g. [compiled] or [ref]; unrecognised values keep the default). *)
 val set_default_mode : mode -> unit
 
 val default_mode : unit -> mode

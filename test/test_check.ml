@@ -399,8 +399,11 @@ let test_bcverify_direct () =
       s_ntmpf = 1;
       s_nint = 4;
       s_nflt = 2;
+      s_nbox = 0;
+      s_nsites = 0;
       s_nshared = 1;
       s_nnames = 2;
+      s_calls = Array.make 3 "let";
     }
   in
   let check code = Dpc_check.Bcverify.check_stream (stream code) in

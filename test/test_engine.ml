@@ -350,6 +350,24 @@ let strict_check_parallel_workers () =
      the permissive default, so the same kernel finalizes fine. *)
   Dpc_kir.Kernel.finalize (bad ())
 
+(* A spec that leaves the tier open is priced as the session default
+   tier, so a sweep mixing default-tier and explicit-tier specs seeds its
+   stealing deques by what each spec will actually run. *)
+let cost_follows_default_tier () =
+  let explicit m = Scenario.make ~interp:m ~app:"SSSP" H.Basic in
+  let open_tier = Scenario.make ~app:"SSSP" H.Basic in
+  let default = Dpc_sim.Interp.default_mode () in
+  Alcotest.(check (float 0.0))
+    "default-tier cost = explicit default-tier cost"
+    (Scenario.cost_estimate (explicit default))
+    (Scenario.cost_estimate open_tier);
+  (* with no DPC_INTERP override the session default is bytecode *)
+  if Sys.getenv_opt "DPC_INTERP" = None then
+    Alcotest.(check (float 0.0))
+      "default-tier cost = explicit interp=bytecode cost"
+      (Scenario.cost_estimate (explicit Dpc_sim.Interp.Bytecode))
+      (Scenario.cost_estimate open_tier)
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip apps x variants" `Quick
@@ -357,6 +375,8 @@ let suite =
     Alcotest.test_case "codec roundtrip all fields" `Quick
       codec_roundtrip_rich;
     Alcotest.test_case "canonical identity" `Quick canonical_identity;
+    Alcotest.test_case "cost follows default tier" `Quick
+      cost_follows_default_tier;
     Alcotest.test_case "codec rejects" `Quick rejects;
     Alcotest.test_case "extras lint" `Quick extras_lint;
     Alcotest.test_case "sweep decode" `Quick sweep_decode;

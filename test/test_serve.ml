@@ -72,6 +72,24 @@ let framing_byte_at_a_time () =
   Alcotest.(check (list string)) "byte-at-a-time framing"
     [ "one"; "two"; "three" ] !got
 
+(* A frame of exactly [max_frame] bytes still passes; one byte more
+   drops the frame, flags the stream and ends it, while frames completed
+   earlier in the same chunk are still delivered. *)
+let framing_bounded () =
+  let t = Framing.create () in
+  let at_limit = String.make Framing.max_frame 'x' in
+  Alcotest.(check (list string)) "frame at the limit passes" [ at_limit ]
+    (Framing.feed_string t (at_limit ^ "\n"));
+  Alcotest.(check bool) "no overflow at the limit" false
+    (Framing.overflowed t);
+  let t = Framing.create () in
+  Alcotest.(check (list string)) "earlier frame delivered" [ "ok" ]
+    (Framing.feed_string t ("ok\n" ^ at_limit ^ "y"));
+  Alcotest.(check bool) "one byte over overflows" true (Framing.overflowed t);
+  Alcotest.(check int) "overflowed frame dropped" 0 (Framing.pending t);
+  Alcotest.(check (list string)) "nothing after the overflow" []
+    (Framing.feed_string t "\nlate\n")
+
 (* --- protocol codecs -------------------------------------------------------- *)
 
 let sc_a = Scenario.make ~app:"SSSP" ~scale:300 (H.Cons Pragma.Grid)
@@ -295,6 +313,14 @@ let pstore_concurrent_writers () =
   let _, rc = run_one sc_a in
   Alcotest.(check string) "store file valid after racing writers" rc rb
 
+(* The tier stamp a default-tier session writes into its .prep headers,
+   and a tier it does not write: the tests below read back what such a
+   session stored, and probe cross-tier loads with the other one. *)
+let default_tier () = Dpc_sim.Interp.(mode_to_string (default_mode ()))
+
+let other_tier () =
+  if default_tier () = "compiled" then "bytecode" else "compiled"
+
 (* Keys that could escape the store directory are refused outright. *)
 let pstore_key_hygiene () =
   with_temp_dir "dpc-pstore" @@ fun dir ->
@@ -309,7 +335,7 @@ let pstore_key_hygiene () =
     | _ -> Alcotest.fail "expected one .prep file"
   in
   let st = Pstore.create dir in
-  let tier = "compiled" in
+  let tier = default_tier () in
   let cfgkey = H.cfg_digest Dpc_gpu.Config.k20c in
   let prep = Option.get (Pstore.load st ~key ~tier ~cfgkey) in
   Alcotest.(check bool) "traversal key refused on store" false
@@ -317,9 +343,9 @@ let pstore_key_hygiene () =
   Alcotest.(check bool) "traversal key never loads" true
     (Option.is_none (Pstore.load st ~key:"../evil" ~tier ~cfgkey));
   (* The header's tier stamp must match the requested tier: a file
-     written for the closure tier never answers a bytecode load. *)
+     written for one tier never answers another tier's load. *)
   Alcotest.(check bool) "other-tier load degrades to a miss" true
-    (Option.is_none (Pstore.load st ~key ~tier:"bytecode" ~cfgkey));
+    (Option.is_none (Pstore.load st ~key ~tier:(other_tier ()) ~cfgkey));
   Alcotest.(check bool) "malformed tier refused on store" false
     (Pstore.store st ~key ~tier:"two words" ~cfgkey prep);
   (* Same for the config stamp: a file written under one preset never
@@ -352,7 +378,7 @@ let pstore_verify_degrade_matrix () =
     | [ k ] -> k
     | _ -> Alcotest.fail "expected one .prep file"
   in
-  let tier = "compiled" in
+  let tier = default_tier () in
   let cfgkey = H.cfg_digest Dpc_gpu.Config.k20c in
   (* Plant a semantically bad prep under the real key: the header and
      digest are valid (a raw verify-less store wrote it), but the body's
@@ -396,7 +422,7 @@ let pstore_verify_degrade_matrix () =
   Alcotest.(check bool) "verifier consulted on tier match" true !consulted;
   consulted := false;
   Alcotest.(check bool) "tier-mismatched stream never loads" true
-    (Option.is_none (Pstore.load vetting ~key ~tier:"bytecode" ~cfgkey));
+    (Option.is_none (Pstore.load vetting ~key ~tier:(other_tier ()) ~cfgkey));
   Alcotest.(check bool) "tier mismatch short-circuits the verifier" false
     !consulted;
   (* A verifier that raises is contained: ordinary miss, counted as a
@@ -516,6 +542,71 @@ let server_isolation () =
   let r = ok_or_fail "sweep after failures" (Client.sweep c [ sc_a ]) in
   Alcotest.(check int) "daemon still serves" 1 r.Client.runs
 
+(* A peer that streams an unterminated line past the frame limit gets one
+   frame-too-long error and a close, and costs a concurrent well-behaved
+   client nothing: its sweep, made while the oversized line is half
+   sent, is byte-identical to a direct run. *)
+let server_oversized_frame () =
+  let expect =
+    List.map outcome_str (Session.run_all (Session.create ()) [ sc_a ])
+  in
+  with_server @@ fun ~sock ~server:_ ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      (* a daemon that kept buffering would never answer: fail, not hang *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+      let chunk = Bytes.make 65536 'x' in
+      let write_bytes n =
+        let left = ref n in
+        try
+          while !left > 0 do
+            let k = Int.min !left (Bytes.length chunk) in
+            left := !left - Unix.write fd chunk 0 k
+          done
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+      in
+      let half = Framing.max_frame / 2 in
+      write_bytes half;
+      let served =
+        Client.with_connection sock @@ fun c ->
+        let r =
+          ok_or_fail "sweep beside an oversized line"
+            (Client.sweep c [ sc_a ])
+        in
+        List.map Json.to_string r.Client.outcomes
+      in
+      List.iter2
+        (Alcotest.(check string) "concurrent client byte-identical")
+        expect served;
+      write_bytes (Framing.max_frame - half + 1);
+      let reply = Buffer.create 256 in
+      let buf = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes reply buf 0 n;
+          drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      in
+      drain ();
+      match Protocol.event_of_string (String.trim (Buffer.contents reply)) with
+      | Ok (Protocol.Error_event e) ->
+        Alcotest.(check string) "oversized line answered" "frame-too-long"
+          e.code
+      | Ok _ -> Alcotest.fail "expected a frame-too-long error event"
+      | Error m -> Alcotest.failf "unparseable reply: %s" m);
+  (* the daemon keeps serving, with identical results *)
+  Client.with_connection sock @@ fun c ->
+  let r = ok_or_fail "sweep after the close" (Client.sweep c [ sc_a ]) in
+  List.iter2
+    (Alcotest.(check string) "later client byte-identical")
+    expect
+    (List.map Json.to_string r.Client.outcomes)
+
 (* Two clients sweeping concurrently (from two domains): the server
    interleaves them and both streams complete with identical records. *)
 let server_concurrent_clients () =
@@ -578,6 +669,7 @@ let suite =
   [
     Alcotest.test_case "framing reassembly" `Quick framing_reassembly;
     Alcotest.test_case "framing byte-at-a-time" `Quick framing_byte_at_a_time;
+    Alcotest.test_case "framing bounded" `Quick framing_bounded;
     Alcotest.test_case "protocol request roundtrip" `Quick
       protocol_request_roundtrip;
     Alcotest.test_case "protocol event roundtrip" `Quick
@@ -600,6 +692,7 @@ let suite =
     Alcotest.test_case "server isolates failures" `Quick server_isolation;
     Alcotest.test_case "server concurrent clients" `Quick
       server_concurrent_clients;
+    Alcotest.test_case "server oversized frame" `Quick server_oversized_frame;
     Alcotest.test_case "server shutdown verb" `Quick server_shutdown_verb;
     Alcotest.test_case "server socket claim" `Quick server_socket_claim;
   ]
