@@ -12,7 +12,7 @@
      --scenario KEY=V,...   run one first-class scenario (repeatable);
                             e.g. --scenario app=SSSP,variant=grid-level,scale=700
      --sweep FILE.json      run every scenario of a JSON sweep file
-     --no-cache             disable cross-run program reuse
+     --no-cache             disable cross-run program and input reuse
 
    Machine-readable output:
      --json FILE   figures: the suite metrics snapshot (per app x variant
@@ -25,7 +25,9 @@
    simulations fan out over OCaml domains (--jobs N; --jobs 1 is the
    serial path; --sched shared|steal picks the pool's dispatch
    scheduler) and runs differing only in scale/seed/allocator share
-   one program build through the session's compiled-kernel cache.  The
+   one program build through the session's compiled-kernel cache; runs
+   of one app on the same data share one dataset and CPU reference
+   through its input cache.  The
    printed tables — and the JSON and trace files — are byte-identical
    regardless of the job count, the scheduler and the cache setting. *)
 
@@ -114,7 +116,10 @@ let run_scenarios session ~verbose ~json_out scenario_args sweep_file =
   if verbose then begin
     let s = Session.cache_stats session in
     Printf.eprintf "[sweep] program cache: %d hits, %d misses\n%!"
-      s.Dpc_engine.Kcache.hits s.Dpc_engine.Kcache.misses
+      s.Dpc_engine.Kcache.hits s.Dpc_engine.Kcache.misses;
+    let i = Session.input_stats session in
+    Printf.eprintf "[sweep] input cache: %d builds, %d hits\n%!"
+      i.Dpc_engine.Input_cache.builds i.Dpc_engine.Input_cache.hits
   end;
   if List.exists (fun o -> Result.is_error o.Session.result) outcomes then 1
   else 0
@@ -273,9 +278,11 @@ let sweep_file =
 
 let no_cache =
   Arg.(value & flag & info [ "no-cache" ]
-       ~doc:"Disable the session's cross-run compiled-kernel cache: \
-             every run parses, transforms and finalizes its programs \
-             from scratch.  Results are identical either way.")
+       ~doc:"Disable the session's cross-run caches: every run parses, \
+             transforms and finalizes its programs from scratch, and \
+             generates its dataset and solves its CPU reference anew \
+             (input reuse is off too).  Results are identical either \
+             way.")
 
 let cache_dir =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"

@@ -70,6 +70,11 @@ let extras_spec : (string * extra_kind) list = []
 
 let default_scale = 12  (* 2^12 nodes *)
 
+let src = 0
+
+(* The graph and its CPU reference levels, read-only once built. *)
+let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
+
 let run_spec (s : spec) =
   reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
@@ -77,10 +82,12 @@ let run_spec (s : spec) =
   let variant = s.sp_variant in
   let cfg = s.sp_cfg in
   let inspect = s.sp_inspect in
-  let g = Gen.kron_like ~scale ~edge_factor:10 ~seed in
+  let g, expect =
+    inputs s inputs_id ~app:name ~scale ~seed (fun () ->
+        let g = Gen.kron_like ~scale ~edge_factor:10 ~seed in
+        (g, Cpu.bfs_levels g ~src))
+  in
   let n = g.Csr.n in
-  let src = 0 in
-  let expect = Cpu.bfs_levels g ~src in
   let levels0 = Array.make n Cpu.inf in
   levels0.(src) <- 0;
   let threads = 128 in

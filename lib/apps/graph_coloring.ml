@@ -115,16 +115,23 @@ let extras_spec : (string * extra_kind) list = []
 
 let default_scale = 12  (* kron scale: 2^12 = 4096 nodes *)
 
+(* The graph and the node priorities, read-only once built.  There is no
+   precomputed reference: each run's coloring is checked on its own. *)
+let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
+
 let run_spec (s : spec) =
   reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:17 in
   let variant = s.sp_variant in
-  (* Coloring needs symmetric conflict visibility. *)
-  let g = Csr.symmetrize (Gen.kron_like ~scale ~edge_factor:12 ~seed) in
+  let g, prio =
+    inputs s inputs_id ~app:name ~scale ~seed (fun () ->
+        (* Coloring needs symmetric conflict visibility. *)
+        let g = Csr.symmetrize (Gen.kron_like ~scale ~edge_factor:12 ~seed) in
+        let rng = Dpc_util.Rng.create (seed + 3) in
+        (g, Array.init g.Csr.n (fun _ -> Dpc_util.Rng.int rng 1_000_000)))
+  in
   let n = g.Csr.n in
-  let rng = Dpc_util.Rng.create (seed + 3) in
-  let prio = Array.init n (fun _ -> Dpc_util.Rng.int rng 1_000_000) in
   let p =
     match variant with
     | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"gc_scan_flat"

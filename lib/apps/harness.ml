@@ -112,6 +112,21 @@ let prep_key ~tag ~(cfg : Cfg.t) ~policy ~source ~parent ~interp =
           [ tag; source; parent; policy_str; interp;
             Marshal.to_string cfg [] ]))
 
+(* --- input cache hook -------------------------------------------------------- *)
+
+(** Cache hook for a run's inputs: the generated dataset and everything
+    derived from it (CPU reference included).  [memo id ~app ~key build]
+    returns [app]'s inputs under [key], calling [build] when the hook holds
+    none; [id] types the stored value, so one hook serves every app.  The
+    key names everything the data depends on (see {!inputs}).  Inputs a
+    hook returns may be shared across runs and domains: apps treat them
+    as read-only.  The default, {!build_inputs}, builds every time. *)
+type input_cache = {
+  memo : 'a. 'a Type.Id.t -> app:string -> key:string -> (unit -> 'a) -> 'a;
+}
+
+let build_inputs = { memo = (fun _ ~app:_ ~key:_ build -> build ()) }
+
 (* --- run specification ---------------------------------------------------- *)
 
 (** Everything an app run needs, as one first-class value (the engine's
@@ -128,13 +143,15 @@ type spec = {
   sp_scheduler : Dpc_sim.Timing.scheduler;
   sp_interp : Dpc_sim.Interp.mode option;
   sp_preparer : preparer;
+  sp_inputs : input_cache;
   sp_inspect : (Device.t -> unit) option;
   sp_extras : (string * string) list;
 }
 
 let spec ?policy ?(alloc = Alloc.Pool) ?(cfg = Cfg.k20c) ?scale ?seed
     ?(scheduler = Dpc_sim.Timing.Processor_sharing) ?interp
-    ?(preparer = no_cache) ?inspect ?(extras = []) variant =
+    ?(preparer = no_cache) ?(inputs = build_inputs) ?inspect ?(extras = [])
+    variant =
   {
     sp_variant = variant;
     sp_policy = policy;
@@ -145,6 +162,7 @@ let spec ?policy ?(alloc = Alloc.Pool) ?(cfg = Cfg.k20c) ?scale ?seed
     sp_scheduler = scheduler;
     sp_interp = interp;
     sp_preparer = preparer;
+    sp_inputs = inputs;
     sp_inspect = inspect;
     sp_extras = extras;
   }
@@ -174,6 +192,17 @@ let reject_unknown_extras ~app ~known s =
              | [] -> " (this app takes none)"
              | ks -> Printf.sprintf " (known: %s)" (String.concat ", " ks))))
     s.sp_extras
+
+(** [app]'s inputs for a run at [scale] and [seed] through the spec's
+    input cache; [extras] are the data-relevant knobs, already resolved to
+    their effective values. *)
+let inputs (s : spec) id ~app ~scale ~seed ?(extras = []) build =
+  let key =
+    String.concat ","
+      (Printf.sprintf "scale=%d,seed=%d" scale seed
+      :: List.map (fun (k, v) -> k ^ "=" ^ v) extras)
+  in
+  s.sp_inputs.memo id ~app ~key build
 
 (** Declared shape of one app-specific extras value, for eager scenario
     lint: the engine refuses unknown keys and malformed values at

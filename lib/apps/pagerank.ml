@@ -89,14 +89,20 @@ let extras_spec : (string * extra_kind) list = []
 
 let default_scale = 6000
 
+(* The graph and its CPU reference ranks, read-only once built. *)
+let inputs_id : (Csr.t * float array) Type.Id.t = Type.Id.make ()
+
 let run_spec (s : spec) =
   reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:13 in
   let variant = s.sp_variant in
-  let g = Gen.citeseer_like ~n:scale ~seed in
+  let g, expect =
+    inputs s inputs_id ~app:name ~scale ~seed (fun () ->
+        let g = Gen.citeseer_like ~n:scale ~seed in
+        (g, Cpu.pagerank g ~iters:iterations ~d:damping))
+  in
   let n = g.Csr.n in
-  let expect = Cpu.pagerank g ~iters:iterations ~d:damping in
   let p =
     match variant with
     | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"pr_flat"

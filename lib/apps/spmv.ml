@@ -89,15 +89,26 @@ let extras_spec : (string * extra_kind) list = []
 
 let default_scale = 8000
 
+(* Read-only once built: the matrix, its values as floats, the input
+   vector and the CPU reference product. *)
+type inputs = { g : Csr.t; vals : float array; x : float array;
+                expect : float array }
+
+let inputs_id : inputs Type.Id.t = Type.Id.make ()
+
 let run_spec (s : spec) =
   reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:11 in
   let variant = s.sp_variant in
-  let g = Gen.citeseer_like ~n:scale ~seed in
-  let rng = Dpc_util.Rng.create (seed + 1) in
-  let x = Array.init g.Csr.n (fun _ -> Dpc_util.Rng.float rng) in
-  let expect = Cpu.spmv g x in
+  let { g; vals; x; expect } =
+    inputs s inputs_id ~app:name ~scale ~seed (fun () ->
+        let g = Gen.citeseer_like ~n:scale ~seed in
+        let rng = Dpc_util.Rng.create (seed + 1) in
+        let x = Array.init g.Csr.n (fun _ -> Dpc_util.Rng.float rng) in
+        { g; vals = Array.map Float.of_int g.Csr.weights; x;
+          expect = Cpu.spmv g x })
+  in
   let p =
     match variant with
     | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"spmv_flat"
@@ -106,10 +117,7 @@ let run_spec (s : spec) =
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in
-  let vals =
-    Device.of_float_array dev ~name:"vals"
-      (Array.map Float.of_int g.Csr.weights)
-  in
+  let vals = Device.of_float_array dev ~name:"vals" vals in
   let xb = Device.of_float_array dev ~name:"x" x in
   let y = Device.alloc_float dev ~name:"y" g.Csr.n in
   let threads = 128 in

@@ -97,14 +97,21 @@ let extras_spec : (string * extra_kind) list = []
 
 let default_scale = 3000
 
+let src = 0
+
+(* The graph and its CPU reference distances, read-only once built. *)
+let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
+
 let run_spec (s : spec) =
   reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:7 in
   let variant = s.sp_variant in
-  let g = Gen.citeseer_like ~n:scale ~seed in
-  let src = 0 in
-  let expect = Cpu.sssp g ~src in
+  let g, expect =
+    inputs s inputs_id ~app:name ~scale ~seed (fun () ->
+        let g = Gen.citeseer_like ~n:scale ~seed in
+        (g, Cpu.sssp g ~src))
+  in
   let p =
     match variant with
     | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"sssp_flat"

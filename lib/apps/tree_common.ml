@@ -142,6 +142,19 @@ let dataset_of_extras hs =
       (Printf.sprintf "extra dataset=%S: expected dataset1 or dataset2"
          other)
 
+(** The tree knobs spelled as {!Harness.spec} extras. *)
+let extras ?max_nodes ~dataset () =
+  ( "dataset",
+    match dataset with `Dataset1 -> "dataset1" | `Dataset2 -> "dataset2" )
+  ::
+  (match max_nodes with
+  | None -> []
+  | Some m -> [ ("max_nodes", string_of_int m) ])
+
+(* The tree, the child block size tuned to it and the CPU reference
+   values, read-only once built. *)
+let inputs_id : (Tree.t * int * int array) Type.Id.t = Type.Id.make ()
+
 (** [Harness.spec]'s [sp_scale] is the tree shrink divisor (larger =
     smaller tree, default 4); see {!Dpc_graph.Tree.dataset1}. *)
 let run_spec spec (hs : Harness.spec) =
@@ -154,25 +167,30 @@ let run_spec spec (hs : Harness.spec) =
   let variant = hs.Harness.sp_variant in
   let cfg = hs.Harness.sp_cfg in
   let inspect = hs.Harness.sp_inspect in
-  let tree =
-    match dataset with
-    | `Dataset1 -> Tree.dataset1 ~shrink ?max_nodes ~seed ()
-    | `Dataset2 -> Tree.dataset2 ~shrink ?max_nodes ~seed ()
-  in
-  (* Child blocks sized to the dataset's maximum fan-out, rounded up to a
-     warp multiple — the same tuning the hand-written benchmarks use. *)
-  let max_children =
-    let m = ref 0 in
-    for v = 0 to tree.Tree.n - 1 do
-      m := Int.max !m (Tree.nchildren tree v)
-    done;
-    !m
-  in
-  let child_block =
-    Int.min 256 (Int.max 32 ((max_children + 31) / 32 * 32))
+  let tree, child_block, expect =
+    Harness.inputs hs inputs_id ~app:spec.app_name ~scale:shrink ~seed
+      ~extras:(extras ?max_nodes ~dataset ()) (fun () ->
+        let tree =
+          match dataset with
+          | `Dataset1 -> Tree.dataset1 ~shrink ?max_nodes ~seed ()
+          | `Dataset2 -> Tree.dataset2 ~shrink ?max_nodes ~seed ()
+        in
+        (* Child blocks sized to the dataset's maximum fan-out, rounded up
+           to a warp multiple — the same tuning the hand-written benchmarks
+           use. *)
+        let max_children =
+          let m = ref 0 in
+          for v = 0 to tree.Tree.n - 1 do
+            m := Int.max !m (Tree.nchildren tree v)
+          done;
+          !m
+        in
+        let child_block =
+          Int.min 256 (Int.max 32 ((max_children + 31) / 32 * 32))
+        in
+        (tree, child_block, spec.cpu_ref tree))
   in
   let n = tree.Tree.n in
-  let expect = spec.cpu_ref tree in
   let threads = 128 in
   let finish dev (out : Dpc_gpu.Memory.buf) report =
     let got = Device.read_int_array dev out.Dpc_gpu.Memory.id in
@@ -236,15 +254,6 @@ let run_spec spec (hs : Harness.spec) =
       ~uniform_args:[ vbuf cp; vbuf cl; vbuf out; V.Vint n ]
       ~seed_items:[ 0 ];
     finish dev out (inspect_and_report ?inspect dev)
-
-(** The tree knobs spelled as {!Harness.spec} extras. *)
-let extras ?max_nodes ~dataset () =
-  ( "dataset",
-    match dataset with `Dataset1 -> "dataset1" | `Dataset2 -> "dataset2" )
-  ::
-  (match max_nodes with
-  | None -> []
-  | Some m -> [ ("max_nodes", string_of_int m) ])
 
 let run spec ?policy ?alloc ?cfg ?(shrink = 8) ?max_nodes ?(seed = 29)
     ?(dataset = `Dataset1) ?inspect variant =

@@ -494,9 +494,9 @@ let label t =
 (* --- lowering to the apps layer -------------------------------------------- *)
 
 (** Lower to the harness-level run specification.  [preparer] threads the
-    engine's compiled-program cache; [inspect] the session's profiling
-    hook. *)
-let to_spec ?preparer ?inspect t =
+    engine's compiled-program cache, [inputs] the session's input cache;
+    [inspect] the session's profiling hook. *)
+let to_spec ?preparer ?inputs ?inspect t =
   Harness.spec ?policy:t.policy ~alloc:t.alloc ~cfg:(resolve_cfg t)
     ?scale:t.scale ?seed:t.seed ~scheduler:t.scheduler ?interp:t.interp
-    ?preparer ?inspect ~extras:t.extras t.variant
+    ?preparer ?inputs ?inspect ~extras:t.extras t.variant

@@ -105,9 +105,11 @@ val label : t -> string
 (** {2 Lowering} *)
 
 (** Lower to the harness-level run specification.  [preparer] threads the
-    engine's compiled-program cache; [inspect] a profiling hook. *)
+    engine's compiled-program cache, [inputs] the session's input cache
+    (default: build every time); [inspect] a profiling hook. *)
 val to_spec :
   ?preparer:Dpc_apps.Harness.preparer ->
+  ?inputs:Dpc_apps.Harness.input_cache ->
   ?inspect:(Dpc_sim.Device.t -> unit) ->
   t ->
   Dpc_apps.Harness.spec

@@ -51,6 +51,7 @@ let verify_prep ~tier (p : Dpc_apps.Harness.prep) : (unit, string) result =
 
 type t = {
   cache : Kcache.t option;
+  inputs : Input_cache.t option;
   costs : Costs.t;
   pool : Pool.t;
   verbose : bool;
@@ -61,8 +62,9 @@ type t = {
 
 (** [create ()] builds a session.  [jobs] bounds batch parallelism
     (default 1: serial) and [sched] picks the pool's dispatch scheduler
-    (default [Shared]); [cache:false] disables program reuse (every run
-    builds fresh — the baseline the cache benchmark compares against);
+    (default [Shared]); [cache:false] disables program and input reuse
+    (every run builds fresh — the baseline the cache benchmark compares
+    against);
     [persist] backs the cache with the on-disk store rooted at that
     directory (created when absent; ignored with [cache:false]);
     [inspect] runs after each scenario's launches with its device (for
@@ -81,6 +83,7 @@ let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
                 (Option.map (Pstore.create ~verify:verify_prep) persist)
               ())
        else None);
+    inputs = (if cache then Some (Input_cache.create ()) else None);
     costs = Costs.create ();
     pool = Pool.create ~sched ~jobs ();
     verbose;
@@ -101,6 +104,14 @@ let persist_stats t =
 
 let cached_programs t =
   match t.cache with Some c -> Kcache.programs c | None -> 0
+
+let input_stats t =
+  match t.inputs with
+  | Some c -> Input_cache.stats c
+  | None -> Input_cache.zero_stats
+
+let changed_inputs t =
+  match t.inputs with Some c -> Input_cache.changed c | None -> []
 
 (** Current cost estimate of one scenario: the static model, overridden
     by this session's calibrated observation once the scenario has run
@@ -137,7 +148,8 @@ let run_one t (sc : Scenario.t) =
   let entry = Registry.find sc.Scenario.app in
   let preparer = preparer_of t in
   let inspect = Option.map (fun f -> f sc) t.inspect in
-  let spec = Scenario.to_spec ?preparer ?inspect sc in
+  let inputs = Option.map Input_cache.hook t.inputs in
+  let spec = Scenario.to_spec ?preparer ?inputs ?inspect sc in
   entry.Registry.run_spec spec
 
 (* The strict hooks (finalize linter + transform translation validation)

@@ -2,10 +2,12 @@
     figures, CLI flags, sweep files, benchmarks, the serve daemon) runs
     apps.
 
-    A session owns a {!Kcache} and a worker pool.  Runs differing only in
-    scale, seed or allocator share one program build (and one closure
-    compilation per kernel per domain); every run still gets a fresh
-    device, so results are byte-identical to uncached runs.  With
+    A session owns a {!Kcache}, an {!Input_cache} and a worker pool.
+    Runs differing only in scale, seed or allocator share one program
+    build (and one closure compilation per kernel per domain); runs of
+    one app on the same data (scale, seed, data extras) share one
+    dataset and CPU reference.  Every run still gets a fresh device, so
+    results are byte-identical to uncached runs.  With
     [persist] the cache is additionally backed by an on-disk store
     ({!Pstore}), so cold processes start warm. *)
 
@@ -21,8 +23,8 @@ type t
     batch pool's dispatch scheduler (default [Shared]; [Steal] seeds
     per-worker deques longest-first from the session's {!cost} estimate
     and lets idle workers steal — outcomes are identical, only
-    wall-clock scheduling changes); [cache:false] disables program reuse
-    (every run builds fresh); [persist] backs the cache with the on-disk
+    wall-clock scheduling changes); [cache:false] disables program and
+    input reuse (every run builds fresh); [persist] backs the cache with the on-disk
     store rooted at that directory (created when absent; ignored with
     [cache:false]); [verbose] prints a line per finished scenario
     (writes are serialized across worker domains); [inspect] runs after
@@ -57,6 +59,14 @@ val persist_stats : t -> Pstore.stats option
 
 (** Distinct program families currently in the in-memory cache. *)
 val cached_programs : t -> int
+
+(** Input-cache counters: datasets built, runs that reused one, and apps
+    with one cached.  Zero for cacheless sessions. *)
+val input_stats : t -> Input_cache.stats
+
+(** Apps whose cached input no longer equals a fresh build ({!Input_cache.changed});
+    always empty for cacheless sessions. *)
+val changed_inputs : t -> string list
 
 (** Current cost estimate of one scenario: the static
     {!Scenario.cost_estimate}, overridden by this session's calibrated

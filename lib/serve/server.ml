@@ -41,6 +41,7 @@ module Json = Dpc_prof.Json
 module Scenario = Dpc_engine.Scenario
 module Session = Dpc_engine.Session
 module Kcache = Dpc_engine.Kcache
+module Input_cache = Dpc_engine.Input_cache
 module Pstore = Dpc_engine.Pstore
 module Export = Dpc_experiments.Export
 module Framing = Dpc_util.Framing
@@ -234,6 +235,7 @@ let finish_job t (job : job) ~timed_out =
 
 let stats_json t =
   let cache = Session.cache_stats t.session in
+  let inputs = Session.input_stats t.session in
   let completed_reqs = t.completed + t.timeouts in
   Json.Obj
     ([
@@ -261,6 +263,13 @@ let stats_json t =
              ("disk_hits", Json.Int cache.Kcache.disk_hits);
              ("disk_writes", Json.Int cache.Kcache.disk_writes);
              ("programs", Json.Int (Session.cached_programs t.session));
+           ] );
+       ( "inputs",
+         Json.Obj
+           [
+             ("builds", Json.Int inputs.Input_cache.builds);
+             ("hits", Json.Int inputs.Input_cache.hits);
+             ("entries", Json.Int inputs.Input_cache.entries);
            ] );
        ("steals", Json.Int (Session.last_steals t.session));
        ("cost_observations", Json.Int (Session.observed_costs t.session));

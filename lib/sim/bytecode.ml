@@ -19,8 +19,8 @@
       the kind travels in the lowering, never at run time.
     - {b Superinstructions.}  Straight-line arithmetic / conversion /
       move ops are fused at lowering time into one [FUSE] group charged
-      once ([charge k n] is bit-exact equal to [k] unit charges under
-      the same mask because every weighted term is a multiple of 2^-5)
+      once ([charge k n] is exactly [k] unit charges under the same
+      mask: the lane-cycle accumulator is an integer)
       and executed op-major: one dispatch per fused op, then a tight
       counted loop over the active lanes.  Quads run in program order,
       so per-lane dataflow is the same as lane-major execution; a group
@@ -78,8 +78,7 @@ let[@inline] pc x =
 let[@inline] chg (c : C.cctx) cycles m =
   let seg = c.C.seg in
   seg.Trace.issue <- seg.Trace.issue + cycles;
-  seg.Trace.weighted <-
-    seg.Trace.weighted +. (Float.of_int (cycles * pc m) /. 32.0)
+  seg.Trace.lane_cycles <- seg.Trace.lane_cycles + (cycles * pc m)
 
 (* Memory-access accounting is NOT inlined here: every global access
    goes through [C.account] -> {!Memmodel.account_access} (and shared

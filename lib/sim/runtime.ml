@@ -146,8 +146,7 @@ let lanes_where mask f =
 (** Charge [cycles] warp issue cycles with [active] lanes enabled. *)
 let charge (seg : Trace.seg_builder) cycles active =
   seg.Trace.issue <- seg.Trace.issue + cycles;
-  seg.Trace.weighted <-
-    seg.Trace.weighted +. (Float.of_int (cycles * active) /. 32.0)
+  seg.Trace.lane_cycles <- seg.Trace.lane_cycles + (cycles * active)
 
 (* Memory-access accounting deliberately does NOT live here: coalescing,
    L2, bank conflicts and MSHR occupancy are {!Memmodel}'s — the one

@@ -83,6 +83,8 @@ type t = {
   scheduler : scheduler;
   record_timeline : bool;
   sink : Ev.sink option;  (** per-run profiling sink; no global state *)
+  trace_log : bool;  (** [DPC_TIMING_TRACE] set: log grid lifecycle *)
+  debug_log : bool;  (** [DPC_TIMING_DEBUG] set: log event counts *)
   grids : grid_state array;
   smxs : smx_state array;
   events : event Heap.t;
@@ -163,6 +165,8 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     scheduler;
     record_timeline;
     sink;
+    trace_log = Sys.getenv_opt "DPC_TIMING_TRACE" <> None;
+    debug_log = Sys.getenv_opt "DPC_TIMING_DEBUG" <> None;
     grids = Array.map mk_grid grids;
     smxs =
       Array.init cfg.Cfg.num_smx (fun _ ->
@@ -356,7 +360,7 @@ let rec try_dispatch t =
     else begin
       let gid = Queue.pop t.ready_queue in
       let g = t.grids.(gid) in
-      if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
+      if t.trace_log then
         Printf.eprintf "[%10.0f] dispatch g%d (%s %dx%d)\n" t.now gid
           g.trace.Trace.kernel (Array.length g.blocks)
           g.trace.Trace.block_dim;
@@ -456,7 +460,7 @@ and check_grid_complete t (g : grid_state) =
     && g.children_out = 0
   then begin
     g.completed <- true;
-    if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
+    if t.trace_log then
       Printf.eprintf "[%10.0f] complete g%d (%s)\n" t.now g.trace.Trace.gid
         g.trace.Trace.kernel;
     t.completed_grids <- t.completed_grids + 1;
@@ -596,7 +600,7 @@ let run t =
       match ev with
       | Grid_ready gid ->
         advance ();
-        if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
+        if t.trace_log then
           Printf.eprintf "[%10.0f] ready g%d\n" t.now gid;
         incr n_ready;
         Queue.push gid t.ready_queue;
@@ -622,7 +626,7 @@ let run t =
             reschedule t b
         end)
   done;
-  (if Sys.getenv_opt "DPC_TIMING_DEBUG" <> None then
+  (if t.debug_log then
      Printf.eprintf "[timing] events %d: ready %d tick %d seg %d (stale %d) grids %d\n%!"
        !n_events !n_ready !n_tick !n_seg !n_stale (Array.length t.grids));
   let incomplete =

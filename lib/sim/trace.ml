@@ -51,7 +51,7 @@ type grid_exec = {
 
 type seg_builder = {
   mutable issue : int;
-  mutable weighted : float;
+  mutable lane_cycles : int;  (* cycles x active lanes; [cut] divides by 32 *)
   mutable dram : int;
   mutable l2 : int;
   mutable bank_rp : int;
@@ -68,7 +68,7 @@ let dummy_segment =
     alloc_fallbacks = 0; alloc_cycles = 0; ends_with = Seg_done }
 
 let seg_builder () =
-  { issue = 0; weighted = 0.0; dram = 0; l2 = 0; bank_rp = 0; mshr_st = 0;
+  { issue = 0; lane_cycles = 0; dram = 0; l2 = 0; bank_rp = 0; mshr_st = 0;
     allocs = 0; alloc_fb = 0; alloc_cyc = 0;
     segs = Dpc_util.Vec.create ~dummy:dummy_segment }
 
@@ -77,7 +77,7 @@ let cut b ends_with =
   Dpc_util.Vec.push b.segs
     {
       issue_cycles = b.issue;
-      weighted_active = b.weighted;
+      weighted_active = Float.of_int b.lane_cycles /. 32.0;
       dram_transactions = b.dram;
       l2_hits = b.l2;
       bank_replays = b.bank_rp;
@@ -88,7 +88,7 @@ let cut b ends_with =
       ends_with;
     };
   b.issue <- 0;
-  b.weighted <- 0.0;
+  b.lane_cycles <- 0;
   b.dram <- 0;
   b.l2 <- 0;
   b.bank_rp <- 0;

@@ -59,7 +59,10 @@ type grid_exec = {
 
 type seg_builder = {
   mutable issue : int;
-  mutable weighted : float;
+  mutable lane_cycles : int;
+      (** sum over charges of cycles x active lanes; {!cut} divides by 32
+          once (every term of [weighted_active] is a multiple of 1/32, so
+          this is exact) *)
   mutable dram : int;
   mutable l2 : int;
   mutable bank_rp : int;

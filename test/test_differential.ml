@@ -4,11 +4,10 @@
    (Bytecode) must both be observationally identical to the reference
    AST walker: every app x variant run under all three back ends has to
    produce the same Metrics report and, stronger, the same per-block
-   Trace segments — issue cycles, weighted active lanes (float
-   accumulation order included), DRAM/L2 counts, allocator charges and
-   segment delimiters.  Byte-identical traces mean every downstream
-   number (timing model, figures, profiler) is provably independent of
-   the back end. *)
+   Trace segments — issue cycles, weighted active lanes, DRAM/L2
+   counts, allocator charges and segment delimiters.  Byte-identical
+   traces mean every downstream number (timing model, figures,
+   profiler) is provably independent of the back end. *)
 
 module H = Dpc_apps.Harness
 module R = Dpc_apps.Registry

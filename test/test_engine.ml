@@ -1,5 +1,5 @@
 (* Engine layer: scenario codecs and identity, session execution,
-   cross-run compiled-kernel cache.
+   cross-run compiled-kernel cache, session input cache.
 
    The determinism tests are the cache's safety net: a cached run reuses
    the prepared program (and, per domain, the compiled closures) of an
@@ -14,6 +14,8 @@ module Json = Dpc_prof.Json
 module Scenario = Dpc_engine.Scenario
 module Session = Dpc_engine.Session
 module Kcache = Dpc_engine.Kcache
+module Input_cache = Dpc_engine.Input_cache
+module Export = Dpc_experiments.Export
 
 let scenario_t =
   Alcotest.testable
@@ -368,6 +370,134 @@ let cost_follows_default_tier () =
       (Scenario.cost_estimate (explicit Dpc_sim.Interp.Bytecode))
       (Scenario.cost_estimate open_tier)
 
+(* --- the session input cache ---------------------------------------------- *)
+
+(* Small scales per app (the apps suite's table): the build counts below
+   depend on which runs share data, not on its size. *)
+let small_scale = function
+  | "SSSP" -> 700
+  | "SpMV" -> 900
+  | "PageRank" -> 600
+  | "GC" -> 8
+  | "BFS-Rec" -> 8
+  | "TH" | "TD" -> 16
+  | other -> invalid_arg other
+
+(* Smaller still, for the tests that only count builds. *)
+let tiny_scale = function
+  | "SSSP" | "SpMV" | "PageRank" -> 200
+  | "GC" | "BFS-Rec" -> 6
+  | "TH" | "TD" -> 64
+  | other -> invalid_arg other
+
+let app_names = List.map (fun (e : R.entry) -> e.R.name) R.all
+
+(* The evaluation suite's shape: every app at every variant, k20c. *)
+let suite_pass ?(scale = small_scale) ?(cfg = "k20c") () =
+  List.concat_map
+    (fun app ->
+      List.map
+        (fun v -> Scenario.make ~cfg ~scale:(scale app) ~app v)
+        H.all_variants)
+    app_names
+
+(* The sweep grid's shape: app x variant x allocator x preset, 210 runs
+   that share one dataset per app. *)
+let sweep_grid () =
+  List.concat_map
+    (fun alloc ->
+      List.concat_map
+        (fun cfg ->
+          List.map
+            (fun (sc : Scenario.t) -> { sc with Scenario.alloc })
+            (suite_pass ~scale:tiny_scale ~cfg ()))
+        [ "k20c"; "milo832" ])
+    Dpc_alloc.Allocator.[ Default; Halloc; Pool ]
+
+let check_inputs what ~builds ~hits (st : Input_cache.stats) =
+  Alcotest.(check int) (what ^ ": builds") builds st.Input_cache.builds;
+  Alcotest.(check int) (what ^ ": hits") hits st.Input_cache.hits
+
+(* One suite pass builds each app's inputs once; a second pass reuses
+   all of them. *)
+let input_cache_suite_counts () =
+  let s = Session.create () in
+  let scs = suite_pass () in
+  Alcotest.(check int) "35 runs" 35 (List.length scs);
+  ignore (Session.run_all s scs);
+  check_inputs "first pass" ~builds:7 ~hits:28 (Session.input_stats s);
+  let before = Session.input_stats s in
+  ignore (Session.run_all s scs);
+  let after = Session.input_stats s in
+  Alcotest.(check int) "second pass: 0 builds" 0
+    (after.Input_cache.builds - before.Input_cache.builds);
+  Alcotest.(check int) "second pass: 35 hits" 35
+    (after.Input_cache.hits - before.Input_cache.hits);
+  Alcotest.(check int) "one entry per app" 7 after.Input_cache.entries
+
+(* Exactly one build per key under two stealing workers, every time:
+   workers asking for the same app's inputs at once wait for the one
+   build. *)
+let input_cache_sweep_counts () =
+  let scs = sweep_grid () in
+  Alcotest.(check int) "210 runs" 210 (List.length scs);
+  for i = 1 to 3 do
+    let s = Session.create ~jobs:2 ~sched:Dpc_util.Pool.Steal () in
+    ignore (Session.run_all s scs);
+    check_inputs (Printf.sprintf "sweep %d" i) ~builds:7 ~hits:203
+      (Session.input_stats s)
+  done
+
+(* Every app x variant (plus one app on the deep memory model) exports
+   byte-identical outcomes from a caching session, serial and stealing,
+   and from a cacheless one; afterwards every cached input still equals
+   a fresh build, so no run wrote to a shared input. *)
+let input_cache_identical () =
+  let scs =
+    suite_pass ()
+    @ List.map
+        (fun v -> Scenario.make ~cfg:"k20c-deep" ~scale:900 ~app:"SpMV" v)
+        H.all_variants
+  in
+  let exports s =
+    List.map
+      (fun o -> Json.to_string (Export.outcome_json o))
+      (Session.run_all s scs)
+  in
+  let cached = Session.create () in
+  let steal = Session.create ~jobs:2 ~sched:Dpc_util.Pool.Steal () in
+  let fresh = exports (Session.create ~cache:false ()) in
+  List.iter
+    (fun (what, s) ->
+      List.iter2
+        (fun (sc, a) b ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s" what (Scenario.key sc)) a b)
+        (List.combine scs fresh) (exports s);
+      Alcotest.(check (list string)) (what ^ ": inputs unchanged") []
+        (Session.changed_inputs s))
+    [ ("cached", cached); ("steal", steal) ];
+  Alcotest.(check bool) "inputs were reused" true
+    ((Session.input_stats cached).Input_cache.hits > 0)
+
+(* Fresh seeds never hit, and the cache keeps at most one entry per app,
+   so a daemon serving such traffic stays bounded. *)
+let input_cache_bounded () =
+  let s = Session.create () in
+  let apps = Array.of_list app_names in
+  for i = 0 to 199 do
+    let app = apps.(i mod Array.length apps) in
+    let sc =
+      Scenario.make ~scale:(tiny_scale app) ~seed:(1000 + i) ~app H.Flat
+    in
+    ignore (Session.run s sc)
+  done;
+  let st = Session.input_stats s in
+  Alcotest.(check int) "no hits" 0 st.Input_cache.hits;
+  Alcotest.(check int) "200 builds" 200 st.Input_cache.builds;
+  Alcotest.(check bool) "at most one entry per app" true
+    (st.Input_cache.entries <= 7)
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip apps x variants" `Quick
@@ -391,4 +521,10 @@ let suite =
       steal_sweep_matches_serial;
     Alcotest.test_case "strict check inside workers" `Quick
       strict_check_parallel_workers;
+    Alcotest.test_case "input cache suite counts" `Quick
+      input_cache_suite_counts;
+    Alcotest.test_case "input cache sweep counts" `Quick
+      input_cache_sweep_counts;
+    Alcotest.test_case "input cache identical" `Quick input_cache_identical;
+    Alcotest.test_case "input cache bounded" `Quick input_cache_bounded;
   ]

@@ -486,6 +486,12 @@ let server_sweep_identity () =
   let cache = Option.get (Json.member "cache" stats) in
   let hits = Json.to_int (Option.get (Json.member "hits" cache)) in
   Alcotest.(check bool) "warm cache hits observed" true (hits > 0);
+  (* Each scenario's inputs were built by the first request and reused
+     by the second. *)
+  let inputs = Option.get (Json.member "inputs" stats) in
+  let count k = Json.to_int (Option.get (Json.member k inputs)) in
+  Alcotest.(check (list int)) "input builds, hits, entries" [ 2; 2; 2 ]
+    [ count "builds"; count "hits"; count "entries" ];
   let obs = Json.to_int (Option.get (Json.member "cost_observations" stats)) in
   Alcotest.(check bool) "daemon learns costs" true (obs > 0);
   (* The memmodel totals are present, and stay zero for the
