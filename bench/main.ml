@@ -27,11 +27,6 @@
       cacheless Dpc_engine session, wall-clocked, written to
       BENCH_pr5.json.
 
-   5. The interpreter-tier sweep (--interp-sweep, also part of the
-      default run): the evaluation suite under the compiled, bytecode,
-      bytecode-without-fusion and walker back ends, wall-clocked with a
-      metrics-identity check, written to BENCH_pr8.json.
-
    App runs go through Dpc_engine scenarios: the ablation sweeps share
    one caching session; the bechamel rows use a cacheless session so
    each iteration measures the full parse/transform/simulate pipeline.
@@ -101,21 +96,14 @@ let bechamel_tests =
     t "fig7/th-grid" (fun () -> srun (sc ~app:"TH" ~scale:16 grid));
     t "fig7/td-grid" (fun () -> srun (sc ~app:"TD" ~scale:16 grid));
     (* Interpreter back ends head to head: identical simulations through
-       the compiled closure fast path, the bytecode tier and the
-       reference AST walker (tentpole speedups of PRs 3 and 8;
-       suite-level numbers live in BENCH_pr3.json / BENCH_pr8.json).
-       The back end is part of the scenario, not ambient state. *)
-    t "interp/sssp-basic-compiled" (fun () ->
-        srun
-          (sc ~app:"SSSP" ~interp:Dpc_sim.Interp.Compiled ~scale:800 H.Basic));
+       the bytecode tier and the reference AST walker.  The back end is
+       part of the scenario, not ambient state. *)
     t "interp/sssp-basic-bytecode" (fun () ->
         srun
           (sc ~app:"SSSP" ~interp:Dpc_sim.Interp.Bytecode ~scale:800 H.Basic));
     t "interp/sssp-basic-walker" (fun () ->
         srun
           (sc ~app:"SSSP" ~interp:Dpc_sim.Interp.Reference ~scale:800 H.Basic));
-    t "interp/td-grid-compiled" (fun () ->
-        srun (sc ~app:"TD" ~interp:Dpc_sim.Interp.Compiled ~scale:16 grid));
     t "interp/td-grid-bytecode" (fun () ->
         srun (sc ~app:"TD" ~interp:Dpc_sim.Interp.Bytecode ~scale:16 grid));
     t "interp/td-grid-walker" (fun () ->
@@ -647,7 +635,7 @@ let bench_sched_sweep ~out () =
    (program x device-config x policy) families, differing only in scale
    and seed — the shape of a parameter search like fig6's exhaustive
    sweep.  A caching session builds each family's program once (and
-   compiles each kernel to a closure once per domain); the cacheless
+   lowers each kernel to bytecode once per domain); the cacheless
    session re-runs the parse/transform/finalize/compile pipeline for
    every run — the pre-engine behaviour.  Long simulations amortize
    their one-off build to noise; short ones pay it on every run, which
@@ -997,116 +985,7 @@ let bench_serve_sweep ~out () =
     (fun () -> output_string oc (Json.to_string_pretty j));
   Printf.printf "bench: serve sweep -> %s\n" out
 
-(* --- 6. the interpreter-tier sweep (BENCH_pr8.json) ------------------------ *)
-
-(* The evaluation suite (every registry app x variant, the runs behind
-   figs 7-10) executed serially under each interpreter back end: the
-   closure fast path, the bytecode tier, the bytecode tier with
-   superinstruction fusion disabled (a lowering-time ablation, so it
-   needs its own sessions), and the reference walker.  Fresh
-   single-domain sessions per repetition keep every tier's lowering
-   cost inside its own measurement; per-scenario walls take the best of
-   [reps].  Every tier must reproduce the compiled tier's reports
-   byte-for-byte or the bench fails loudly. *)
-let interp_sweep_scenarios interp =
-  List.concat_map
-    (fun (e : Dpc_apps.Registry.entry) ->
-      List.map
-        (fun v -> Scenario.make ~interp ~app:e.Dpc_apps.Registry.name v)
-        H.all_variants)
-    Dpc_apps.Registry.all
-
-let bench_interp_sweep ~out () =
-  let reps = 3 in
-  let tiers =
-    [
-      ("compiled", Dpc_sim.Interp.Compiled, true);
-      ("bytecode", Dpc_sim.Interp.Bytecode, true);
-      ("bytecode-nofuse", Dpc_sim.Interp.Bytecode, false);
-      ("walker", Dpc_sim.Interp.Reference, true);
-    ]
-  in
-  let run_tier (name, interp, fuse) =
-    let scs = interp_sweep_scenarios interp in
-    let n = List.length scs in
-    let best = Array.make n infinity in
-    let reports = ref [] in
-    Dpc_sim.Bytecode.set_fusion fuse;
-    Fun.protect
-      ~finally:(fun () -> Dpc_sim.Bytecode.set_fusion true)
-      (fun () ->
-        for _ = 1 to reps do
-          let s = Session.create ~jobs:1 () in
-          reports :=
-            List.mapi
-              (fun i sc ->
-                let t0 = Unix.gettimeofday () in
-                let r = Session.run s sc in
-                let dt = Unix.gettimeofday () -. t0 in
-                if dt < best.(i) then best.(i) <- dt;
-                r)
-              scs
-        done);
-    let total = Array.fold_left ( +. ) 0.0 best in
-    (name, scs, best, total, !reports)
-  in
-  let results = List.map run_tier tiers in
-  let find name =
-    List.find (fun (n, _, _, _, _) -> n = name) results
-  in
-  let _, scs, _, compiled_s, compiled_reports = find "compiled" in
-  List.iter
-    (fun (name, _, _, _, reports) ->
-      if reports <> compiled_reports then
-        failwith
-          (Printf.sprintf
-             "interp sweep: %s metrics diverged from compiled metrics" name))
-    results;
-  let total name = (fun (_, _, _, t, _) -> t) (find name) in
-  let bytecode_s = total "bytecode" in
-  let nofuse_s = total "bytecode-nofuse" in
-  let walker_s = total "walker" in
-  Printf.printf
-    "=== interpreter-tier sweep (%d runs, best of %d) ===\n\
-    \  compiled %.3f s   bytecode %.3f s   speedup %.2fx\n\
-    \  bytecode-nofuse %.3f s   (fusion contributes %.2fx)\n\
-    \  walker %.3f s   (bytecode %.2fx over walker; metrics \
-     byte-identical)\n\n"
-    (List.length scs) reps compiled_s bytecode_s (compiled_s /. bytecode_s)
-    nofuse_s (nofuse_s /. bytecode_s) walker_s (walker_s /. bytecode_s);
-  let tier_json (name, scs, best, total, _) =
-    ( name,
-      Json.Obj
-        [
-          ("wall_s", Json.Float total);
-          ("speedup_vs_compiled", Json.Float (compiled_s /. total));
-          ( "per_scenario_s",
-            Json.Obj
-              (List.mapi
-                 (fun i sc -> (Scenario.key sc, Json.Float best.(i)))
-                 scs) );
-        ] )
-  in
-  let j =
-    Json.Obj
-      [
-        ("schema", Json.String "dpc-interp-bench-v1");
-        ("source", Json.String "bench/main.exe");
-        ("runs", Json.Int (List.length scs));
-        ("reps", Json.Int reps);
-        ("bytecode_speedup", Json.Float (compiled_s /. bytecode_s));
-        ("fusion_speedup", Json.Float (nofuse_s /. bytecode_s));
-        ("tiers", Json.Obj (List.map tier_json results));
-        ("identical_metrics", Json.Bool true);
-      ]
-  in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string_pretty j));
-  Printf.printf "bench: interp sweep -> %s\n" out
-
-(* --- 7. the memory-model sweep (BENCH_pr10.json) ---------------------------- *)
+(* --- 6. the memory-model sweep (BENCH_pr10.json) ---------------------------- *)
 
 (* The evaluation suite behind figs 7-10 re-collected under each device
    preset.  [k20c] is the paper's flat memory model; the deep presets
@@ -1283,15 +1162,13 @@ let () =
   (* --smoke: the reduced CI run — bechamel rows at a small quota, no
      ablation sweeps.  --cache-sweep: only the compiled-kernel cache
      sweep.  --sched-sweep: only the pool-scheduler sweep.
-     --serve-sweep: only the serve-daemon sweep.  --interp-sweep: only
-     the interpreter-tier sweep.  --memmodel-sweep: only the
-     memory-model preset sweep.  Default: full microbenchmarks +
+     --serve-sweep: only the serve-daemon sweep.  --memmodel-sweep: only
+     the memory-model preset sweep.  Default: full microbenchmarks +
      ablations + all sweeps. *)
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let cache_only = Array.exists (( = ) "--cache-sweep") Sys.argv in
   let sched_only = Array.exists (( = ) "--sched-sweep") Sys.argv in
   let serve_only = Array.exists (( = ) "--serve-sweep") Sys.argv in
-  let interp_only = Array.exists (( = ) "--interp-sweep") Sys.argv in
   let memmodel_only = Array.exists (( = ) "--memmodel-sweep") Sys.argv in
   if smoke then begin
     run_bechamel ~quota:0.05 ();
@@ -1300,7 +1177,6 @@ let () =
   else if cache_only then bench_cache_sweep ~out:"BENCH_pr5.json" ()
   else if sched_only then bench_sched_sweep ~out:"BENCH_pr6.json" ()
   else if serve_only then bench_serve_sweep ~out:"BENCH_pr7.json" ()
-  else if interp_only then bench_interp_sweep ~out:"BENCH_pr8.json" ()
   else if memmodel_only then bench_memmodel_sweep ~out:"BENCH_pr10.json" ()
   else begin
     (* Microbenchmarks stay serial (they measure wall time); the ablation
@@ -1317,7 +1193,6 @@ let () =
     bench_sched_sweep ~out:"BENCH_pr6.json" ();
     bench_cache_sweep ~out:"BENCH_pr5.json" ();
     bench_serve_sweep ~out:"BENCH_pr7.json" ();
-    bench_interp_sweep ~out:"BENCH_pr8.json" ();
     bench_memmodel_sweep ~out:"BENCH_pr10.json" ();
     print_endline "bench: done (see bin/experiments.exe for the paper figures)"
   end

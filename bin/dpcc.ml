@@ -386,16 +386,16 @@ let scenario_arg =
 let interp_arg =
   let backend =
     Arg.enum
-      [ ("compiled", Dpc_sim.Interp.Compiled);
-        ("bytecode", Dpc_sim.Interp.Bytecode);
-        ("ref", Dpc_sim.Interp.Reference) ]
+      [ ("bytecode", Dpc_sim.Interp.Bytecode);
+        ("ref", Dpc_sim.Interp.Reference);
+        (* the retired closure tier's name, kept as an alias *)
+        ("compiled", Dpc_sim.Interp.Bytecode) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
-       ~doc:"Interpreter back end for profiling runs: $(b,bytecode) \
-             (fused linear bytecode dispatch, the default), $(b,compiled) \
-             (closure fast path) or $(b,ref) (reference AST walker).  All \
-             three produce byte-identical reports; overrides \
-             $(b,DPC_INTERP).")
+       ~doc:"Interpreter back end for profiling runs: bytecode|ref — \
+             $(b,bytecode) (fused linear bytecode dispatch, the default) \
+             or $(b,ref) (reference AST walker).  Both produce \
+             byte-identical reports; overrides $(b,DPC_INTERP).")
 
 let profile_arg =
   Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE"

@@ -253,15 +253,16 @@ let trace_dir =
 let interp =
   let backend =
     Arg.enum
-      [ ("compiled", Dpc_sim.Interp.Compiled);
-        ("bytecode", Dpc_sim.Interp.Bytecode);
-        ("ref", Dpc_sim.Interp.Reference) ]
+      [ ("bytecode", Dpc_sim.Interp.Bytecode);
+        ("ref", Dpc_sim.Interp.Reference);
+        (* the retired closure tier's name, kept as an alias *)
+        ("compiled", Dpc_sim.Interp.Bytecode) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
-       ~doc:"Interpreter back end: $(b,bytecode) (fused linear bytecode \
-             dispatch, the default), $(b,compiled) (closure fast path) or \
-             $(b,ref) (reference AST walker).  All three emit \
-             byte-identical metrics; overrides $(b,DPC_INTERP).")
+       ~doc:"Interpreter back end: bytecode|ref — $(b,bytecode) (fused \
+             linear bytecode dispatch, the default) or $(b,ref) \
+             (reference AST walker).  Both emit byte-identical metrics; \
+             overrides $(b,DPC_INTERP).")
 
 let scenario_args =
   Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"KEY=V,..."

@@ -67,7 +67,7 @@ type prep = {
   p_trans : Transform.result option;
 }
 
-type ckernels = (string, Dpc_sim.Compile.ckernel option) Hashtbl.t
+type ckernels = (string, Dpc_sim.Bytecode.ckernel option) Hashtbl.t
 
 (** Cache hook threaded through {!prepare}: given the variant's stable
     [key], the effective interpreter-tier tag [interp] (see
@@ -97,9 +97,9 @@ let cfg_digest (cfg : Cfg.t) =
     artifact depends on — variant tag, full source text (which already
     encodes granularity and any dataset-derived launch constants), parent
     kernel, configuration policy, device config, and the interpreter tier
-    whose compiled-kernel table the entry seeds (closure and bytecode
-    lowerings share a table slot type but never an actual table, so the
-    tiers must never collide on one key). *)
+    whose compiled-kernel table the entry seeds (the tiers share a table
+    slot type but never an actual table, so they must never collide on
+    one key). *)
 let prep_key ~tag ~(cfg : Cfg.t) ~policy ~source ~parent ~interp =
   let policy_str =
     match policy with

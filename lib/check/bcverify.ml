@@ -11,29 +11,30 @@
     This pass re-derives, by abstract interpretation over the stream
     alone, every property the executor assumes:
 
-    - {b BC01} opcode validity / fallback-matrix conformance: only the
-      eighteen documented stream ops may appear, with their enumerated
-      immediates in range (ATOMIC buffer kind 0–1, op 0–4, old-value
-      kind 0–2; MALLOC scope 0–2, destination kind 0–1); anything else
-      means an op the lowering documents as unlowerable (launches,
-      syncs, frees, barriers — always [CALL] fallbacks) was encoded
-      directly.
+    - {b BC01} opcode validity: only the twenty documented stream ops
+      may appear, with their enumerated immediates in range (ATOMIC
+      buffer kind 0–1, op 0–4, old-value kind 0–2; MALLOC scope 0–2,
+      destination kind 0–1; LAUNCH grid/block kinds 0–1, argument kinds
+      0–2, a non-negative argument count).
     - {b BC02} instruction fit: every operand (including each FUSE
       quad) lies inside its enclosing region — a truncated stream is
       caught before the executor reads past the end.
     - {b BC03}/{b BC04} register-plane typing: every int (and boxed) /
       float operand resolves inside its plane — temp rows below the
       temp-plane height, warp rows below the plane row count, constants
-      inside the pool; boxed destinations (BOX quads, an ATOMIC old
+      inside the pool — LAUNCH dimensions and arguments and the FREE
+      buffer included; boxed destinations (BOX quads, an ATOMIC old
       value, a MALLOC handle) are warp rows of the boxed plane, which
       has neither temps nor constants.
     - {b BC05} FUSE well-formedness: a positive quad count, documented
       sub-ops only, SPECIAL kinds 0–6, and raising quads (IDIV/IMOD) of
       at most one kind per group (the lowering's abort-ordering rule).
     - {b BC06} structured control: IF/WHILE/FOR/ANDOR region targets
-      monotone and inside the enclosing region, condition kinds 0/1.
-    - {b BC07} table indices: CALL fallback slots inside the statement
-      table, MALLOC sites inside the kernel's site caches.
+      monotone and inside the enclosing region, condition kinds 0/1; a
+      block-uniform condition program's value of kind 0–2 in a
+      readable register.
+    - {b BC07} table indices: MALLOC sites inside the kernel's site
+      caches, LAUNCH callee ids inside the interned-name table.
     - {b BC08} shared-memory operands: array slot and interned name in
       range (SHLOAD, SHLOADN, SHSTORE), SHSTORE kinds 0–2.
     - {b BC09} no write destination may address the constant pool
@@ -167,15 +168,46 @@ let check_stream (s : B.stream) : Diag.t list =
         else k ()
       in
       match op with
-      | 0 | 1 -> walk (p + 1) stop
+      | 0 | 1 | 18 -> walk (p + 1) stop
       | 2 ->
-        need 2 (fun () ->
-            let st = code.(p + 1) in
-            if st < 0 || st >= s.B.s_nstmts then
+        need 7 (fun () ->
+            let nm = code.(p + 1) and nargs = code.(p + 6) in
+            if nm < 0 || nm >= s.B.s_nnames then
               emit ~id:"BC07"
-                "pc %d: CALL statement %d, but the fallback table has %d \
-                 entries"
-                p st s.B.s_nstmts;
+                "pc %d: LAUNCH callee id %d, but %d names are interned" p nm
+                s.B.s_nnames;
+            let dim what kind r =
+              if kind <> 0 && kind <> 1 then
+                emit ~id:"BC01"
+                  "pc %d: LAUNCH %s kind %d (expected 0=int 1=float)" p what
+                  kind
+              else
+                reg_read (if kind = 0 then Pi else Pf) ~pc:p
+                  ~what:("LAUNCH " ^ what) r
+            in
+            dim "grid" code.(p + 2) code.(p + 3);
+            dim "block" code.(p + 4) code.(p + 5);
+            if nargs < 0 then
+              emit ~id:"BC01" "pc %d: LAUNCH argument count %d" p nargs
+            else
+              need (7 + (2 * nargs)) (fun () ->
+                  for j = 0 to nargs - 1 do
+                    let kind = code.(p + 7 + (2 * j)) in
+                    let r = code.(p + 8 + (2 * j)) in
+                    let what = Printf.sprintf "LAUNCH argument %d" j in
+                    match kind with
+                    | 0 | 2 -> reg_read Pi ~pc:p ~what r
+                    | 1 -> reg_read Pf ~pc:p ~what r
+                    | _ ->
+                      emit ~id:"BC01"
+                        "pc %d: %s kind %d (expected 0=int 1=float \
+                         2=buffer)"
+                        p what kind
+                  done;
+                  walk (p + 7 + (2 * nargs)) stop))
+      | 19 ->
+        need 2 (fun () ->
+            reg_read Pi ~pc:p ~what:"FREE buffer" code.(p + 1);
             walk (p + 2) stop)
       | 3 ->
         need 5 (fun () ->
@@ -387,18 +419,26 @@ let check_stream (s : B.stream) : Diag.t list =
             walk (p + n) stop)
       | _ ->
         emit ~id:"BC01"
-          "pc %d: opcode %d is not a stream op — an unlowerable statement \
-           (launch/sync/free/barrier) must be a CALL fallback"
-          p op
+          "pc %d: opcode %d is not a stream op" p op
         (* Unknown width: nothing after this pc can be decoded. *)
     end
   in
   walk 0 len;
+  (match s.B.s_result with
+  | None -> ()
+  | Some (kind, r) -> (
+    match kind with
+    | 0 | 2 -> reg_read Pi ~pc:len ~what:"uniform condition value" r
+    | 1 -> reg_read Pf ~pc:len ~what:"uniform condition value" r
+    | _ ->
+      emit ~id:"BC06"
+        "uniform condition value kind %d (expected 0=int 1=float 2=buffer)"
+        kind));
   Diag.sort !diags
 
 (** Verify every stream a finalized kernel lowers to.  Kernels that do
-    not compile (no typing: reference-walker only) have no bytecode and
-    verify vacuously. *)
+    not lower (reference-walker only) have no bytecode and verify
+    vacuously. *)
 let check_kernel (k : K.t) : Diag.t list =
   if k.K.typing = None then K.finalize k;
   match B.streams_of_kernel k with

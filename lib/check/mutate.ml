@@ -578,13 +578,12 @@ let tv_clean_grid = tv_case ~gran:P.Grid Fun.id
 (* the synthetic encoding to the actual one.                            *)
 (* ------------------------------------------------------------------ *)
 
-let bc_stream ?(nstmts = 3) ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
+let bc_stream ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
     ?(nint = 4) ?(nflt = 2) ?(nbox = 2) ?(nsites = 2) ?(nshared = 1)
-    ?(nnames = 2) code () =
+    ?(nnames = 2) ?result code () =
   {
     Bc.s_kname = "bc_mutant";
     s_code = Array.of_list code;
-    s_nstmts = nstmts;
     s_nic = nic;
     s_nfc = nfc;
     s_ntmpi = ntmpi;
@@ -595,7 +594,7 @@ let bc_stream ?(nstmts = 3) ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
     s_nsites = nsites;
     s_nshared = nshared;
     s_nnames = nnames;
-    s_calls = Array.make nstmts "let";
+    s_result = result;
   }
 
 (* Encoding cheat sheet (mirrors the executor): FUSE groups are
@@ -615,13 +614,12 @@ let bc05_bad_special_kind = bc_stream [ 7; 1; 0; 41; 9; 0; 2 ]
 let bc06_if_backward_target = bc_stream [ 3; 0; 0; 2; 9 ]
 let bc06_bad_cond_kind = bc_stream [ 3; 5; 0; 5; 5 ]
 let bc06_while_backward_test = bc_stream [ 4; 2; 9 ]
-let bc07_call_oob = bc_stream [ 2; 7 ]
 let bc08_shared_slot_oob = bc_stream [ 13; 0; 1; 5; 0 ]
 let bc08_shstore_bad_kind = bc_stream [ 14; 7; 0; 0; 0; 0 ]
 let bc09_write_to_const = bc_stream [ 7; 1; 0; 0; 0; 1; -1 ]
 
 let bc_clean_straightline =
-  bc_stream [ 7; 1; 0; 0; 0; 1; 2; 8; 0; 1; 3; 12; 0; 2; 2; 1 ]
+  bc_stream [ 7; 1; 0; 0; 0; 1; 2; 8; 0; 1; 3; 12; 0; 2; 18; 1 ]
 
 let bc_clean_structured =
   bc_stream [ 3; 0; 0; 12; 12; 7; 1; 0; 0; 0; 1; 2 ]
@@ -683,7 +681,7 @@ let bc_real_native_stream () =
   in
   K.finalize k;
   match Bc.streams_of_kernel k with
-  | Some [ s ] when s.Bc.s_calls = [||] -> s
+  | Some [ s ] -> s
   | _ -> failwith "bc_native: kernel did not lower natively"
 
 let bc01_real_atomic_bad_kind () =
@@ -695,6 +693,84 @@ let bc01_real_atomic_bad_kind () =
   { s with Bc.s_code = code }
 
 let bc_clean_real_native () = bc_real_native_stream ()
+
+(* The device runtime ops: LAUNCH [2; nm; gk; g; bk; b; n; (ak a)*n]
+   (callee id, grid/block kind and register, then each argument's kind
+   0 int / 1 float / 2 buffer and register), DEVSYNC [18], FREE [19; b];
+   and a uniform-condition program, whose value (kind, register) rides
+   in [s_result]. *)
+let bc01_launch_bad_arg_kind = bc_stream [ 2; 0; 0; 0; 0; 0; 1; 5; 0 ]
+let bc02_truncated_launch = bc_stream [ 2; 0; 0; 0; 0; 0; 3; 0; 0 ]
+let bc03_launch_arg_row_oob = bc_stream [ 2; 0; 0; 0; 0; 0; 1; 0; 9 ]
+let bc04_launch_float_grid_oob = bc_stream [ 2; 0; 1; 5; 0; 0; 0 ]
+let bc07_launch_callee_oob = bc_stream [ 2; 5; 0; 0; 0; 0; 0 ]
+let bc03_free_buffer_oob = bc_stream [ 19; 9 ]
+let bc06_uniform_bad_kind = bc_stream ~result:(3, 0) [ 7; 1; 0; 38; 0; 0; 1 ]
+let bc03_uniform_value_oob = bc_stream ~result:(0, 9) [ 7; 1; 0; 38; 0; 0; 1 ]
+
+let bc_clean_runtime_ops =
+  bc_stream
+    [ 2; 1; 0; 0; 1; -1; 3; 0; 1; 1; 0; 2; 2;  (* int grid, float block *)
+      18; 19; 2 ]
+
+let bc_clean_uniform_cond =
+  bc_stream ~result:(0, Bc.temp_base)
+    [ 7; 1; 0; 14; 0; 1; Bc.temp_base ]
+
+(* A real lowering of the device runtime — launches with int, float and
+   buffer arguments (the first one opens the kernel, so its stream
+   starts [FILTER; LAUNCH ...]), a divergent one, a device sync, a free
+   — and of a block-uniform loop around a barrier, pristine and damaged:
+   a LAUNCH argument row moved outside its plane, a uniform condition's
+   value kind corrupted. *)
+let bc_real_runtime_streams () =
+  let child =
+    kernel ~name:"bc_child" ~params:[ p "n"; pf "x"; pi "a" ]
+      [ store (v "a") tid (v "n") ]
+  in
+  let k =
+    kernel ~name:"bc_runtime" ~params:[ pi "a"; p "n" ]
+      ~shared:[ ("sh", 32) ]
+      [
+        launch "bc_child" ~grid:(i 1) ~block:(i 32) [ v "n"; f 0.5; v "a" ];
+        malloc ~scope:A.Per_block "buf" (i 4);
+        if_then (tid <: v "n")
+          [ launch "bc_child" ~grid:(i 1) ~block:(to_float (i 32))
+              [ v "n"; f 0.5; v "a" ] ];
+        device_sync;
+        for_ "it" ~from:(i 0) ~below:(v "n")
+          [ shared_set "sh" tid (v "it"); sync ];
+        free (v "buf");
+      ]
+  in
+  ignore (prog_of [ child; k ]);
+  K.finalize k;
+  match Bc.streams_of_kernel k with
+  | Some streams -> streams
+  | None -> failwith "bc_runtime: kernel did not lower"
+
+let bc_real_runtime_stream () =
+  match bc_real_runtime_streams () with
+  | s :: _ when s.Bc.s_code.(0) = 0 && s.Bc.s_code.(1) = 2 -> s
+  | _ -> failwith "bc_runtime: unexpected stream layout"
+
+let bc_real_uniform_stream () =
+  List.find (fun s -> s.Bc.s_result <> None) (bc_real_runtime_streams ())
+
+let bc03_real_launch_arg_oob () =
+  let s = bc_real_runtime_stream () in
+  let code = Array.copy s.Bc.s_code in
+  (* [FILTER; LAUNCH nm gk g bk b 3; 0 n; ...]: the first argument's
+     int register sits at index 9 *)
+  code.(9) <- s.Bc.s_nint + 3;
+  { s with Bc.s_code = code }
+
+let bc06_real_uniform_bad_kind () =
+  let s = bc_real_uniform_stream () in
+  { s with Bc.s_result = Option.map (fun (_, r) -> (7, r)) s.Bc.s_result }
+
+let bc_clean_real_runtime () = bc_real_runtime_stream ()
+let bc_clean_real_uniform () = bc_real_uniform_stream ()
 
 (* ------------------------------------------------------------------ *)
 (* The catalog                                                          *)
@@ -820,8 +896,6 @@ let all : mutant list =
       expect = Some "BC06"; target = Stream bc06_bad_cond_kind };
     { mname = "bc06_while_backward_test"; analysis = "bytecode";
       expect = Some "BC06"; target = Stream bc06_while_backward_test };
-    { mname = "bc07_call_oob"; analysis = "bytecode";
-      expect = Some "BC07"; target = Stream bc07_call_oob };
     { mname = "bc08_shared_slot_oob"; analysis = "bytecode";
       expect = Some "BC08"; target = Stream bc08_shared_slot_oob };
     { mname = "bc08_shstore_bad_kind"; analysis = "bytecode";
@@ -864,6 +938,34 @@ let all : mutant list =
       expect = None; target = Stream bc_clean_native_ops };
     { mname = "bc_clean_real_native"; analysis = "bytecode";
       expect = None; target = Stream bc_clean_real_native };
+    { mname = "bc01_launch_bad_arg_kind"; analysis = "bytecode";
+      expect = Some "BC01"; target = Stream bc01_launch_bad_arg_kind };
+    { mname = "bc02_truncated_launch"; analysis = "bytecode";
+      expect = Some "BC02"; target = Stream bc02_truncated_launch };
+    { mname = "bc03_launch_arg_row_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_launch_arg_row_oob };
+    { mname = "bc03_real_launch_arg_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_real_launch_arg_oob };
+    { mname = "bc03_free_buffer_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_free_buffer_oob };
+    { mname = "bc03_uniform_value_oob"; analysis = "bytecode";
+      expect = Some "BC03"; target = Stream bc03_uniform_value_oob };
+    { mname = "bc04_launch_float_grid_oob"; analysis = "bytecode";
+      expect = Some "BC04"; target = Stream bc04_launch_float_grid_oob };
+    { mname = "bc06_uniform_bad_kind"; analysis = "bytecode";
+      expect = Some "BC06"; target = Stream bc06_uniform_bad_kind };
+    { mname = "bc06_real_uniform_bad_kind"; analysis = "bytecode";
+      expect = Some "BC06"; target = Stream bc06_real_uniform_bad_kind };
+    { mname = "bc07_launch_callee_oob"; analysis = "bytecode";
+      expect = Some "BC07"; target = Stream bc07_launch_callee_oob };
+    { mname = "bc_clean_runtime_ops"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_runtime_ops };
+    { mname = "bc_clean_uniform_cond"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_uniform_cond };
+    { mname = "bc_clean_real_runtime"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_real_runtime };
+    { mname = "bc_clean_real_uniform"; analysis = "bytecode";
+      expect = None; target = Stream bc_clean_real_uniform };
   ]
 
 type outcome = {

@@ -8,8 +8,8 @@
       {e before} publication, so concurrent readers only ever observe
       finished, read-only programs ({!Dpc_kir.Kernel.finalize} is
       idempotent — a later session's own finalize call is a no-op).
-    - {b Compiled closures} ({!Dpc_sim.Compile.ckernel}) carry mutable
-      per-warp scratch and must never execute concurrently in two
+    - {b Lowered kernels} ({!Dpc_sim.Bytecode.ckernel}) carry mutable
+      per-program scratch and must never execute concurrently in two
       domains, so each domain gets its own table per (cache, prep key)
       via [Domain.DLS].  Within a domain the table is handed to every
       session in turn: each kernel lowers at most once per domain per
@@ -114,7 +114,7 @@ let build_or_load cache key tier cfgkey build =
 (** The cache as a {!Harness.preparer}: memoizes the program build and
     seeds the session with this domain's compiled-kernel table.  The
     interpreter tier and device config are already folded into [key]
-    (so closure and bytecode lowerings never share a prep entry or a
+    (so the bytecode tier and the walker never share a prep entry or a
     ckernel table, and presets never share preps); the explicit
     [interp] and [cfgkey] tags additionally stamp persistent-store
     headers so on-disk files are self-describing. *)

@@ -3,8 +3,8 @@
     Caches the run-independent build products of app variants — parsed
     programs, {!Dpc.Transform} outputs, finalization — in one shared,
     mutex-guarded table (programs are finalized before publication and
-    read-only afterwards), and compiled interpreter closures in
-    per-domain tables (closures carry mutable scratch and must never run
+    read-only afterwards), and lowered bytecode kernels in per-domain
+    tables (lowered programs carry mutable scratch and must never run
     concurrently in two domains; see {!Dpc_sim.Interp.create_session}).
 
     A cache may be backed by a persistent on-disk {!Pstore}: in-memory

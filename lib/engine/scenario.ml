@@ -176,8 +176,7 @@ let interp_of_string s =
   | Some m -> m
   | None ->
     invalid_arg
-      (Printf.sprintf "bad interp mode %S (expected compiled, bytecode, or ref)"
-         s)
+      (Printf.sprintf "bad interp mode %S (expected bytecode or ref)" s)
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -454,7 +453,6 @@ let interp_weight m =
   match Option.value m ~default:(Dpc_sim.Interp.default_mode ()) with
   | Dpc_sim.Interp.Reference -> 1.48
   | Dpc_sim.Interp.Bytecode -> 0.54
-  | Dpc_sim.Interp.Compiled -> 1.0
 
 (* Deep-memory-model scenarios spend extra interpreter wall per memory
    instruction (bank-conflict index collection and the MSHR ledger in

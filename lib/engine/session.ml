@@ -4,7 +4,7 @@
     and executes {!Scenario.t} values through the registry's spec-driven
     app entry points.  Runs that differ only in scale, seed or allocator
     share one parse/transform/finalize of their programs (and, per
-    domain, one closure compilation per kernel); every run still gets a
+    domain, one bytecode lowering per kernel); every run still gets a
     fresh device, memory and allocator, so results are byte-identical to
     uncached runs — which the determinism tests assert.  With [persist]
     the cache is additionally backed by an on-disk store, so even a

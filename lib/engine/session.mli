@@ -4,7 +4,7 @@
 
     A session owns a {!Kcache}, an {!Input_cache} and a worker pool.
     Runs differing only in scale, seed or allocator share one program
-    build (and one closure compilation per kernel per domain); runs of
+    build (and one bytecode lowering per kernel per domain); runs of
     one app on the same data (scale, seed, data extras) share one
     dataset and CPU reference.  Every run still gets a fresh device, so
     results are byte-identical to uncached runs.  With

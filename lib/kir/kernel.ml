@@ -15,7 +15,7 @@ type t = {
   mutable nsites : int;  (** number of Malloc sites; -1 until finalized *)
   mutable typing : Typing.t option;
       (** slot-type inference result, cached by [finalize]; consumed by the
-          simulator's compiled fast path *)
+          simulator's bytecode tier *)
 }
 
 exception Invalid_kernel of string

@@ -4,7 +4,7 @@
     {!finalize} resolves every variable occurrence to a dense frame slot
     (the interpreter indexes per-lane frames by slot, never by name),
     numbers [Malloc] sites so per-grid allocations can be memoized, and
-    caches the {!Typing} inference consumed by the compiled fast path.
+    caches the {!Typing} inference consumed by the bytecode tier.
 
     The record is exposed concretely: the simulator reads [nslots],
     [nsites] and [typing] directly, and the transforms and checker walk
@@ -20,7 +20,7 @@ type t = {
   mutable nsites : int;  (** number of Malloc sites; -1 until finalized *)
   mutable typing : Typing.t option;
       (** slot-type inference result, cached by [finalize]; consumed by the
-          simulator's compiled fast path *)
+          simulator's bytecode tier *)
 }
 
 exception Invalid_kernel of string

@@ -1,4 +1,4 @@
-(** Forward slot-type inference for the interpreter's compiled fast path.
+(** Forward slot-type inference for the interpreter's bytecode tier.
 
     The IR is dynamically typed ({!Value.t}); the AST walker carries boxed
     values for every lane.  Most kernels, however, are monomorphic: every
@@ -20,8 +20,8 @@
       loads through them stay typed; element types come from parameter
       declarations ([int*]/[float*]) and from [Malloc] (always int);
     - anything mixed, unknown, or error-prone joins to [St_boxed], and the
-      compiled path falls back to boxed {!Value.t} lanes there, which by
-      construction reproduces the reference walker exactly.
+      bytecode keeps boxed {!Value.t} lanes there (and sends any kernel
+      that reads one to the reference walker).
 
     Shared arrays get the same treatment, keyed by the type of every value
     stored into them ([Sh_int] when all stores are ints, else boxed). *)
@@ -42,7 +42,7 @@ type t = {
   shared : (string * sh_ty) list;  (** same order as the kernel's decls *)
   ok : bool;
       (** false when the body contains unresolved variable slots; the
-          compiled path must then refuse the kernel entirely *)
+          bytecode tier must then refuse the kernel entirely *)
 }
 
 val slot_ty_to_string : slot_ty -> string

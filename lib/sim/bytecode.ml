@@ -1,22 +1,18 @@
-(** Third interpreter tier: finalized kernels flattened to a dense array
-    of int-coded instructions over unboxed int/float register planes,
-    executed by a tight dispatch loop with warp-wide inner loops.
-
-    This is a {e second lowering} plugged into {!Compile.compile_kernel}
-    via [?run_lower]: every maximal barrier-free statement run becomes
-    one bytecode program; block-uniform segments (barriers and the
-    control flow around them) keep the closure lowering.  The result is
-    an ordinary {!Compile.ckernel}, so argument vetting, block
-    execution, caching and the engine plumbing are shared with the
-    closure tier.
+(** The lowered interpreter tier: finalized kernels flattened to dense
+    arrays of int-coded instructions over unboxed int/float register
+    planes, executed by a tight dispatch loop with warp-wide inner loops.
+    The reference walker in {!Interp} is the only other tier.
 
     Design:
 
-    - {b Registers.}  An operand is a single int [r]: [r >= tmp_base]
-      indexes the program's private temp plane, [0 <= r < tmp_base] a
-      warp register row (same row assignment as {!Compile}), [r < 0]
-      the 32-wide constant pool.  Int and float spaces are separate;
-      the kind travels in the lowering, never at run time.
+    - {b Registers.}  Frame slots proven monomorphic by
+      {!Dpc_kir.Typing} live in raw [int array] / [float array] lanes of
+      a per-warp register plane (buffer handles are ints); slots the
+      inference could not type stay in boxed {!V.t} lanes.  An operand
+      is a single int [r]: [r >= tmp_base] indexes the program's private
+      temp plane, [0 <= r < tmp_base] a warp register row, [r < 0] the
+      32-wide constant pool.  Int and float spaces are separate; the
+      kind travels in the lowering, never at run time.
     - {b Superinstructions.}  Straight-line arithmetic / conversion /
       move ops are fused at lowering time into one [FUSE] group charged
       once ([charge k n] is exactly [k] unit charges under the same
@@ -30,37 +26,84 @@
       ([mask land lnot returned]) is emitted as a [FILTER] op only when
       something since the previous filter could have changed
       [returned]; runs of pure ops fuse across statement boundaries.
-    - {b Native statements.}  Besides arithmetic, loads/stores, shared
-      memory and structured control, the statements consolidated kernels
-      execute most lower natively: atomics on int and float buffers
-      ([ATOMIC], mirroring {!Compile}'s unboxed atomic paths), lets into
-      boxed slots (BOX quads), device mallocs ([MALLOC], through the
-      allocation path shared with the closure tier) and reads of shared
-      arrays that provably hold only numbers ([SHLOADN]).
-    - {b Fallback.}  Anything the bytecode does not lower natively —
-      launches, syncs, frees, statements over boxed or type-mixed
-      operands — falls back {e per statement} to {!Compile.compile_stmt}
-      via a [CALL] op, so coverage and error identity are exactly the
-      closure tier's ({!Compile.Not_compilable} propagates and the whole
-      kernel then takes the reference walker, as before).
+    - {b Native statements.}  Every statement kind lowers to stream ops:
+      arithmetic, loads/stores, shared memory, structured control,
+      atomics on int and float buffers, lets into boxed slots (BOX
+      quads), device mallocs, reads of shared arrays that provably hold
+      only numbers, and the device runtime itself — [LAUNCH],
+      [DEVSYNC] and [FREE], with the walker's charges, DRAM
+      transactions, segment cuts and pending-launch order.
+    - {b Block-uniform segments.}  A barrier and the [if]/[while]/[for]
+      around it run under one per-block driver; each uniform condition
+      or loop bound is its own small program, run on every live warp,
+      whose lanes must agree.
+    - {b Fallback.}  A construct with no native form — boxed or
+      type-mixed operands, a barrier outside block-uniform code,
+      [any]-element atomics — raises {!Not_compilable} at lowering time
+      and the whole kernel runs on the reference walker.
 
-    Charge-for-charge equivalence with the walker and the closure tier
-    is proven by the three-way differential suite. *)
+    Charge-for-charge equivalence with the walker (trace, metrics,
+    float accumulation order and error text) is proven by the
+    differential suite. *)
 
 module A = Dpc_kir.Ast
 module V = Dpc_kir.Value
+module K = Dpc_kir.Kernel
 module Ty = Dpc_kir.Typing
 module Mem = Dpc_gpu.Memory
 module Cfg = Dpc_gpu.Config
-module C = Compile
+module Alloc = Dpc_alloc.Allocator
+module Vec = Dpc_util.Vec
 module R = Runtime
 
 let err = R.err
 
+exception Not_compilable
+
+(* --- register plane and block context ------------------------------------ *)
+
+type storage = Si of int | Sf of int | Sb of int
+
+type warp = {
+  widx : int;
+  base_lane : int;  (** threadIdx.x of lane 0 *)
+  nlanes : int;  (** threads in this warp (last warp may be partial) *)
+  ints : int array array;  (** indexed [row].[lane] *)
+  flts : float array array;
+  boxd : V.t array array;
+  mutable returned : int;  (** bitmask of lanes that executed [return] *)
+}
+
+let full_mask w = (1 lsl w.nlanes) - 1
+
+let live_mask w = full_mask w land lnot w.returned
+
+type cctx = {
+  cfg : Cfg.t;
+  mem : Mem.t;
+  alloc : Alloc.t;
+  mm : Memmodel.t;
+  gid : int;
+  grid_dim : int;
+  block_dim : int;
+  depth : int;
+  block_idx : int;
+  shared : V.t array array;  (** by shared-decl index *)
+  warps : warp array;
+  seg : Trace.seg_builder;
+  block_mallocs : V.t option array;  (** by Malloc site *)
+  grid_mallocs : V.t option array;
+  grid_alloc_count : int ref;
+  pending : R.pending_launch Vec.t;
+  deep : bool;
+  flush_deep : R.pending_launch -> unit;
+  add_alloc_cycles : int -> unit;
+}
+
 (* Local copies of the hot {!Runtime} primitives.  flambda is off, so a
    cross-module call never inlines, and the dispatch loop pays these
    millions of times per run; the bodies are bit-identical to
-   [R.lowest_bit] / [R.popcount] / [R.charge]. *)
+   [R.lowest_bit] / [R.popcount]. *)
 let debruijn =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
@@ -74,30 +117,73 @@ let[@inline] pc x =
   let x = (x + (x lsr 4)) land 0x0f0f0f0f in
   (x * 0x01010101) lsr 24 land 0xff
 
-(* [chg c cycles m] = [Compile.charge c cycles (popcount m)], inlined. *)
-let[@inline] chg (c : C.cctx) cycles m =
-  let seg = c.C.seg in
+(* [chg c cycles m] = [R.charge c.seg cycles (popcount m)], inlined. *)
+let[@inline] chg (c : cctx) cycles m =
+  let seg = c.seg in
   seg.Trace.issue <- seg.Trace.issue + cycles;
   seg.Trace.lane_cycles <- seg.Trace.lane_cycles + (cycles * pc m)
 
-(* Memory-access accounting is NOT inlined here: every global access
-   goes through [C.account] -> {!Memmodel.account_access} (and shared
-   accesses through [C.account_shared]) so the cost semantics live in
-   exactly one place across all three tiers. *)
+(* Memory-access accounting is NOT inlined: every global access goes
+   through {!Memmodel.account_access} (and shared accesses through
+   {!Memmodel.account_shared}) so the cost semantics live in exactly one
+   place for both tiers. *)
+let account c (w : warp) addrs n =
+  Memmodel.account_access c.mm ~seg:c.seg ~warp:w.widx addrs n
 
-(* Superinstruction fusion toggle (ablation): lowering-time only, so
-   flip it on cache-free sessions. *)
-let fusion =
-  ref
-    (match Sys.getenv_opt "DPC_BYTECODE_FUSE" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
+let account_shared c idxs n = Memmodel.account_shared c.mm ~seg:c.seg idxs n
 
-let set_fusion b = fusion := b
+(* Lowering-time environment of one kernel. *)
+type env = {
+  kname : string;
+  slots : Ty.slot_ty array;
+  storage : storage array;
+  shindex : (string, int) Hashtbl.t;  (** shared name -> decl index *)
+  shtys : Ty.sh_ty array;
+  shnum : bool array;
+      (** shared arrays that only ever hold numbers (see
+          {!numeric_shared}) *)
+  nsites : int;  (** [Malloc] sites of the kernel *)
+}
 
-let fusion_enabled () = !fusion
+(* One [Malloc] of [n_elems] elements under [mask], with the walker's
+   allocator call order, [grid_alloc_count] contention, segment alloc_*
+   fields and per-site block/grid caches.  A per-warp malloc always
+   allocates; per-block and per-grid ones allocate once per site and
+   charge a 2-cycle cache hit afterwards. *)
+let malloc_value c ~kname ~site scope ~mask n_elems : V.t =
+  let fresh () =
+    let name = Printf.sprintf "%s#m%d@g%d" kname site c.gid in
+    let contention = !(c.grid_alloc_count) in
+    incr c.grid_alloc_count;
+    let fallbacks_before = Alloc.pool_fallbacks c.alloc in
+    let buf, cost =
+      Alloc.alloc ~contention c.alloc c.mem ~name ~count:n_elems
+    in
+    c.add_alloc_cycles cost;
+    c.seg.Trace.allocs <- c.seg.Trace.allocs + 1;
+    c.seg.Trace.alloc_fb <-
+      c.seg.Trace.alloc_fb
+      + (Alloc.pool_fallbacks c.alloc - fallbacks_before);
+    c.seg.Trace.alloc_cyc <- c.seg.Trace.alloc_cyc + cost;
+    R.charge c.seg cost 1;
+    V.Vbuf buf.Mem.id
+  in
+  let cached cache =
+    match cache.(site) with
+    | Some v ->
+      chg c 2 mask;
+      v
+    | None ->
+      let v = fresh () in
+      cache.(site) <- Some v;
+      v
+  in
+  match (scope : A.alloc_scope) with
+  | A.Per_warp -> fresh ()
+  | A.Per_block -> cached c.block_mallocs
+  | A.Per_grid -> cached c.grid_mallocs
 
-(* Register encoding split points. *)
+(* Register encoding split point. *)
 let tmpb = 0x400000
 
 let temp_base = tmpb
@@ -107,7 +193,10 @@ let temp_base = tmpb
    Stream ops (operand counts include the opcode itself):
      0 FILTER                       1
      1 RET                          1
-     2 CALL stmt                    2
+     2 LAUNCH nm gk g bk b n        7+2n then n pairs [ak; a]: callee name
+          (ak a)*n                          id; grid/block kind 0 int / 1
+                                        float (coerced per lane); arg kind
+                                        0 int / 1 float / 2 buffer
      3 IF kind row elsep endp       5   then [pc+5,elsep) else [elsep,endp)
      4 WHILE testp endp             3   cond [pc+3,testp), testp: kind row,
                                         body [testp+2,endp)
@@ -131,6 +220,9 @@ let temp_base = tmpb
                                         dk 0 int row / 1 boxed row
     17 SHLOADN i d sh nm            5   boxed read of a numeric shared
                                         array, coerced to float
+    18 DEVSYNC                      1   drain pending launches (deep)
+    19 FREE b                       2   frees the lowest active lane's
+                                        buffer
 
    Fused sub-ops, one quad [op; a; b; d] each:
      0..11  IADD ISUB IMUL IDIV IMOD IMIN IMAX ISHL ISHR IAND IOR IXOR
@@ -143,31 +235,28 @@ let temp_base = tmpb
      42 BOXI  43 BOXF  44 BOXU      (d = boxed warp row)
 *)
 
-(* --- compiled program ----------------------------------------------------- *)
+(* --- lowered program ------------------------------------------------------ *)
 
 type bprog = {
   code : int array;
-  stmts : (C.cctx -> C.warp -> int -> unit) array;
-      (** closure fallbacks, indexed by [CALL] *)
   ci : int array array;  (** int constant pool, 32-wide rows *)
   cf : float array array;
   tmpi : int array array;  (** temp planes, 32-wide rows *)
   tmpf : float array array;
-  shnames : string array;  (** shared-array names for error messages *)
+  names : string array;
+      (** interned names: shared arrays (error messages), launch callees *)
   kname : string;
   lanes : int array;  (** FUSE active-lane list scratch (divergent masks) *)
   addrs : int array;  (** memory-op coalescing scratch *)
 }
 
-(** The marshal-safe image of one lowered run: the instruction stream
-    plus every bound an operand can be checked against.  This is what
-    the static bytecode verifier ({!Dpc_check.Bcverify}) consumes —
-    [bprog] itself holds closures and live scratch, so it can neither
-    be persisted nor inspected without executing. *)
+(** The marshal-safe image of one lowered program: the instruction
+    stream plus every bound its operands can be checked against.  This
+    is what the static bytecode verifier ({!Dpc_check.Bcverify})
+    consumes — [bprog] itself holds live scratch. *)
 type stream = {
   s_kname : string;
   s_code : int array;
-  s_nstmts : int;  (** closure-fallback slots ([CALL] operand space) *)
   s_nic : int;  (** int constant-pool rows *)
   s_nfc : int;  (** float constant-pool rows *)
   s_ntmpi : int;  (** int temp-plane rows *)
@@ -177,22 +266,23 @@ type stream = {
   s_nbox : int;  (** warp boxed-plane rows *)
   s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
-  s_nnames : int;  (** interned shared-name ids *)
-  s_calls : string array;
-      (** statement kind behind each [CALL] slot (see {!stmt_tag}) *)
+  s_nnames : int;  (** interned name ids *)
+  s_result : (int * int) option;
+      (** a uniform-condition program's value: kind (0 int / 1 float /
+          2 buffer) and register; [None] for a statement run *)
 }
 
 (* Lane list for a full mask: the identity, shared by every program. *)
 let lane_id = Array.init 32 Fun.id
 
-let[@inline] row_i bp (w : C.warp) r =
+let[@inline] row_i bp (w : warp) r =
   if r >= tmpb then bp.tmpi.(r - tmpb)
-  else if r >= 0 then w.C.ints.(r)
+  else if r >= 0 then w.ints.(r)
   else bp.ci.(-r - 1)
 
-let[@inline] row_f bp (w : C.warp) r =
+let[@inline] row_f bp (w : warp) r =
   if r >= tmpb then bp.tmpf.(r - tmpb)
-  else if r >= 0 then w.C.flts.(r)
+  else if r >= 0 then w.flts.(r)
   else bp.cf.(-r - 1)
 
 (* Truth scan of a register row under [m]; the caller charges.  Rows are
@@ -237,12 +327,12 @@ let fill_i (dst : int array) m v =
    reordering lanes against quads cannot change which abort message
    fires.  The lane list costs one extra indexed load per lane but lets
    every sub-op run as a branch-free counted loop. *)
-let exec_fuse bp c (w : C.warp) (code : int array) p m =
+let exec_fuse bp c (w : warp) (code : int array) p m =
   let n = code.(p + 1) in
   let ch = code.(p + 2) in
   if ch > 0 then chg c ch m;
   let lanes, nact =
-    if m = (1 lsl w.C.nlanes) - 1 then (lane_id, w.C.nlanes)
+    if m = (1 lsl w.nlanes) - 1 then (lane_id, w.nlanes)
     else begin
       let s = bp.lanes in
       let k = ref 0 in
@@ -587,7 +677,7 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
       if arg = 0 then
         for t = 0 to nact - 1 do
           let l = Array.unsafe_get lanes t in
-          Array.unsafe_set d l (w.C.base_lane + l)
+          Array.unsafe_set d l (w.base_lane + l)
         done
       else if arg = 4 then
         for t = 0 to nact - 1 do
@@ -597,11 +687,11 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
       else begin
         let v =
           match arg with
-          | 1 -> c.C.block_idx
-          | 2 -> c.C.block_dim
-          | 3 -> c.C.grid_dim
-          | 5 -> w.C.widx
-          | _ -> c.C.cfg.Cfg.warp_size
+          | 1 -> c.block_idx
+          | 2 -> c.block_dim
+          | 3 -> c.grid_dim
+          | 5 -> w.widx
+          | _ -> c.cfg.Cfg.warp_size
         in
         for t = 0 to nact - 1 do
           Array.unsafe_set d (Array.unsafe_get lanes t) v
@@ -609,14 +699,14 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
       end
     | 42 ->
       let a = row_i bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
       for t = 0 to nact - 1 do
         let l = Array.unsafe_get lanes t in
         Array.unsafe_set d l (V.Vint (Array.unsafe_get a l))
       done
     | 43 ->
       let a = row_f bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
       for t = 0 to nact - 1 do
         let l = Array.unsafe_get lanes t in
         Array.unsafe_set d l (V.Vfloat (Array.unsafe_get a l))
@@ -624,34 +714,34 @@ let exec_fuse bp c (w : C.warp) (code : int array) p m =
     | _ ->
       (* 44 BOXU *)
       let a = row_i bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.C.boxd.(Array.unsafe_get code (q + 3)) in
+      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
       for t = 0 to nact - 1 do
         let l = Array.unsafe_get lanes t in
         Array.unsafe_set d l (V.Vbuf (Array.unsafe_get a l))
       done
   done
 
-(* One warp atomic (ATOMIC), lane by lane in mask order, exactly as
-   {!Compile}'s unboxed atomic paths: charge [atomic_cycles * n], then
-   per lane read-modify-write the element and record its address, then
-   one {!C.account}.  Payload arrays are touched directly when the index
-   is in range; otherwise the read goes through [Mem], which raises the
-   identical Out_of_bounds (the write then reuses the checked index).
+(* One warp atomic (ATOMIC), lane by lane in mask order, exactly as the
+   walker: charge [atomic_cycles * n], then per lane read-modify-write
+   the element and record its address, then one {!account}.  Payload
+   arrays are touched directly when the index is in range; otherwise the
+   read goes through [Mem], which raises the identical Out_of_bounds
+   (the write then reuses the checked index).
    The [old] value is written per lane straight into its row: a lane
    reads only its own operand lanes, and a raise aborts the launch, so
    nothing can observe the difference from a post-loop copy. *)
-let exec_atomic bp c (w : C.warp) (code : int array) p m =
+let exec_atomic bp c (w : warp) (code : int array) p m =
   let op = code.(p + 2) in
   let ids = row_i bp w code.(p + 3) in
   let ii = row_i bp w code.(p + 4) in
   let dk = code.(p + 7) in
   let n = pc m in
-  chg c (c.C.cfg.Cfg.atomic_cycles * n) m;
+  chg c (c.cfg.Cfg.atomic_cycles * n) m;
   let addrs = bp.addrs in
   let k = ref 0 in
   let mm = ref m in
-  let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
-  let boxed = if dk = 2 then w.C.boxd.(code.(p + 8)) else [||] in
+  let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
+  let boxed = if dk = 2 then w.boxd.(code.(p + 8)) else [||] in
   if code.(p + 1) = 0 then begin
     let oi = row_i bp w code.(p + 5) in
     let ci = if op = 4 then row_i bp w code.(p + 6) else oi in
@@ -663,7 +753,7 @@ let exec_atomic bp c (w : C.warp) (code : int array) p m =
         let bf = !b in
         if id = bf.Mem.id then bf
         else begin
-          let nb = Mem.get_buf c.C.mem id in
+          let nb = Mem.get_buf c.mem id in
           b := nb;
           nb
         end
@@ -705,7 +795,7 @@ let exec_atomic bp c (w : C.warp) (code : int array) p m =
         let bf = !b in
         if id = bf.Mem.id then bf
         else begin
-          let nb = Mem.get_buf c.C.mem id in
+          let nb = Mem.get_buf c.mem id in
           b := nb;
           nb
         end
@@ -736,12 +826,53 @@ let exec_atomic bp c (w : C.warp) (code : int array) p m =
       mm := !mm land (!mm - 1)
     done
   end;
-  C.account c w addrs !k
+  account c w addrs !k
+
+(* One warp's device-side launches (LAUNCH), lane by lane in mask order
+   as the walker records them: each lane's grid/block dimensions and
+   boxed arguments, [launch_issue_cycles] and the launch's DRAM
+   transactions, one pending launch per lane (run later, at a
+   [cudaDeviceSynchronize] or block end), then a [Seg_launch] cut whose
+   id slots the children patch when they execute. *)
+let exec_launch bp c (w : warp) (code : int array) p m =
+  let callee = bp.names.(code.(p + 1)) in
+  let grid_k = code.(p + 2) and grid_r = code.(p + 3) in
+  let block_k = code.(p + 4) and block_r = code.(p + 5) in
+  let nargs = code.(p + 6) in
+  let dim kind r l =
+    if kind = 0 then (row_i bp w r).(l) else Float.to_int (row_f bp w r).(l)
+  in
+  let arg j l =
+    let r = code.(p + 8 + (2 * j)) in
+    match code.(p + 7 + (2 * j)) with
+    | 0 -> V.Vint (row_i bp w r).(l)
+    | 1 -> V.Vfloat (row_f bp w r).(l)
+    | _ -> V.Vbuf (row_i bp w r).(l)
+  in
+  let cfg = c.cfg in
+  let ids = Array.make (pc m) (-1) in
+  let k = ref 0 in
+  let mm = ref m in
+  while !mm <> 0 do
+    let l = lb !mm in
+    let pl_grid = dim grid_k grid_r l in
+    let pl_block = dim block_k block_r l in
+    let pl_args = List.init nargs (fun j -> arg j l) in
+    R.charge c.seg cfg.Cfg.launch_issue_cycles 1;
+    c.seg.Trace.dram <- c.seg.Trace.dram + cfg.Cfg.launch_dram_transactions;
+    Vec.push c.pending
+      { R.pl_callee = callee; pl_grid; pl_block; pl_args; pl_ids = ids;
+        pl_slot = !k; pl_parent = (c.gid, c.block_idx);
+        pl_depth = c.depth + 1 };
+    incr k;
+    mm := !mm land (!mm - 1)
+  done;
+  Trace.cut c.seg (Trace.Seg_launch ids)
 
 (* The dispatch loop: one region [pc0, stop) of one warp under region
    mask [rmask].  Control flow recurses with freshly scanned sub-masks,
-   exactly like the closure tier. *)
-let rec exec bp c (w : C.warp) pc0 stop rmask =
+   exactly like the walker. *)
+let rec exec bp c (w : warp) pc0 stop rmask =
   let code = bp.code in
   let cur = ref rmask in
   let p = ref pc0 in
@@ -749,16 +880,15 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
     match Array.unsafe_get code !p with
     | 0 ->
       (* FILTER *)
-      cur := rmask land lnot w.C.returned;
+      cur := rmask land lnot w.returned;
       if !cur = 0 then p := stop else incr p
     | 1 ->
       (* RET *)
-      w.C.returned <- w.C.returned lor !cur;
+      w.returned <- w.returned lor !cur;
       incr p
     | 2 ->
-      (* CALL: closure fallback; it re-filters its own mask *)
-      bp.stmts.(code.(!p + 1)) c w !cur;
-      p := !p + 2
+      exec_launch bp c w code !p !cur;
+      p := !p + 7 + (2 * code.(!p + 6))
     | 3 ->
       (* IF *)
       let q = !p in
@@ -779,7 +909,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let cm = ref !cur in
       let running = ref true in
       while !running do
-        let m0 = !cm land lnot w.C.returned in
+        let m0 = !cm land lnot w.returned in
         if m0 = 0 then running := false
         else begin
           exec bp c w (q + 3) testp m0;
@@ -796,7 +926,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
     | 5 ->
       (* FOR *)
       let q = !p in
-      let var = w.C.ints.(code.(q + 1)) in
+      let var = w.ints.(code.(q + 1)) in
       let lo = row_i bp w code.(q + 2) in
       let testp = code.(q + 4) in
       let endp = code.(q + 5) in
@@ -811,7 +941,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let cm = ref m in
       let running = ref true in
       while !running do
-        let m0 = !cm land lnot w.C.returned in
+        let m0 = !cm land lnot w.returned in
         if m0 = 0 then running := false
         else begin
           exec bp c w (q + 6) testp m0;
@@ -870,14 +1000,14 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let ii = row_i bp w code.(q + 2) in
       let di = row_i bp w code.(q + 3) in
       let m = !cur in
-      chg c c.C.cfg.Cfg.mem_issue_cycles m;
+      chg c c.cfg.Cfg.mem_issue_cycles m;
       let addrs = bp.addrs in
       let k = ref 0 in
       let mm = ref m in
       (* Cache the handle across lanes (loads are usually same-buffer)
          and read the payload array directly; the bounds-failure path
          re-reads through [Mem] so the raise is identical. *)
-      let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
+      let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
       while !mm <> 0 do
         let l = lb !mm in
         let id = Array.unsafe_get ids l in
@@ -885,7 +1015,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
           let bf = !b in
           if id = bf.Mem.id then bf
           else begin
-            let nb = Mem.get_buf c.C.mem id in
+            let nb = Mem.get_buf c.mem id in
             b := nb;
             nb
           end
@@ -904,7 +1034,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         incr k;
         mm := !mm land (!mm - 1)
       done;
-      C.account c w addrs !k;
+      account c w addrs !k;
       p := q + 4
     | 9 ->
       (* LOADF *)
@@ -913,11 +1043,11 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let ii = row_i bp w code.(q + 2) in
       let df = row_f bp w code.(q + 3) in
       let m = !cur in
-      chg c c.C.cfg.Cfg.mem_issue_cycles m;
+      chg c c.cfg.Cfg.mem_issue_cycles m;
       let addrs = bp.addrs in
       let k = ref 0 in
       let mm = ref m in
-      let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
+      let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
       while !mm <> 0 do
         let l = lb !mm in
         let id = Array.unsafe_get ids l in
@@ -925,7 +1055,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
           let bf = !b in
           if id = bf.Mem.id then bf
           else begin
-            let nb = Mem.get_buf c.C.mem id in
+            let nb = Mem.get_buf c.mem id in
             b := nb;
             nb
           end
@@ -944,7 +1074,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         incr k;
         mm := !mm land (!mm - 1)
       done;
-      C.account c w addrs !k;
+      account c w addrs !k;
       p := q + 4
     | 10 ->
       (* STOREI *)
@@ -953,11 +1083,11 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let ii = row_i bp w code.(q + 2) in
       let xi = row_i bp w code.(q + 3) in
       let m = !cur in
-      chg c c.C.cfg.Cfg.mem_issue_cycles m;
+      chg c c.cfg.Cfg.mem_issue_cycles m;
       let addrs = bp.addrs in
       let k = ref 0 in
       let mm = ref m in
-      let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
+      let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
       while !mm <> 0 do
         let l = lb !mm in
         let id = Array.unsafe_get ids l in
@@ -965,7 +1095,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
           let bf = !b in
           if id = bf.Mem.id then bf
           else begin
-            let nb = Mem.get_buf c.C.mem id in
+            let nb = Mem.get_buf c.mem id in
             b := nb;
             nb
           end
@@ -984,7 +1114,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         incr k;
         mm := !mm land (!mm - 1)
       done;
-      C.account c w addrs !k;
+      account c w addrs !k;
       p := q + 4
     | 11 ->
       (* STOREF *)
@@ -993,11 +1123,11 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let ii = row_i bp w code.(q + 2) in
       let xf = row_f bp w code.(q + 3) in
       let m = !cur in
-      chg c c.C.cfg.Cfg.mem_issue_cycles m;
+      chg c c.cfg.Cfg.mem_issue_cycles m;
       let addrs = bp.addrs in
       let k = ref 0 in
       let mm = ref m in
-      let b = ref (Mem.get_buf c.C.mem (Array.unsafe_get ids (lb m))) in
+      let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
       while !mm <> 0 do
         let l = lb !mm in
         let id = Array.unsafe_get ids l in
@@ -1005,7 +1135,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
           let bf = !b in
           if id = bf.Mem.id then bf
           else begin
-            let nb = Mem.get_buf c.C.mem id in
+            let nb = Mem.get_buf c.mem id in
             b := nb;
             nb
           end
@@ -1024,7 +1154,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         incr k;
         mm := !mm land (!mm - 1)
       done;
-      C.account c w addrs !k;
+      account c w addrs !k;
       p := q + 4
     | 12 ->
       (* BUFLEN *)
@@ -1036,7 +1166,7 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let mm = ref m in
       while !mm <> 0 do
         let l = lb !mm in
-        di.(l) <- Mem.buf_length (Mem.get_buf c.C.mem ids.(l));
+        di.(l) <- Mem.buf_length (Mem.get_buf c.mem ids.(l));
         mm := !mm land (!mm - 1)
       done;
       p := q + 3
@@ -1045,8 +1175,8 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let q = !p in
       let ii = row_i bp w code.(q + 1) in
       let di = row_i bp w code.(q + 2) in
-      let arr = c.C.shared.(code.(q + 3)) in
-      let name = bp.shnames.(code.(q + 4)) in
+      let arr = c.shared.(code.(q + 3)) in
+      let name = bp.names.(code.(q + 4)) in
       let m = !cur in
       chg c 1 m;
       let idxs = bp.addrs in
@@ -1063,15 +1193,15 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         di.(l) <- V.as_int arr.(i);
         mm := !mm land (!mm - 1)
       done;
-      C.account_shared c idxs !k;
+      account_shared c idxs !k;
       p := q + 5
     | 14 ->
       (* SHSTORE *)
       let q = !p in
       let kind = code.(q + 1) in
       let ii = row_i bp w code.(q + 2) in
-      let arr = c.C.shared.(code.(q + 4)) in
-      let name = bp.shnames.(code.(q + 5)) in
+      let arr = c.shared.(code.(q + 4)) in
+      let name = bp.names.(code.(q + 5)) in
       let m = !cur in
       chg c 1 m;
       let oob i =
@@ -1107,15 +1237,14 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
            mm := !mm land (!mm - 1)
          done
        end);
-      C.account_shared c idxs !k;
+      account_shared c idxs !k;
       p := q + 6
     | 15 ->
       (* ATOMIC *)
       exec_atomic bp c w code !p !cur;
       p := !p + 9
     | 16 ->
-      (* MALLOC: the allocation itself is {!C.malloc_value}, shared with
-         the closure tier *)
+      (* MALLOC *)
       let q = !p in
       let m = !cur in
       let n = Array.unsafe_get (row_i bp w code.(q + 3)) (lb m) in
@@ -1126,11 +1255,11 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         | _ -> A.Per_grid
       in
       let v =
-        C.malloc_value c ~kname:bp.kname ~site:code.(q + 2) scope ~mask:m n
+        malloc_value c ~kname:bp.kname ~site:code.(q + 2) scope ~mask:m n
       in
       if code.(q + 4) = 0 then
         Array.fill (row_i bp w code.(q + 5)) 0 32 (V.as_buf v)
-      else Array.fill w.C.boxd.(code.(q + 5)) 0 32 v;
+      else Array.fill w.boxd.(code.(q + 5)) 0 32 v;
       p := q + 6
     | 17 ->
       (* SHLOADN: every value in the array is a number, so the float
@@ -1139,8 +1268,8 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
       let q = !p in
       let ii = row_i bp w code.(q + 1) in
       let df = row_f bp w code.(q + 2) in
-      let arr = c.C.shared.(code.(q + 3)) in
-      let name = bp.shnames.(code.(q + 4)) in
+      let arr = c.shared.(code.(q + 3)) in
+      let name = bp.names.(code.(q + 4)) in
       let m = !cur in
       chg c 1 m;
       let idxs = bp.addrs in
@@ -1157,8 +1286,26 @@ let rec exec bp c (w : C.warp) pc0 stop rmask =
         df.(l) <- V.as_float arr.(i);
         mm := !mm land (!mm - 1)
       done;
-      C.account_shared c idxs !k;
+      account_shared c idxs !k;
       p := q + 5
+    | 18 ->
+      (* DEVSYNC: run every pending launch of the block to completion
+         now, then cut the segment *)
+      chg c 2 !cur;
+      let todo = Vec.to_array c.pending in
+      Vec.clear c.pending;
+      Array.iter c.flush_deep todo;
+      Trace.cut c.seg Trace.Seg_sync;
+      incr p
+    | 19 ->
+      (* FREE *)
+      let ids = row_i bp w code.(!p + 1) in
+      let buf = Mem.get_buf c.mem ids.(lb !cur) in
+      let cost = Alloc.free c.alloc buf in
+      c.add_alloc_cycles cost;
+      c.seg.Trace.alloc_cyc <- c.seg.Trace.alloc_cyc + cost;
+      R.charge c.seg cost 1;
+      p := !p + 2
     | _ -> assert false
   done
 
@@ -1177,24 +1324,19 @@ let bpush b x =
   b.a.(b.len) <- x;
   b.len <- b.len + 1
 
-(* A lowered operand: the kind mirrors {!Compile}'s cexpr typing exactly
-   ([Ri]/[Rf]/[Ru] for Xi/Xf/Xu).  [Rn] is the one boxed (Xb) form the
+(* A lowered operand, by static kind: [Ri] int, [Rf] float, [Ru] buffer
+   handle (with its element type).  [Rn] is the one boxed form the
    bytecode keeps: a read of a numeric shared array, held as its float
    coercion — exact for consumers that coerce it to float (float
-   arithmetic and comparisons against an unboxed operand), and a
-   [Fallback] everywhere else.  Anything else that would be boxed (or
-   that the bytecode has no native form for) raises [Fallback] and the
-   whole statement takes the closure path. *)
+   arithmetic and comparisons against an unboxed operand), and
+   {!Not_compilable} everywhere else.  Any other operand that would be
+   boxed (or that the bytecode has no native form for) raises
+   {!Not_compilable}: the kernel runs on the walker. *)
 type reg = Ri of int | Rf of int | Ru of Ty.elem * int | Rn of int
 
-exception Fallback
-
 type lstate = {
-  env : C.env;
+  env : env;
   code : buf;
-  mutable stmts : (C.cctx -> C.warp -> int -> unit) list;  (* rev *)
-  mutable tags : string list;  (* rev, aligned with [stmts] *)
-  mutable nstmts : int;
   icst : (int, int) Hashtbl.t;
   mutable icsts : int list;  (* rev *)
   mutable nic : int;
@@ -1214,7 +1356,6 @@ type lstate = {
   mutable pend_raise : int;  (* 0 none / 1 div / 2 mod *)
   mutable dirty : bool;  (* could [returned] have changed since the
                             last FILTER? *)
-  fuse : bool;
 }
 
 let flush l =
@@ -1235,7 +1376,6 @@ let flush l =
    may hold raising ops of at most one kind so the abort message cannot
    be reordered); [ch] is its 1-cycle charge (free conversions pass 0). *)
 let push_q l op a b d ~rk ~ch =
-  if not l.fuse then flush l;
   if rk <> 0 && l.pend_raise <> 0 && l.pend_raise <> rk then flush l;
   bpush l.pend op;
   bpush l.pend a;
@@ -1243,8 +1383,7 @@ let push_q l op a b d ~rk ~ch =
   bpush l.pend d;
   l.pend_n <- l.pend_n + 1;
   l.pend_ch <- l.pend_ch + ch;
-  if rk <> 0 then l.pend_raise <- rk;
-  if not l.fuse then flush l
+  if rk <> 0 then l.pend_raise <- rk
 
 let push_op l op a b d = push_q l op a b d ~rk:0 ~ch:1
 
@@ -1291,16 +1430,17 @@ let name_id l n =
     l.nnames <- i + 1;
     i
 
-(* Charge-free coercions, mirroring {!Compile}'s int_of_safe /
-   float_of_safe (reordering them after the other operand is
-   unobservable: no charge, no raise). *)
+(* Charge-free coercions of an int or float operand, the walker's
+   per-lane [V.as_int] / [V.as_float] on a value that cannot raise
+   (reordering them after the other operand is unobservable: no charge,
+   no raise). *)
 let int_free l = function
   | Ri r -> r
   | Rf r ->
     let d = ntmpi l in
     push_q l 37 r 0 d ~rk:0 ~ch:0;
     d
-  | Ru _ | Rn _ -> raise Fallback
+  | Ru _ | Rn _ -> raise Not_compilable
 
 let flt_free l = function
   | Rf r -> r
@@ -1308,11 +1448,11 @@ let flt_free l = function
     let d = ntmpf l in
     push_q l 36 r 0 d ~rk:0 ~ch:0;
     d
-  | Ru _ | Rn _ -> raise Fallback
+  | Ru _ | Rn _ -> raise Not_compilable
 
-(* [flt_free] for the consumers that coerce a boxed operand lane by lane
-   with [V.as_float] ({!Compile}'s float_arith / float_cmp getters):
-   there an [Rn] is already its coercion. *)
+(* [flt_free] for the consumers whose walker semantics coerce a boxed
+   operand lane by lane with [V.as_float] (float arithmetic and
+   comparisons): there an [Rn] is already its coercion. *)
 let flt_num l = function Rn r -> r | r -> flt_free l r
 
 let is_rf = function Rf _ -> true | _ -> false
@@ -1323,12 +1463,12 @@ let rec lx l (e : A.expr) : reg =
   | A.Const (V.Vfloat f) -> Rf (cflt l f)
   | A.Const (V.Vbuf id) -> Ru (Ty.Eany, cint l id)
   | A.Var v ->
-    if v.A.slot < 0 then raise Fallback;
-    (match (l.env.C.storage.(v.A.slot), l.env.C.slots.(v.A.slot)) with
-    | C.Si r, Ty.St_buf el -> Ru (el, r)
-    | C.Si r, _ -> Ri r
-    | C.Sf r, _ -> Rf r
-    | C.Sb _, _ -> raise Fallback)
+    if v.A.slot < 0 then raise Not_compilable;
+    (match (l.env.storage.(v.A.slot), l.env.slots.(v.A.slot)) with
+    | Si r, Ty.St_buf el -> Ru (el, r)
+    | Si r, _ -> Ri r
+    | Sf r, _ -> Rf r
+    | Sb _, _ -> raise Not_compilable)
   | A.Special sp ->
     let k =
       match sp with
@@ -1358,7 +1498,7 @@ let rec lx l (e : A.expr) : reg =
       bpush l.code br;
       bpush l.code d;
       Ri d
-    | _ -> raise Fallback)
+    | _ -> raise Not_compilable)
 
 and lx_unop l op a =
   match op with
@@ -1372,7 +1512,7 @@ and lx_unop l op a =
       let d = ntmpf l in
       push_op l 31 r 0 d;
       Rf d
-    | Ru _ | Rn _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Not_compilable)
   | A.Not -> (
     match lx l a with
     | Ri r ->
@@ -1383,7 +1523,7 @@ and lx_unop l op a =
       let d = ntmpi l in
       push_op l 33 r 0 d;
       Ri d
-    | Ru _ | Rn _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Not_compilable)
   | A.To_float -> (
     match lx l a with
     | Rf r ->
@@ -1394,7 +1534,7 @@ and lx_unop l op a =
       let d = ntmpf l in
       push_op l 34 r 0 d;
       Rf d
-    | Ru _ | Rn _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Not_compilable)
   | A.To_int -> (
     match lx l a with
     | Ri r ->
@@ -1404,7 +1544,7 @@ and lx_unop l op a =
       let d = ntmpi l in
       push_op l 35 r 0 d;
       Ri d
-    | Ru _ | Rn _ -> raise Fallback)
+    | Ru _ | Rn _ -> raise Not_compilable)
 
 and lx_andor l ~is_and a b =
   let ra = lx l a in
@@ -1412,7 +1552,7 @@ and lx_andor l ~is_and a b =
     match ra with
     | Ri r -> (0, r)
     | Rf r -> (1, r)
-    | Ru _ | Rn _ -> raise Fallback
+    | Ru _ | Rn _ -> raise Not_compilable
   in
   flush l;
   let d = ntmpi l in
@@ -1430,7 +1570,7 @@ and lx_andor l ~is_and a b =
     match rb with
     | Ri r -> (0, r)
     | Rf r -> (1, r)
-    | Ru _ | Rn _ -> raise Fallback
+    | Ru _ | Rn _ -> raise Not_compilable
   in
   flush l;
   l.code.a.(patch) <- bk;
@@ -1443,9 +1583,10 @@ and lx_binop l op a b =
   let rb = lx l b in
   (* [iop]/[fop]/[cop] are fused sub-opcodes (int form, float-arith
      form, float-cmp form). *)
-  (* A numeric boxed read ([Rn]) takes the float path exactly where
-     {!Compile} coerces its boxed operand with [V.as_float]: arithmetic
-     beside a float, comparison beside any unboxed number. *)
+  (* A numeric boxed read ([Rn]) takes the float path exactly where the
+     walker's result does not depend on whether the boxed value is an
+     int or a float: arithmetic beside a float, comparison beside any
+     unboxed number. *)
   let arith iop fop =
     match (ra, rb) with
     | Ri x, Ri y ->
@@ -1458,7 +1599,7 @@ and lx_binop l op a b =
       let d = ntmpf l in
       push_op l fop x y d;
       Rf d
-    | _ -> raise Fallback
+    | _ -> raise Not_compilable
   in
   let cmp iop cop =
     match (ra, rb) with
@@ -1472,7 +1613,7 @@ and lx_binop l op a b =
       let d = ntmpi l in
       push_op l cop x y d;
       Ri d
-    | _ -> raise Fallback
+    | _ -> raise Not_compilable
   in
   let int_ctx iop =
     match (ra, rb) with
@@ -1480,7 +1621,7 @@ and lx_binop l op a b =
       let d = ntmpi l in
       push_op l iop x y d;
       Ri d
-    | _ -> raise Fallback
+    | _ -> raise Not_compilable
   in
   match op with
   | A.And | A.Or -> assert false (* routed to lx_andor *)
@@ -1495,14 +1636,14 @@ and lx_binop l op a b =
         let d = ntmpi l in
         push_q l 3 x y d ~rk:1 ~ch:1;
         Ri d
-      | _ -> raise Fallback)
+      | _ -> raise Not_compilable)
   | A.Mod -> (
     match (ra, rb) with
     | Ri x, Ri y ->
       let d = ntmpi l in
       push_q l 4 x y d ~rk:2 ~ch:1;
       Ri d
-    | _ -> raise Fallback)
+    | _ -> raise Not_compilable)
   | A.Min -> arith 5 22
   | A.Max -> arith 6 23
   | A.Eq -> (
@@ -1552,13 +1693,13 @@ and lx_load l be ie =
     bpush l.code ir;
     bpush l.code d;
     Rf d
-  | _ -> raise Fallback
+  | _ -> raise Not_compilable
 
 and lx_shload l name ie =
-  match Hashtbl.find_opt l.env.C.shindex name with
-  | None -> raise Fallback
+  match Hashtbl.find_opt l.env.shindex name with
+  | None -> raise Not_compilable
   | Some idx -> (
-    match l.env.C.shtys.(idx) with
+    match l.env.shtys.(idx) with
     | Ty.Sh_bot | Ty.Sh_int ->
       let ir = int_free l (lx l ie) in
       flush l;
@@ -1569,7 +1710,7 @@ and lx_shload l name ie =
       bpush l.code idx;
       bpush l.code (name_id l name);
       Ri d
-    | Ty.Sh_boxed when l.env.C.shnum.(idx) ->
+    | Ty.Sh_boxed when l.env.shnum.(idx) ->
       let ir = int_free l (lx l ie) in
       flush l;
       let d = ntmpf l in
@@ -1579,7 +1720,7 @@ and lx_shload l name ie =
       bpush l.code idx;
       bpush l.code (name_id l name);
       Rn d
-    | Ty.Sh_boxed -> raise Fallback)
+    | Ty.Sh_boxed -> raise Not_compilable)
 
 (* --- statement lowering --------------------------------------------------- *)
 
@@ -1592,94 +1733,27 @@ let begin_stmt l =
   l.ti <- 0;
   l.tf <- 0
 
-(* Census tag of a statement kind, recorded per [CALL] slot. *)
-let stmt_tag (env : C.env) (s : A.stmt) =
-  match s with
-  | A.Let (v, _) -> (
-    if v.A.slot < 0 then "let"
-    else
-      match env.C.storage.(v.A.slot) with
-      | C.Sb _ -> "let-boxed"
-      | _ -> "let")
-  | A.Store _ -> "store"
-  | A.Shared_store _ -> "shared-store"
-  | A.If _ -> "if"
-  | A.While _ -> "while"
-  | A.For _ -> "for"
-  | A.Atomic _ -> "atomic"
-  | A.Launch _ -> "launch"
-  | A.Device_sync -> "devsync"
-  | A.Malloc _ -> "malloc"
-  | A.Free _ -> "free"
-  | A.Return -> "return"
-  | A.Syncthreads | A.Grid_barrier -> "barrier"
-
-(* Closure fallback for one statement.  {!Compile.compile_stmt} may
-   raise Not_compilable here; it propagates out of the whole lowering
-   and the kernel takes the reference walker, exactly as the closure
-   tier would have decided. *)
-let emit_call l s =
-  flush l;
-  let f = C.compile_stmt l.env s in
-  l.stmts <- f :: l.stmts;
-  l.tags <- stmt_tag l.env s :: l.tags;
-  bpush l.code 2;
-  bpush l.code l.nstmts;
-  l.nstmts <- l.nstmts + 1;
-  l.dirty <- true
-
 let rec ls l (s : A.stmt) =
-  let snap =
-    ( l.code.len,
-      l.nstmts,
-      l.pend.len,
-      l.pend_n,
-      l.pend_ch,
-      l.pend_raise,
-      l.ti,
-      l.tf,
-      l.dirty )
-  in
-  try
-    begin_stmt l;
-    ls_native l s
-  with Fallback ->
-    let cl, ns, pl, pn, pch, pr, ti, tf, d = snap in
-    l.code.len <- cl;
-    while l.nstmts > ns do
-      l.stmts <- List.tl l.stmts;
-      l.tags <- List.tl l.tags;
-      l.nstmts <- l.nstmts - 1
-    done;
-    l.pend.len <- pl;
-    l.pend_n <- pn;
-    l.pend_ch <- pch;
-    l.pend_raise <- pr;
-    l.ti <- ti;
-    l.tf <- tf;
-    l.dirty <- d;
-    emit_call l s
-
-and ls_native l (s : A.stmt) =
+  begin_stmt l;
   match s with
   | A.Let (v, e) -> (
-    if v.A.slot < 0 then raise Fallback;
-    match l.env.C.storage.(v.A.slot) with
-    | C.Si r -> (
+    if v.A.slot < 0 then raise Not_compilable;
+    match l.env.storage.(v.A.slot) with
+    | Si r -> (
       match lx l e with
       | Ri x | Ru (_, x) -> push_op l 38 x 0 r
-      | Rf _ | Rn _ -> raise Fallback)
-    | C.Sf r -> (
+      | Rf _ | Rn _ -> raise Not_compilable)
+    | Sf r -> (
       match lx l e with
       | Rf x -> push_op l 39 x 0 r
-      | _ -> raise Fallback)
-    | C.Sb r -> (
+      | _ -> raise Not_compilable)
+    | Sb r -> (
       (* boxed destination: box each lane by the operand's static kind *)
       match lx l e with
       | Ri x -> push_op l 42 x 0 r
       | Rf x -> push_op l 43 x 0 r
       | Ru (_, x) -> push_op l 44 x 0 r
-      | Rn _ -> raise Fallback))
+      | Rn _ -> raise Not_compilable))
   | A.Store (be, ie, xe) -> (
     let rb = lx l be in
     let ri = lx l ie in
@@ -1701,10 +1775,10 @@ and ls_native l (s : A.stmt) =
       bpush l.code br;
       bpush l.code ir;
       bpush l.code xr
-    | _ -> raise Fallback)
+    | _ -> raise Not_compilable)
   | A.Shared_store (name, ie, xe) -> (
-    match Hashtbl.find_opt l.env.C.shindex name with
-    | None -> raise Fallback
+    match Hashtbl.find_opt l.env.shindex name with
+    | None -> raise Not_compilable
     | Some idx ->
       let ir = int_free l (lx l ie) in
       let kind, xr =
@@ -1712,7 +1786,7 @@ and ls_native l (s : A.stmt) =
         | Ri r -> (0, r)
         | Rf r -> (1, r)
         | Ru (_, r) -> (2, r)
-        | Rn _ -> raise Fallback
+        | Rn _ -> raise Not_compilable
       in
       flush l;
       bpush l.code 14;
@@ -1726,7 +1800,7 @@ and ls_native l (s : A.stmt) =
       match lx l cond with
       | Ri r -> (0, r)
       | Rf r -> (1, r)
-      | Ru _ | Rn _ -> raise Fallback
+      | Ru _ | Rn _ -> raise Not_compilable
     in
     flush l;
     bpush l.code 3;
@@ -1756,7 +1830,7 @@ and ls_native l (s : A.stmt) =
       match lx l cond with
       | Ri r -> (0, r)
       | Rf r -> (1, r)
-      | Ru _ | Rn _ -> raise Fallback
+      | Ru _ | Rn _ -> raise Not_compilable
     in
     flush l;
     l.code.a.(patch) <- l.code.len;
@@ -1768,9 +1842,9 @@ and ls_native l (s : A.stmt) =
     l.code.a.(patch + 1) <- l.code.len;
     l.dirty <- true
   | A.For (v, lo, hi, body) -> (
-    if v.A.slot < 0 then raise Fallback;
-    match l.env.C.storage.(v.A.slot) with
-    | C.Si var -> (
+    if v.A.slot < 0 then raise Not_compilable;
+    match l.env.storage.(v.A.slot) with
+    | Si var -> (
       match lx l lo with
       | Ri lor_ ->
         flush l;
@@ -1790,8 +1864,8 @@ and ls_native l (s : A.stmt) =
         flush l;
         l.code.a.(patch + 2) <- l.code.len;
         l.dirty <- true
-      | _ -> raise Fallback)
-    | _ -> raise Fallback)
+      | _ -> raise Not_compilable)
+    | _ -> raise Not_compilable)
   | A.Return ->
     flush l;
     bpush l.code 1;
@@ -1799,12 +1873,12 @@ and ls_native l (s : A.stmt) =
   | A.Atomic { op; buf = be; idx = ie; operand = oe; compare = ce; old } ->
     ls_atomic l op be ie oe ce old
   | A.Malloc { dst; count; scope; site } ->
-    if site < 0 || dst.A.slot < 0 then raise Fallback;
+    if site < 0 || dst.A.slot < 0 then raise Not_compilable;
     let dk, d =
-      match l.env.C.storage.(dst.A.slot) with
-      | C.Si r -> (0, r)
-      | C.Sb r -> (1, r)
-      | C.Sf _ -> raise Fallback (* the handle cannot coerce to float *)
+      match l.env.storage.(dst.A.slot) with
+      | Si r -> (0, r)
+      | Sb r -> (1, r)
+      | Sf _ -> raise Not_compilable (* the handle cannot coerce to float *)
     in
     let nr = int_free l (lx l count) in
     flush l;
@@ -1815,17 +1889,56 @@ and ls_native l (s : A.stmt) =
     bpush l.code nr;
     bpush l.code dk;
     bpush l.code d
-  | A.Launch _ | A.Device_sync | A.Free _ | A.Syncthreads | A.Grid_barrier ->
-    raise Fallback
+  | A.Launch { A.callee; grid; block; args; _ } ->
+    (* grid and block coerce to int per lane; arguments are boxed by
+       their static kind *)
+    let dim e =
+      match lx l e with
+      | Ri r -> (0, r)
+      | Rf r -> (1, r)
+      | Ru _ | Rn _ -> raise Not_compilable
+    in
+    let gk, gr = dim grid in
+    let bk, br = dim block in
+    let args =
+      List.map
+        (fun e ->
+          match lx l e with
+          | Ri r -> (0, r)
+          | Rf r -> (1, r)
+          | Ru (_, r) -> (2, r)
+          | Rn _ -> raise Not_compilable)
+        args
+    in
+    flush l;
+    List.iter (bpush l.code)
+      [ 2; name_id l callee; gk; gr; bk; br; List.length args ];
+    List.iter
+      (fun (k, r) ->
+        bpush l.code k;
+        bpush l.code r)
+      args
+  | A.Device_sync ->
+    flush l;
+    bpush l.code 18
+  | A.Free e -> (
+    match lx l e with
+    | Ru (_, r) ->
+      flush l;
+      bpush l.code 19;
+      bpush l.code r
+    | Ri _ | Rf _ | Rn _ -> raise Not_compilable)
+  | A.Syncthreads | A.Grid_barrier ->
+    (* only reachable outside block-uniform code *)
+    raise Not_compilable
 
-(* Atomics lower natively exactly where {!Compile.compile_atomic} takes
-   an unboxed path with the same observable semantics: an int buffer
-   with an int operand (and an int-coercible compare for CAS), or a float
-   buffer with a numeric operand (CAS compares [Float.to_int] of the old
-   value with the int-coerced compare, as the boxed path does).  The
-   [old] destination must be the buffer's unboxed kind or boxed.  Every
-   other shape keeps the closure fallback, and with it the closure tier's
-   coverage and error identity. *)
+(* Atomics lower natively where the walker's result has a static kind:
+   an int buffer with an int operand (and an int-coercible compare for
+   CAS), or a float buffer with a numeric operand (CAS compares
+   [Float.to_int] of the old value with the int-coerced compare, as the
+   walker does).  The [old] destination must be the buffer's unboxed
+   kind or boxed.  Every other shape ([any]-element buffers, boxed
+   operands) raises {!Not_compilable}. *)
 and ls_atomic l op be ie oe ce old =
   let rb = lx l be in
   let ri = lx l ie in
@@ -1844,28 +1957,28 @@ and ls_atomic l op be ie oe ce old =
     match old with
     | None -> (0, 0)
     | Some v -> (
-      if v.A.slot < 0 then raise Fallback;
-      match l.env.C.storage.(v.A.slot) with
-      | C.Sb r -> (2, r)
+      if v.A.slot < 0 then raise Not_compilable;
+      match l.env.storage.(v.A.slot) with
+      | Sb r -> (2, r)
       | st -> (
-        match unboxed st with Some r -> (1, r) | None -> raise Fallback))
+        match unboxed st with Some r -> (1, r) | None -> raise Not_compilable))
   in
   let kind, br, orr, cr, (dk, d) =
     match (rb, rc) with
     | Ru (Ty.Eint, br), _ ->
-      let orr = match ro with Ri r -> r | _ -> raise Fallback in
+      let orr = match ro with Ri r -> r | _ -> raise Not_compilable in
       let cr =
         match rc with
         | Some rc -> int_free l rc
-        | None -> if is_cas then raise Fallback else 0
+        | None -> if is_cas then raise Not_compilable else 0
       in
-      (0, br, orr, cr, dest (function C.Si r -> Some r | _ -> None))
+      (0, br, orr, cr, dest (function Si r -> Some r | _ -> None))
     | Ru (Ty.Efloat, br), None when not is_cas ->
-      (1, br, flt_free l ro, 0, dest (function C.Sf r -> Some r | _ -> None))
+      (1, br, flt_free l ro, 0, dest (function Sf r -> Some r | _ -> None))
     | Ru (Ty.Efloat, br), Some rc when is_cas ->
       let orr = flt_free l ro in
-      (1, br, orr, int_free l rc, dest (function C.Sf r -> Some r | _ -> None))
-    | _ -> raise Fallback
+      (1, br, orr, int_free l rc, dest (function Sf r -> Some r | _ -> None))
+    | _ -> raise Not_compilable
   in
   let ir = int_free l ri in
   flush l;
@@ -1879,28 +1992,28 @@ and ls_atomic l op be ie oe ce old =
   bpush l.code dk;
   bpush l.code d
 
-(* --- entry points --------------------------------------------------------- *)
+(* --- lowered programs ------------------------------------------------------ *)
 
-(* Warp register-plane row counts, recovered from the slot storage map
-   (the planes themselves are sized the same way in [Compile]). *)
-let plane_rows (env : C.env) =
+(* Warp register-plane row counts, recovered from the slot storage map. *)
+let plane_rows (env : env) =
   let ni = ref 0 and nf = ref 0 and nb = ref 0 in
   Array.iter
     (function
-      | C.Si r -> if r + 1 > !ni then ni := r + 1
-      | C.Sf r -> if r + 1 > !nf then nf := r + 1
-      | C.Sb r -> if r + 1 > !nb then nb := r + 1)
-    env.C.storage;
+      | Si r -> if r + 1 > !ni then ni := r + 1
+      | Sf r -> if r + 1 > !nf then nf := r + 1
+      | Sb r -> if r + 1 > !nb then nb := r + 1)
+    env.storage;
   (!ni, !nf, !nb)
 
-let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
+(* Lower one program: [emit] appends its code to a fresh lowering state
+   and returns the uniform-condition result, if any.  [dirty] says
+   whether the program must open with a FILTER (a statement run: earlier
+   segments may have returned lanes). *)
+let lower_prog (env : env) ~dirty emit : bprog * stream =
   let l =
     {
       env;
       code = bmake ();
-      stmts = [];
-      tags = [];
-      nstmts = 0;
       icst = Hashtbl.create 16;
       icsts = [];
       nic = 0;
@@ -1918,24 +2031,22 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
       pend_n = 0;
       pend_ch = 0;
       pend_raise = 0;
-      dirty = true;  (* run entry: earlier segments may have returned *)
-      fuse = !fusion;
+      dirty;
     }
   in
-  List.iter (ls l) stmts;
+  let result = emit l in
   flush l;
   let bp =
     {
       code = Array.sub l.code.a 0 l.code.len;
-      stmts = Array.of_list (List.rev l.stmts);
       ci =
         Array.of_list (List.rev_map (fun v -> Array.make 32 v) l.icsts);
       cf =
         Array.of_list (List.rev_map (fun v -> Array.make 32 v) l.fcsts);
       tmpi = Array.init l.max_ti (fun _ -> Array.make 32 0);
       tmpf = Array.init l.max_tf (fun _ -> Array.make 32 0.0);
-      shnames = Array.of_list (List.rev l.snames);
-      kname = env.C.kname;
+      names = Array.of_list (List.rev l.snames);
+      kname = env.kname;
       lanes = Array.make 32 0;
       addrs = Array.make 32 0;
     }
@@ -1943,9 +2054,8 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
   let ni, nf, nb = plane_rows env in
   let sm =
     {
-      s_kname = env.C.kname;
+      s_kname = env.kname;
       s_code = bp.code;
-      s_nstmts = l.nstmts;
       s_nic = l.nic;
       s_nfc = l.nfc;
       s_ntmpi = l.max_ti;
@@ -1953,31 +2063,411 @@ let lower (env : C.env) (stmts : A.stmt list) : bprog * stream =
       s_nint = ni;
       s_nflt = nf;
       s_nbox = nb;
-      s_nsites = env.C.nsites;
-      s_nshared = Array.length env.C.shtys;
+      s_nsites = env.nsites;
+      s_nshared = Array.length env.shtys;
       s_nnames = l.nnames;
-      s_calls = Array.of_list (List.rev l.tags);
+      s_result = result;
     }
   in
   (bp, sm)
 
-let lower_run (env : C.env) (stmts : A.stmt list) :
-    C.cctx -> C.warp -> unit =
-  let bp, _ = lower env stmts in
-  let len = Array.length bp.code in
-  fun c w -> exec bp c w 0 len (C.full_mask w)
+(* --- block-uniform segments ---------------------------------------------- *)
 
-let compile_kernel (k : Dpc_kir.Kernel.t) : C.ckernel option =
-  C.compile_kernel ~run_lower:lower_run k
+(* A block-uniform condition or loop bound: a program computing the
+   expression, and the kind (0 int / 1 float / 2 buffer) and register
+   of its value.  Boxed values have no uniform form. *)
+type ucond = { u_prog : bprog; u_len : int; u_kind : int; u_row : int }
 
-let streams_of_kernel (k : Dpc_kir.Kernel.t) : stream list option =
-  let acc = ref [] in
-  let capture env stmts =
-    let bp, sm = lower env stmts in
-    acc := sm :: !acc;
-    let len = Array.length bp.code in
-    fun c w -> exec bp c w 0 len (C.full_mask w)
+type uval = Unone | Uint of int | Ufloat of float | Ubuf of int
+
+let utruthy = function
+  | Unone -> false
+  | Uint i -> i <> 0
+  | Ufloat f -> f <> 0.0
+  | Ubuf id -> V.truthy (V.Vbuf id)
+
+let uint = function
+  | Unone -> 0
+  | Uint i -> i
+  | Ufloat f -> Float.to_int f
+  | Ubuf id -> V.as_int (V.Vbuf id)
+
+let nonuniform (env : env) (v0 : V.t) (v1 : V.t) =
+  err
+    "kernel %s: non-uniform condition around a block-level barrier (%s vs \
+     %s)"
+    env.kname (V.to_string v0) (V.to_string v1)
+
+let lower_ucond env acc (e : A.expr) : ucond =
+  let bp, sm =
+    lower_prog env ~dirty:false (fun l ->
+        match lx l e with
+        | Ri r -> Some (0, r)
+        | Rf r -> Some (1, r)
+        | Ru (_, r) -> Some (2, r)
+        | Rn _ -> raise Not_compilable)
   in
-  match C.compile_kernel ~run_lower:capture k with
+  acc := sm :: !acc;
+  let u_kind, u_row = Option.get sm.s_result in
+  { u_prog = bp; u_len = Array.length bp.code; u_kind; u_row }
+
+(* Evaluate a uniform condition on every live lane of the block, charging
+   1 per live warp after its program, as the walker does; all live lanes
+   must agree (the CUDA legality rule for barriers inside control flow).
+   [Unone] when no lane in the block is live.  The agreement test on raw
+   ints/floats is the walker's polymorphic [<>] on the boxed values
+   (IEEE semantics on floats, NaN included). *)
+let ueval env u c =
+  let got = ref false and vi = ref 0 and vf = ref 0.0 in
+  Array.iter
+    (fun w ->
+      let m0 = live_mask w in
+      if m0 <> 0 then begin
+        exec u.u_prog c w 0 u.u_len m0;
+        chg c 1 m0;
+        let mm = ref m0 in
+        if u.u_kind = 1 then begin
+          let a = row_f u.u_prog w u.u_row in
+          while !mm <> 0 do
+            let l = lb !mm in
+            if not !got then begin
+              got := true;
+              vf := a.(l)
+            end
+            else if a.(l) <> !vf then
+              nonuniform env (V.Vfloat !vf) (V.Vfloat a.(l));
+            mm := !mm land (!mm - 1)
+          done
+        end
+        else begin
+          let a = row_i u.u_prog w u.u_row in
+          let box x = if u.u_kind = 0 then V.Vint x else V.Vbuf x in
+          while !mm <> 0 do
+            let l = lb !mm in
+            if not !got then begin
+              got := true;
+              vi := a.(l)
+            end
+            else if a.(l) <> !vi then nonuniform env (box !vi) (box a.(l));
+            mm := !mm land (!mm - 1)
+          done
+        end
+      end)
+    c.warps;
+  if not !got then Unone
+  else
+    match u.u_kind with 0 -> Uint !vi | 1 -> Ufloat !vf | _ -> Ubuf !vi
+
+(* A block: maximal runs of barrier-free statements become one program
+   each, executed warp by warp; barrier-bearing statements run under the
+   per-block uniform driver.  [acc] collects every stream lowered, in
+   program order. *)
+let rec compile_block env acc (stmts : A.stmt list) : cctx -> unit =
+  let rec split_run run = function
+    | s :: rest when not (A.needs_block_uniform s) ->
+      split_run (s :: run) rest
+    | rest -> (List.rev run, rest)
+  in
+  let rec go = function
+    | [] -> []
+    | s :: rest when A.needs_block_uniform s ->
+      compile_uniform env acc s :: go rest
+    | stmts ->
+      let run, rest = split_run [] stmts in
+      let bp, sm =
+        lower_prog env ~dirty:true (fun l ->
+            List.iter (ls l) run;
+            None)
+      in
+      acc := sm :: !acc;
+      let len = Array.length bp.code in
+      (fun c ->
+        Array.iter
+          (fun w -> if live_mask w <> 0 then exec bp c w 0 len (full_mask w))
+          c.warps)
+      :: go rest
+  in
+  let segs = Array.of_list (go stmts) in
+  fun c -> Array.iter (fun f -> f c) segs
+
+and compile_uniform env acc (s : A.stmt) : cctx -> unit =
+  match s with
+  | A.Syncthreads ->
+    fun c ->
+      Array.iter
+        (fun w ->
+          let m = live_mask w in
+          if m <> 0 then chg c 2 m)
+        c.warps
+  | A.Grid_barrier ->
+    fun c ->
+      (* One lane per block performs the arrival atomic; all blocks except
+         the last to arrive exit (Section IV.E deadlock avoidance). *)
+      R.charge c.seg c.cfg.Cfg.atomic_cycles 1;
+      Trace.cut c.seg Trace.Seg_barrier;
+      if c.block_idx <> c.grid_dim - 1 then
+        Array.iter
+          (fun w -> w.returned <- w.returned lor full_mask w)
+          c.warps
+  | A.If (cond, t, f) ->
+    let u = lower_ucond env acc cond in
+    let ct = compile_block env acc t in
+    let cf = compile_block env acc f in
+    fun c -> (
+      match ueval env u c with
+      | Unone -> ()
+      | v -> if utruthy v then ct c else cf c)
+  | A.While (cond, body) ->
+    let u = lower_ucond env acc cond in
+    let cbody = compile_block env acc body in
+    fun c ->
+      let running = ref true in
+      while !running do
+        match ueval env u c with
+        | Unone -> running := false
+        | v -> if utruthy v then cbody c else running := false
+      done
+  | A.For (v, lo, hi, body) ->
+    let r =
+      if v.A.slot < 0 then raise Not_compilable;
+      match env.storage.(v.A.slot) with
+      | Si r -> r
+      | Sf _ | Sb _ -> raise Not_compilable
+    in
+    let ulo = lower_ucond env acc lo in
+    let uhi = lower_ucond env acc hi in
+    let cbody = compile_block env acc body in
+    let set_var c i =
+      Array.iter
+        (fun w ->
+          let m0 = live_mask w in
+          if m0 <> 0 then begin
+            chg c 1 m0;
+            fill_i w.ints.(r) m0 i
+          end)
+        c.warps
+    in
+    fun c -> (
+      match ueval env ulo c with
+      | Unone -> ()
+      | u0 ->
+        let i = ref (uint u0) in
+        set_var c !i;
+        let running = ref true in
+        while !running do
+          match ueval env uhi c with
+          | Unone -> running := false
+          | uh ->
+            if !i < uint uh then begin
+              cbody c;
+              incr i;
+              set_var c !i
+            end
+            else running := false
+        done)
+  | A.Let _ | A.Store _ | A.Shared_store _ | A.Device_sync | A.Atomic _
+  | A.Launch _ | A.Malloc _ | A.Free _ | A.Return ->
+    (* only barrier-bearing statements are routed here *)
+    raise Not_compilable
+
+(* --- whole kernels ------------------------------------------------------- *)
+
+type ckernel = {
+  ck_kernel : K.t;
+  ck_nint : int;  (** int-plane rows per warp *)
+  ck_nflt : int;
+  ck_nbox : int;
+  ck_param_store : storage list;  (** aligned with the parameter list *)
+  ck_param_ty : Ty.slot_ty list;
+  ck_run : cctx -> unit;
+  ck_streams : stream list;  (** every lowered program, in program order *)
+}
+
+(* Which shared arrays only ever hold numbers?  Shared arrays start as
+   [Vint 0] and change only through [Shared_store]; every expression
+   except a buffer constant, a buffer/boxed variable or a boxed shared
+   read evaluates to a number (or raises), so an array whose every
+   stored value is one of those numeric forms never holds a handle. *)
+let numeric_shared ~slots ~shindex ~shtys body =
+  let numeric (e : A.expr) =
+    match e with
+    | A.Const (V.Vbuf _) -> false
+    | A.Var v -> (
+      v.A.slot >= 0
+      &&
+      match slots.(v.A.slot) with
+      | Ty.St_bot | Ty.St_int | Ty.St_float -> true
+      | Ty.St_buf _ | Ty.St_boxed -> false)
+    | A.Shared_load (name, _) -> (
+      match Hashtbl.find_opt shindex name with
+      | Some i -> shtys.(i) <> Ty.Sh_boxed
+      | None -> false)
+    | A.Const _ | A.Special _ | A.Unop _ | A.Binop _ | A.Load _
+    | A.Buf_len _ ->
+      true
+  in
+  let num = Array.make (Array.length shtys) true in
+  A.iter_block
+    ~on_stmt:(function
+      | A.Shared_store (name, _, xe) when not (numeric xe) -> (
+        match Hashtbl.find_opt shindex name with
+        | Some i -> num.(i) <- false
+        | None -> ())
+      | _ -> ())
+    ~on_expr:ignore body;
+  num
+
+let compile_kernel (k : K.t) : ckernel option =
+  match k.K.typing with
   | None -> None
-  | Some _ -> Some (List.rev !acc)
+  | Some ty when not ty.Ty.ok -> None
+  | Some ty -> (
+    try
+      let nslots = Array.length ty.Ty.slots in
+      let storage = Array.make nslots (Si 0) in
+      let ni = ref 0 and nf = ref 0 and nb = ref 0 in
+      Array.iteri
+        (fun i st ->
+          match st with
+          | Ty.St_bot | Ty.St_int | Ty.St_buf _ ->
+            storage.(i) <- Si !ni;
+            incr ni
+          | Ty.St_float ->
+            storage.(i) <- Sf !nf;
+            incr nf
+          | Ty.St_boxed ->
+            storage.(i) <- Sb !nb;
+            incr nb)
+        ty.Ty.slots;
+      let shindex = Hashtbl.create 4 in
+      List.iteri
+        (fun i (name, _) -> Hashtbl.replace shindex name i)
+        k.K.shared;
+      let shtys = Array.of_list (List.map snd ty.Ty.shared) in
+      let shnum = numeric_shared ~slots:ty.Ty.slots ~shindex ~shtys k.K.body in
+      let env = { kname = k.K.kname; slots = ty.Ty.slots; storage; shindex;
+                  shtys; shnum; nsites = k.K.nsites }
+      in
+      let acc = ref [] in
+      let run = compile_block env acc k.K.body in
+      let param_store =
+        List.map
+          (fun (p : A.param) ->
+            if p.A.pvar.A.slot < 0 then raise Not_compilable;
+            storage.(p.A.pvar.A.slot))
+          k.K.params
+      in
+      let param_ty =
+        List.map
+          (fun (p : A.param) -> ty.Ty.slots.(p.A.pvar.A.slot))
+          k.K.params
+      in
+      Some
+        { ck_kernel = k; ck_nint = !ni; ck_nflt = !nf; ck_nbox = !nb;
+          ck_param_store = param_store; ck_param_ty = param_ty; ck_run = run;
+          ck_streams = List.rev !acc }
+    with Not_compilable -> None)
+
+let streams_of_kernel k =
+  Option.map (fun ck -> ck.ck_streams) (compile_kernel k)
+
+(* Do the launch arguments' runtime types agree with the inference?  A
+   mismatching launch (e.g. a float passed for an int parameter) takes
+   the reference walker, which defines the semantics of such calls. *)
+let args_ok ck mem (args : V.t list) =
+  try
+    List.for_all2
+      (fun sty (v : V.t) ->
+        match (sty, v) with
+        | (Ty.St_boxed | Ty.St_bot), _ -> true
+        | Ty.St_int, V.Vint _ -> true
+        | Ty.St_float, V.Vfloat _ -> true
+        | Ty.St_buf Ty.Eany, V.Vbuf _ -> true
+        | Ty.St_buf Ty.Eint, V.Vbuf id -> (
+          match (Mem.get_buf mem id).Mem.data with
+          | Mem.I _ -> true
+          | Mem.F _ -> false)
+        | Ty.St_buf Ty.Efloat, V.Vbuf id -> (
+          match (Mem.get_buf mem id).Mem.data with
+          | Mem.F _ -> true
+          | Mem.I _ -> false)
+        | _ -> false)
+      ck.ck_param_ty args
+  with _ -> false
+
+(* --- block execution ----------------------------------------------------- *)
+
+let exec_block (ck : ckernel) ~(cfg : Cfg.t) ~mem ~alloc ~mm ~gid
+    ~grid_dim ~block_dim ~depth ~block_idx ~(args : V.t list) ~grid_mallocs
+    ~grid_alloc_count ~flush_deep ~enqueue ~add_alloc_cycles ~deep :
+    Trace.block_trace =
+  let nwarps = Cfg.warps_per_block cfg ~block_dim in
+  let warps =
+    Array.init nwarps (fun widx ->
+        let base_lane = widx * cfg.Cfg.warp_size in
+        let nlanes = Int.min cfg.Cfg.warp_size (block_dim - base_lane) in
+        {
+          widx;
+          base_lane;
+          nlanes;
+          ints = Array.init ck.ck_nint (fun _ -> Array.make 32 0);
+          flts = Array.init ck.ck_nflt (fun _ -> Array.make 32 0.0);
+          boxd = Array.init ck.ck_nbox (fun _ -> Array.make 32 (V.Vint 0));
+          returned = 0;
+        })
+  in
+  (* Bind parameters in every lane (argument kinds verified by args_ok). *)
+  List.iter2
+    (fun st (v : V.t) ->
+      match st with
+      | Si r ->
+        let x =
+          match v with
+          | V.Vint i -> i
+          | V.Vbuf id -> id
+          | V.Vfloat _ -> assert false
+        in
+        Array.iter (fun w -> Array.fill w.ints.(r) 0 32 x) warps
+      | Sf r ->
+        let x = match v with V.Vfloat f -> f | _ -> assert false in
+        Array.iter (fun w -> Array.fill w.flts.(r) 0 32 x) warps
+      | Sb r -> Array.iter (fun w -> Array.fill w.boxd.(r) 0 32 v) warps)
+    ck.ck_param_store args;
+  let shared =
+    Array.of_list
+      (List.map
+         (fun (_, size) -> Array.make size (V.Vint 0))
+         ck.ck_kernel.K.shared)
+  in
+  let c =
+    {
+      cfg;
+      mem;
+      alloc;
+      mm;
+      gid;
+      grid_dim;
+      block_dim;
+      depth;
+      block_idx;
+      shared;
+      warps;
+      seg = Trace.seg_builder ();
+      block_mallocs = Array.make (Int.max 1 ck.ck_kernel.K.nsites) None;
+      grid_mallocs;
+      grid_alloc_count;
+      pending = Vec.create ~dummy:R.dummy_pending;
+      deep;
+      flush_deep;
+      add_alloc_cycles;
+    }
+  in
+  Memmodel.block_start mm;
+  ck.ck_run c;
+  (* Block end: in deep mode (an enclosing sync is waiting on this
+     subtree) children run to completion now; otherwise they join the
+     global breadth-order queue. *)
+  let todo = Vec.to_array c.pending in
+  Vec.clear c.pending;
+  if deep then Array.iter flush_deep todo else Array.iter enqueue todo;
+  Trace.finish c.seg ~block_idx ~warps:nwarps

@@ -1,26 +1,66 @@
-(** Third interpreter tier: kernels flattened to dense int-coded
+(** The lowered interpreter tier: kernels flattened to dense int-coded
     bytecode over unboxed register planes with superinstruction fusion,
-    executed by a tight dispatch loop.  Produces ordinary
-    {!Compile.ckernel} values (the lowering plugs into
-    {!Compile.compile_kernel} via [?run_lower]), so caching, argument
-    vetting and block execution are shared with the closure tier.
-    Trace and metrics output is byte-identical to both other tiers. *)
+    executed by a tight dispatch loop.  Every statement kind, the device
+    runtime's launch, synchronize and free included, lowers to native
+    stream ops; a kernel with a construct that has no native form (boxed
+    or type-mixed operands, [any]-element atomics) does not lower at all
+    and runs on the reference walker in {!Interp}.  Trace and metrics
+    output is byte-identical to the walker's.
 
-(** Lower one finalized kernel through the bytecode tier.  [None] when
-    the kernel uses something no fast path supports (exactly the
-    closure tier's coverage: unsupported statements fall back per
-    statement to closures, and {!Compile.Not_compilable} still demotes
-    the whole kernel to the reference walker). *)
-val compile_kernel : Dpc_kir.Kernel.t -> Compile.ckernel option
+    A lowered kernel's programs own mutable scratch, so a {!ckernel} may
+    be reused freely across launches, sessions and runs {e within one
+    domain}, but must never execute concurrently in two domains.  The
+    engine's cross-run cache therefore keeps one table per domain. *)
 
-(** The marshal-safe image of one lowered barrier-free run: the
+(** A kernel lowered to bytecode, with its register-plane layout and the
+    inferred parameter types used to vet launch arguments. *)
+type ckernel
+
+(** Lower one finalized kernel.  [None] when the kernel has a construct
+    with no native form, or no successful {!Dpc_kir.Typing} inference:
+    every launch of it then takes the reference walker.  Requires
+    {!Dpc_kir.Kernel.finalize} to have run. *)
+val compile_kernel : Dpc_kir.Kernel.t -> ckernel option
+
+(** Do this launch's runtime argument values agree with the static slot
+    inference the kernel was lowered against?  Rejection sends this
+    launch only to the reference walker. *)
+val args_ok : ckernel -> Dpc_gpu.Memory.t -> Dpc_kir.Value.t list -> bool
+
+(** Execute one block of a lowered kernel and return its trace.  The
+    labelled arguments mirror the reference walker's block context;
+    [flush_deep] runs a pending launch immediately (deep drain at
+    [cudaDeviceSynchronize]), [enqueue] defers it to the session's
+    breadth-order queue, [add_alloc_cycles] accumulates allocator cycles
+    on the session. *)
+val exec_block :
+  ckernel ->
+  cfg:Dpc_gpu.Config.t ->
+  mem:Dpc_gpu.Memory.t ->
+  alloc:Dpc_alloc.Allocator.t ->
+  mm:Memmodel.t ->
+  gid:int ->
+  grid_dim:int ->
+  block_dim:int ->
+  depth:int ->
+  block_idx:int ->
+  args:Dpc_kir.Value.t list ->
+  grid_mallocs:Dpc_kir.Value.t option array ->
+  grid_alloc_count:int ref ->
+  flush_deep:(Runtime.pending_launch -> unit) ->
+  enqueue:(Runtime.pending_launch -> unit) ->
+  add_alloc_cycles:(int -> unit) ->
+  deep:bool ->
+  Trace.block_trace
+
+(** The marshal-safe image of one lowered program — a barrier-free
+    statement run, or a block-uniform condition or loop bound: the
     instruction stream plus every bound its operands can be checked
     against.  The static bytecode verifier ({!Dpc_check.Bcverify})
     consumes these. *)
 type stream = {
   s_kname : string;
   s_code : int array;
-  s_nstmts : int;  (** closure-fallback slots ([CALL] operand space) *)
   s_nic : int;  (** int constant-pool rows *)
   s_nfc : int;  (** float constant-pool rows *)
   s_ntmpi : int;  (** int temp-plane rows *)
@@ -30,11 +70,10 @@ type stream = {
   s_nbox : int;  (** warp boxed-plane rows *)
   s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
-  s_nnames : int;  (** interned shared-name ids *)
-  s_calls : string array;
-      (** the statement kind behind each [CALL] slot ([let], [let-boxed],
-          [atomic], [malloc], [launch], [devsync], [free], [store], ...):
-          the closure-fallback census *)
+  s_nnames : int;  (** interned names: shared arrays, launch callees *)
+  s_result : (int * int) option;
+      (** a uniform-condition program's value: kind (0 int / 1 float /
+          2 buffer) and register; [None] for a statement run *)
 }
 
 (** The register encoding's temp-plane split point: an operand [r >=
@@ -43,17 +82,8 @@ type stream = {
     [-r - 1]. *)
 val temp_base : int
 
-(** Lower each of [k]'s barrier-free runs exactly as {!compile_kernel}
-    would and return their stream images (in program order) instead of
-    an executable.  [None] when the kernel does not compile at all
-    (missing/failed typing: it runs on the reference walker and has no
-    bytecode to verify).  The kernel must be finalized. *)
+(** Every program [k] lowers to, in program order, exactly as
+    {!compile_kernel} lowers them.  [None] when the kernel does not
+    lower (it runs on the reference walker and has no bytecode to
+    verify).  The kernel must be finalized. *)
 val streams_of_kernel : Dpc_kir.Kernel.t -> stream list option
-
-(** Enable/disable superinstruction fusion (default on, or the
-    [DPC_BYTECODE_FUSE] environment variable).  A lowering-time switch
-    for the bench ablation: flip it only with cache-free sessions, or
-    cached programs keep the setting they were lowered under. *)
-val set_fusion : bool -> unit
-
-val fusion_enabled : unit -> bool

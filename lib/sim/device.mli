@@ -21,7 +21,7 @@ val create :
   ?scheduler:Timing.scheduler ->
   ?grid_budget:int ->
   ?mode:Interp.mode ->
-  ?ckernels:(string, Compile.ckernel option) Hashtbl.t ->
+  ?ckernels:(string, Bytecode.ckernel option) Hashtbl.t ->
   Dpc_kir.Kernel.Program.t ->
   t
 

@@ -7,23 +7,21 @@
     into 128-byte segments filtered through an L2 model.  It records the
     per-block {!Trace.segment}s consumed by the timing model.
 
-    Three back ends implement the semantics:
+    Two back ends implement the semantics:
 
     - the {e reference walker} below re-traverses the AST per warp with
       boxed {!V.t} vectors — slow, obviously correct, and the oracle for
       differential testing;
-    - the {e compiled fast path} ({!Compile}) lowers each kernel once
-      into closures over an unboxed register plane;
-    - the {e bytecode tier} ({!Bytecode}) lowers each kernel's
-      barrier-free runs into dense int-coded streams executed by a fused
-      dispatch loop, with a per-statement closure fallback.
+    - the {e bytecode tier} ({!Bytecode}) lowers each kernel once into
+      dense int-coded programs over an unboxed register plane, executed
+      by a fused dispatch loop.
 
-    A lowered tier is dispatched to whenever the kernel compiles and the
+    The bytecode tier is dispatched to whenever the kernel lowers and the
     launch arguments match the inferred types; otherwise the launch takes
-    the walker.  All paths emit byte-identical traces (same charges in
+    the walker.  Both paths emit byte-identical traces (same charges in
     the same order).  The default is the bytecode tier, lowered lazily at
-    a kernel's first launch in a session; set [DPC_INTERP=compiled] or
-    [DPC_INTERP=ref] (or call {!set_default_mode}) to pick another.
+    a kernel's first launch in a session; set [DPC_INTERP=ref] (or call
+    {!set_default_mode}) to force the walker.
 
     Device-side launches are recorded and executed when the launching
     block reaches [cudaDeviceSynchronize] or finishes.  This is sound for
@@ -59,25 +57,29 @@ type pending_launch = Runtime.pending_launch = {
 
 (* --- back-end selection -------------------------------------------------- *)
 
-type mode = Compiled | Bytecode | Reference
+type mode = Bytecode | Reference
 
-let mode_to_string = function
-  | Compiled -> "compiled"
-  | Bytecode -> "bytecode"
-  | Reference -> "ref"
+let mode_to_string = function Bytecode -> "bytecode" | Reference -> "ref"
 
+(* [compiled] named the retired closure tier; it stays an alias of the
+   bytecode tier so old scenario keys, JSON and flags still parse. *)
 let mode_of_string s =
   match String.lowercase_ascii s with
-  | "compiled" -> Some Compiled
-  | "bytecode" | "bc" -> Some Bytecode
+  | "bytecode" | "bc" | "compiled" -> Some Bytecode
   | "ref" | "reference" | "walker" -> Some Reference
   | _ -> None
 
 let default_mode_ref =
   ref
-    (match Option.bind (Sys.getenv_opt "DPC_INTERP") mode_of_string with
-    | Some m -> m
-    | None -> Bytecode)
+    (match Sys.getenv_opt "DPC_INTERP" with
+    | None -> Bytecode
+    | Some s -> (
+      match mode_of_string s with
+      | Some m -> m
+      | None ->
+        Printf.eprintf
+          "dpc: ignoring DPC_INTERP=%S (expected bytecode or ref)\n%!" s;
+        Bytecode))
 
 let set_default_mode m = default_mode_ref := m
 
@@ -97,9 +99,9 @@ type session = {
   fifo : pending_launch Queue.t;
       (** global breadth-order queue of launches awaiting execution *)
   mode : mode;
-  ckernels : (string, Compile.ckernel option) Hashtbl.t;
-      (** per-session compilation cache: kernel name -> compiled form, or
-          [None] when the kernel does not compile and every launch of it
+  ckernels : (string, Bytecode.ckernel option) Hashtbl.t;
+      (** per-session lowering cache: kernel name -> lowered form, or
+          [None] when the kernel does not lower and every launch of it
           must take the reference walker *)
 }
 
@@ -750,34 +752,30 @@ and exec_grid s ~callee ~grid_dim ~block_dim ~(args : V.t list) ~parent
   if depth > s.max_depth then s.max_depth <- depth;
   let grid_mallocs = Array.make (Int.max 1 kernel.K.nsites) None in
   let grid_alloc_count = ref 0 in
-  (* Back-end dispatch: compiled when the kernel lowered successfully and
+  (* Back-end dispatch: bytecode when the kernel lowered successfully and
      this launch's argument types agree with the inference; the reference
      walker otherwise (and always under [Reference] mode). *)
   let ck =
     match s.mode with
     | Reference -> None
-    | Compiled | Bytecode -> (
-      let compiled =
+    | Bytecode -> (
+      let lowered =
         match Hashtbl.find_opt s.ckernels callee with
         | Some c -> c
         | None ->
-          let c =
-            match s.mode with
-            | Bytecode -> Bytecode.compile_kernel kernel
-            | _ -> Compile.compile_kernel kernel
-          in
+          let c = Bytecode.compile_kernel kernel in
           Hashtbl.replace s.ckernels callee c;
           c
       in
-      match compiled with
-      | Some c when Compile.args_ok c s.mem args -> Some c
+      match lowered with
+      | Some c when Bytecode.args_ok c s.mem args -> Some c
       | _ -> None)
   in
   let blocks =
     match ck with
     | Some ck ->
       Array.init grid_dim (fun block_idx ->
-          Compile.exec_block ck ~cfg ~mem:s.mem ~alloc:s.alloc
+          Bytecode.exec_block ck ~cfg ~mem:s.mem ~alloc:s.alloc
             ~mm:s.mm ~gid ~grid_dim ~block_dim ~depth ~block_idx
             ~args ~grid_mallocs ~grid_alloc_count
             ~flush_deep:(run_pending s ~deep:true)

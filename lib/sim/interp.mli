@@ -18,29 +18,30 @@ exception Sim_error of string
 
 type pending_launch = Runtime.pending_launch
 
-(** Interpreter back end.  [Compiled] dispatches through the closure
-    compiler ({!Compile}) whenever a kernel lowers successfully and the
-    launch arguments match the inferred slot types, falling back to the
-    reference AST walker otherwise; [Bytecode] does the same through the
-    {!Bytecode} lowering (dense int-coded programs with
-    superinstruction fusion); [Reference] forces the walker for every
-    launch.  All three back ends emit byte-identical {!Trace} data. *)
-type mode = Compiled | Bytecode | Reference
+(** Interpreter back end.  [Bytecode] dispatches through the
+    {!Bytecode} lowering (dense int-coded programs with superinstruction
+    fusion) whenever a kernel lowers and the launch arguments match the
+    inferred slot types, falling back to the reference AST walker
+    otherwise; [Reference] forces the walker for every launch.  Both
+    back ends emit byte-identical {!Trace} data. *)
+type mode = Bytecode | Reference
 
 (** Set the back end used by sessions created without an explicit [?mode].
     The initial default is [Bytecode], or as overridden by the
     environment variable [DPC_INTERP] (any {!mode_of_string} spelling,
-    e.g. [compiled] or [ref]; unrecognised values keep the default). *)
+    e.g. [ref]; an unrecognised value keeps the default and prints one
+    line on stderr naming the valid values). *)
 val set_default_mode : mode -> unit
 
 val default_mode : unit -> mode
 
-(** Canonical tier tag ([compiled] / [bytecode] / [ref]) — the string
-    used by scenario codecs, CLI flags and tier-aware cache keys. *)
+(** Canonical tier tag ([bytecode] / [ref]) — the string used by
+    scenario codecs, CLI flags and tier-aware cache keys. *)
 val mode_to_string : mode -> string
 
 (** Inverse of {!mode_to_string}, accepting the [bc] / [reference] /
-    [walker] aliases; [None] on anything else. *)
+    [walker] aliases and [compiled], the retired closure tier's tag, as
+    an alias of [bytecode]; [None] on anything else. *)
 val mode_of_string : string -> mode option
 
 type session = {
@@ -56,23 +57,23 @@ type session = {
   mutable grid_budget : int;
   fifo : pending_launch Queue.t;
   mode : mode;
-  ckernels : (string, Compile.ckernel option) Hashtbl.t;
+  ckernels : (string, Bytecode.ckernel option) Hashtbl.t;
 }
 
 (** [create_session ~cfg ~alloc prog] finalizes [prog] and prepares an
     execution session.  [grid_budget] bounds the total number of grids a
     session may execute (a runaway-recursion guard; exceeded raises
-    {!Sim_error}).  [ckernels] supplies the compilation-cache table to
-    use instead of a fresh empty one: the engine's cross-run
-    compiled-kernel cache hands the same table (and the same finalized
-    program) to successive sessions in one domain so each kernel lowers
-    at most once per domain.  Compiled closures own mutable scratch, so a
-    given table must never be shared by sessions running concurrently in
-    different domains. *)
+    {!Sim_error}).  [ckernels] supplies the lowering-cache table to use
+    instead of a fresh empty one: the engine's cross-run kernel cache
+    hands the same table (and the same finalized program) to successive
+    sessions in one domain so each kernel lowers at most once per
+    domain.  Lowered programs own mutable scratch, so a given table must
+    never be shared by sessions running concurrently in different
+    domains. *)
 val create_session :
   ?grid_budget:int ->
   ?mode:mode ->
-  ?ckernels:(string, Compile.ckernel option) Hashtbl.t ->
+  ?ckernels:(string, Bytecode.ckernel option) Hashtbl.t ->
   cfg:Dpc_gpu.Config.t ->
   alloc:Dpc_alloc.Allocator.t ->
   Dpc_kir.Kernel.Program.t ->

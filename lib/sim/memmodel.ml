@@ -4,11 +4,11 @@
     this module: coalesced 128-byte segment formation, the direct-mapped
     L2 filter, and the three config-gated deep-model features — shared-
     memory bank-conflict replay, the per-warp MSHR occupancy limit, and
-    (via the counters {!Timing} prices) their cycle costs.  All three
-    interpreter tiers (the reference walker in {!Interp}, the compiled
-    closures in {!Compile}, the bytecode fast paths in {!Bytecode})
-    call these entry points, so the cost semantics cannot drift between
-    tiers — the invariant the differential suite asserts byte-for-byte.
+    (via the counters {!Timing} prices) their cycle costs.  Both
+    interpreter tiers (the reference walker in {!Interp} and the
+    bytecode in {!Bytecode}) call these entry points, so the cost
+    semantics cannot drift between tiers — the invariant the
+    differential suite asserts byte-for-byte.
 
     Feature gating: a preset with [shared_banks = 0] and
     [mshr_per_warp = 0] (e.g. the default [k20c]) takes exactly the

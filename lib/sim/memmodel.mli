@@ -3,8 +3,8 @@
     Owns every cost the simulator charges for a memory instruction:
     coalesced segment formation, the direct-mapped L2 filter, and the
     config-gated deep-model features (shared-memory bank-conflict
-    replay, the per-warp MSHR occupancy limit).  All three interpreter
-    tiers call these entry points — there is deliberately no other
+    replay, the per-warp MSHR occupancy limit).  Both interpreter tiers
+    call these entry points — there is deliberately no other
     accounting implementation in the tree, so the tiers cannot drift.
 
     With the features off ([shared_banks = 0], [mshr_per_warp = 0] —

@@ -1,10 +1,7 @@
-(** Shared execution primitives of the SIMT interpreter.
-
-    Both interpreter back ends — the reference AST walker in {!Interp} and
-    the compiled closure path in {!Compile} — agree bit-for-bit on lane
-    masks, charge accounting and memory coalescing because they share the
-    primitives below.  Anything that touches a {!Trace.seg_builder} lives
-    here so the two paths cannot drift. *)
+(** Shared execution primitives of the SIMT interpreter (see the
+    interface): the walker's lane-mask helpers and scalar semantics, and
+    the error, pending-launch and charge definitions both back ends
+    share. *)
 
 module A = Dpc_kir.Ast
 module V = Dpc_kir.Value
@@ -36,11 +33,9 @@ let dummy_pending =
 
 (* --- scalar operations --------------------------------------------------
 
-   The dynamically-typed semantics of the IR's operators, shared verbatim
-   by both back ends (the walker applies them per lane; the compiled path
-   falls back to them whenever static types cannot rule out a runtime
-   type error, so error identity and C-style int/float promotion stay
-   exact). *)
+   The dynamically-typed semantics of the IR's operators, applied per
+   lane by the walker (C-style int/float promotion, exact error
+   identity). *)
 
 let unop_apply op (x : V.t) : V.t =
   match (op : A.unop) with
@@ -150,4 +145,4 @@ let charge (seg : Trace.seg_builder) cycles active =
 
 (* Memory-access accounting deliberately does NOT live here: coalescing,
    L2, bank conflicts and MSHR occupancy are {!Memmodel}'s — the one
-   accounting path all three interpreter tiers share. *)
+   accounting path both interpreter tiers share. *)

@@ -1,10 +1,10 @@
 (** Shared execution primitives of the SIMT interpreter.
 
-    Both interpreter back ends — the reference AST walker in {!Interp} and
-    the compiled closure path in {!Compile} — agree bit-for-bit on lane
-    masks, charge accounting and memory coalescing because they share the
-    primitives below.  Anything that touches a {!Trace.seg_builder} lives
-    here so the two paths cannot drift. *)
+    The reference AST walker in {!Interp} is built on the primitives
+    below; the bytecode tier in {!Bytecode} shares its error, pending-
+    launch and charge definitions (and keeps bit-identical local copies
+    of the lane-mask helpers on its hot path), so the two back ends
+    agree bit-for-bit on lane masks and charge accounting. *)
 
 exception Sim_error of string
 
@@ -33,15 +33,12 @@ val dummy_pending : pending_launch
 
 (** {2 Scalar operations}
 
-    The dynamically-typed semantics of the IR's operators, shared verbatim
-    by both back ends (the walker applies them per lane; the compiled path
-    falls back to them whenever static types cannot rule out a runtime
-    type error, so error identity and C-style int/float promotion stay
-    exact). *)
+    The dynamically-typed semantics of the IR's operators, applied per
+    lane by the walker (C-style int/float promotion, exact error
+    identity).  The bytecode lowers only operands whose static types
+    make these semantics a fixed unboxed operation. *)
 
 val unop_apply : Dpc_kir.Ast.unop -> Dpc_kir.Value.t -> Dpc_kir.Value.t
-
-val both_int : Dpc_kir.Value.t -> Dpc_kir.Value.t -> bool
 
 val binop_apply :
   Dpc_kir.Ast.binop -> Dpc_kir.Value.t -> Dpc_kir.Value.t -> Dpc_kir.Value.t
@@ -65,5 +62,5 @@ val lanes_where : int -> (int -> bool) -> int
 
 (** [charge seg cycles active] charges warp issue cycles with [active]
     lanes enabled.  Memory-access accounting lives in {!Memmodel} — the
-    single per-access cost path all three interpreter tiers share. *)
+    single per-access cost path both interpreter tiers share. *)
 val charge : Trace.seg_builder -> int -> int -> unit

@@ -392,7 +392,6 @@ let test_bcverify_direct () =
     {
       Dpc_sim.Bytecode.s_kname = "unit";
       s_code = Array.of_list code;
-      s_nstmts = 3;
       s_nic = 2;
       s_nfc = 1;
       s_ntmpi = 2;
@@ -403,7 +402,7 @@ let test_bcverify_direct () =
       s_nsites = 0;
       s_nshared = 1;
       s_nnames = 2;
-      s_calls = Array.make 3 "let";
+      s_result = None;
     }
   in
   let check code = Dpc_check.Bcverify.check_stream (stream code) in
@@ -417,7 +416,7 @@ let test_bcverify_direct () =
     "clean stream is silent" []
     (List.map
        (Diag.to_string ?file:None)
-       (check [ 7; 1; 0; 0; 0; 1; 2; 8; 0; 1; 3; 12; 0; 2; 2; 1 ]))
+       (check [ 7; 1; 0; 0; 0; 1; 2; 8; 0; 1; 3; 12; 0; 2; 18; 1 ]))
 
 (* Strict mode routes Transform.apply through the translation-validation
    hook: a faithful transform passes silently, and a corrupted result fed

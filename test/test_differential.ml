@@ -1,13 +1,12 @@
-(* Differential test of the three interpreter back ends.
+(* Differential test of the two interpreter back ends.
 
-   The compiled closure fast path (Compile) and the bytecode tier
-   (Bytecode) must both be observationally identical to the reference
-   AST walker: every app x variant run under all three back ends has to
-   produce the same Metrics report and, stronger, the same per-block
-   Trace segments — issue cycles, weighted active lanes, DRAM/L2
-   counts, allocator charges and segment delimiters.  Byte-identical
-   traces mean every downstream number (timing model, figures,
-   profiler) is provably independent of the back end. *)
+   The bytecode tier (Bytecode) must be observationally identical to the
+   reference AST walker: every app x variant run under both back ends
+   has to produce the same Metrics report and, stronger, the same
+   per-block Trace segments — issue cycles, weighted active lanes,
+   DRAM/L2 counts, allocator charges and segment delimiters.
+   Byte-identical traces mean every downstream number (timing model,
+   figures, profiler) is provably independent of the back end. *)
 
 module H = Dpc_apps.Harness
 module R = Dpc_apps.Registry
@@ -30,7 +29,7 @@ let small_scale = function
 type capture = {
   report : M.report;
   grids : T.grid_exec array;
-  compiled_kernels : int;  (** kernels that lowered to closures *)
+  lowered_kernels : int;  (** kernels that lowered to bytecode *)
 }
 
 let run_mode ?cfg (e : R.entry) v mode : capture =
@@ -40,18 +39,18 @@ let run_mode ?cfg (e : R.entry) v mode : capture =
     ~finally:(fun () -> I.set_default_mode saved)
     (fun () ->
       let grids = ref [||] in
-      let compiled = ref 0 in
+      let lowered = ref 0 in
       let report =
         e.R.run ?cfg ~scale:(small_scale e.R.name)
           ~inspect:(fun dev ->
             let s = Device.session dev in
             grids := I.grids s;
             Hashtbl.iter
-              (fun _ ck -> if Option.is_some ck then incr compiled)
+              (fun _ ck -> if Option.is_some ck then incr lowered)
               s.I.ckernels)
           v
       in
-      { report; grids = !grids; compiled_kernels = !compiled })
+      { report; grids = !grids; lowered_kernels = !lowered })
 
 let check_segment ~tier ctx (a : T.segment) (b : T.segment) =
   let fail what ppa ppb =
@@ -124,7 +123,7 @@ let check_tier ~tier name (ref_ : capture) (cmp : capture) =
   (* The fast path must actually engage, or the test is vacuous. *)
   Alcotest.(check bool)
     (Printf.sprintf "%s: at least one kernel lowered by %s tier" name tier)
-    true (cmp.compiled_kernels > 0);
+    true (cmp.lowered_kernels > 0);
   if compare ref_.report cmp.report <> 0 then
     Alcotest.failf "%s: Metrics.report differs\nwalker: %s\n%s: %s" name
       (report_str ref_.report) tier (report_str cmp.report);
@@ -141,7 +140,6 @@ let check_tier ~tier name (ref_ : capture) (cmp : capture) =
 let diff_app_variant ?cfg (e : R.entry) v () =
   let name = Printf.sprintf "%s/%s" e.R.name (H.variant_to_string v) in
   let ref_ = run_mode ?cfg e v I.Reference in
-  check_tier ~tier:"compiled" name ref_ (run_mode ?cfg e v I.Compiled);
   check_tier ~tier:"bytecode" name ref_ (run_mode ?cfg e v I.Bytecode)
 
 let variants =
@@ -175,12 +173,14 @@ let test_k20c_counters_zero () =
 
 (* --- natively lowered statements on small kernels -------------------------
 
-   The bytecode tier lowers atomics, boxed lets, mallocs and numeric
-   boxed shared reads to native ops instead of closure CALLs.  Each small
-   kernel below runs under all three tiers; the outcome (or the exact
+   Every statement kind lowers to native bytecode ops: atomics, boxed
+   lets, mallocs, numeric boxed shared reads, launches, device syncs,
+   frees and the block-uniform control flow around barriers.  Each small
+   kernel below runs under both tiers; the outcome (or the exact
    exception text), the Metrics report, every Trace segment and the
    final contents of every device buffer must agree byte for byte, and
-   the statements under test must really have lowered natively. *)
+   the kernel must really have lowered — or, for a construct with no
+   native form, really have taken the walker. *)
 
 module B = Dpc_kir.Build
 module A = Dpc_kir.Ast
@@ -194,7 +194,7 @@ type small = {
   sreport : M.report option;
   sgrids : T.grid_exec array;
   memory : string;  (** every device buffer, floats in %h *)
-  lowered : bool;  (** the entry kernel ran on the tier's lowering *)
+  lowered : bool;  (** every launched kernel ran on the bytecode tier *)
 }
 
 let dump_memory dev =
@@ -211,12 +211,16 @@ let dump_memory dev =
            ^ String.concat ","
                (Array.to_list (Array.map (Printf.sprintf "%h") a))))
 
-(* [setup] allocates the inputs and returns the launch arguments. *)
-let run_small ?(alloc_kind = Dpc_alloc.Allocator.Default) ~mode
-    (k : K.t) ~grid ~block setup =
+let fresh (k : K.t) =
+  B.kernel ~name:k.K.kname ~params:k.K.params ~shared:k.K.shared
+    (A.copy_block k.K.body)
+
+(* [setup] allocates the inputs and returns the launch arguments; [k] is
+   the entry kernel, [callees] the kernels it launches. *)
+let run_small ?(alloc_kind = Dpc_alloc.Allocator.Default) ?(callees = [])
+    ~mode (k : K.t) ~grid ~block setup =
   let prog = K.Program.create () in
-  K.Program.add prog (B.kernel ~name:k.K.kname ~params:k.K.params
-                        ~shared:k.K.shared (A.copy_block k.K.body));
+  List.iter (fun k -> K.Program.add prog (fresh k)) (k :: callees);
   let dev = Device.create ~mode ~alloc_kind prog in
   let args = setup dev in
   let outcome =
@@ -231,56 +235,50 @@ let run_small ?(alloc_kind = Dpc_alloc.Allocator.Default) ~mode
     sgrids = I.grids s;
     memory = dump_memory dev;
     lowered =
-      (match Hashtbl.find_opt s.I.ckernels k.K.kname with
-      | Some (Some _) -> true
-      | _ -> false);
+      Hashtbl.length s.I.ckernels > 0
+      && Hashtbl.fold (fun _ ck ok -> ok && Option.is_some ck) s.I.ckernels
+           true;
   }
 
-(* Statement kinds that must never reach a closure CALL in bytecode. *)
-let native_tags = [ "atomic"; "let-boxed"; "malloc" ]
-
-let native_calls (k : K.t) =
-  let k = B.kernel ~name:k.K.kname ~params:k.K.params ~shared:k.K.shared
-      (A.copy_block k.K.body) in
-  K.finalize k;
-  match Bc.streams_of_kernel k with
-  | None -> [ "<kernel does not lower>" ]
-  | Some streams ->
-    List.concat_map
-      (fun (st : Bc.stream) ->
-        List.filter (fun t -> List.mem t native_tags)
-          (Array.to_list st.Bc.s_calls))
-      streams
-
-let diff_small ?alloc_kind ?(native = true) name k ~grid ~block setup =
-  if native then
-    Alcotest.(check (list string))
-      (name ^ ": no CALL for an atomic, boxed let or malloc") []
-      (native_calls k);
-  let walker = run_small ?alloc_kind ~mode:I.Reference k ~grid ~block setup in
-  List.iter
-    (fun (tier, mode) ->
-      let r = run_small ?alloc_kind ~mode k ~grid ~block setup in
-      let ctx = name ^ " [" ^ tier ^ "]" in
-      Alcotest.(check bool) (ctx ^ ": kernel lowered") true r.lowered;
-      (match (walker.outcome, r.outcome) with
-      | Ok (), Ok () -> ()
-      | Error a, Error b -> Alcotest.(check string) (ctx ^ ": raise") a b
-      | Ok (), Error e -> Alcotest.failf "%s: raised %s, walker did not" ctx e
-      | Error e, Ok () -> Alcotest.failf "%s: walker raised %s" ctx e);
-      (match (walker.sreport, r.sreport) with
-      | Some a, Some b when compare a b <> 0 ->
-        Alcotest.failf "%s: Metrics.report differs\nwalker: %s\n%s: %s" ctx
-          (report_str a) tier (report_str b)
-      | _ -> ());
-      Alcotest.(check int) (ctx ^ ": grid count")
-        (Array.length walker.sgrids) (Array.length r.sgrids);
-      Array.iteri
-        (fun i g -> check_grid ~tier (Printf.sprintf "%s grid %d" ctx i) g
-            r.sgrids.(i))
-        walker.sgrids;
-      Alcotest.(check string) (ctx ^ ": device memory") walker.memory r.memory)
-    [ ("compiled", I.Compiled); ("bytecode", I.Bytecode) ]
+let diff_small ?alloc_kind ?callees ?(lowers = true) ?(raises = false) name
+    k ~grid ~block setup =
+  Alcotest.(check bool)
+    (name ^ ": lowers to bytecode")
+    lowers
+    (let k = fresh k in
+     K.finalize k;
+     Option.is_some (Bc.streams_of_kernel k));
+  let walker =
+    run_small ?alloc_kind ?callees ~mode:I.Reference k ~grid ~block setup
+  in
+  let r =
+    run_small ?alloc_kind ?callees ~mode:I.Bytecode k ~grid ~block setup
+  in
+  let ctx = name ^ " [bytecode]" in
+  Alcotest.(check bool) (ctx ^ ": ran on the bytecode tier") lowers r.lowered;
+  (match (walker.outcome, r.outcome) with
+  | Ok (), Ok () -> ()
+  | Error a, Error b -> Alcotest.(check string) (ctx ^ ": raise") a b
+  | Ok (), Error e -> Alcotest.failf "%s: raised %s, walker did not" ctx e
+  | Error e, Ok () -> Alcotest.failf "%s: walker raised %s" ctx e);
+  (match walker.outcome with
+  | Error e when not raises -> Alcotest.failf "%s: raised %s" ctx e
+  | Ok () when raises -> Alcotest.failf "%s: did not raise" ctx
+  | _ -> ());
+  (match (walker.sreport, r.sreport) with
+  | Some a, Some b when compare a b <> 0 ->
+    Alcotest.failf "%s: Metrics.report differs\nwalker: %s\nbytecode: %s" ctx
+      (report_str a) (report_str b)
+  | _ -> ());
+  Alcotest.(check int) (ctx ^ ": grid count")
+    (Array.length walker.sgrids) (Array.length r.sgrids);
+  Array.iteri
+    (fun i g ->
+      check_grid ~tier:"bytecode" (Printf.sprintf "%s grid %d" ctx i) g
+        r.sgrids.(i))
+    walker.sgrids;
+  Alcotest.(check string) (ctx ^ ": device memory") walker.memory r.memory;
+  walker.outcome
 
 let int_args ints dev =
   [ V.Vbuf (Device.of_int_array dev ~name:"a" ints).Mem.id;
@@ -298,7 +296,9 @@ let atomic_ops =
 
 (* One atomic under a divergent mask (every third lane sits out), five
    lanes contending per element, a partial second warp.  [old] is none,
-   an unboxed slot, or a slot made boxed by a dead float/int assignment. *)
+   an unboxed slot, or a slot made boxed by a dead float/int assignment
+   (a boxed slot is written natively; reading it back has no native
+   form, so that variant records nothing). *)
 let atomic_kernel ~float_buf ~int_operand ~op ~old =
   let open B in
   let operand =
@@ -329,8 +329,8 @@ let atomic_kernel ~float_buf ~int_operand ~op ~old =
   in
   let record =
     match old with
-    | `None -> []
-    | _ ->
+    | `None | `Boxed -> []
+    | `Unboxed ->
       [ if float_buf then store (v "outf") tid (v "old")
         else store (v "out") tid (v "old") ]
   in
@@ -355,14 +355,14 @@ let atomic_cases () =
                 if float_buf then float_args [| 0.5; 1.0; 2.0; 3.0; 4.0 |]
                 else int_args [| 0; 1; 2; 3; 4 |]
               in
-              diff_small name k ~grid:2 ~block:48 setup)
+              ignore (diff_small name k ~grid:2 ~block:48 setup))
             [ ("no-old", `None); ("old", `Unboxed); ("boxed-old", `Boxed) ])
         [ ("int", false, true); ("float", true, false);
           ("float/int-operand", true, true) ])
     atomic_ops
 
 (* An out-of-range atomic index raises from the same lane with the same
-   message on every tier. *)
+   message on both tiers. *)
 let atomic_oob () =
   List.iter
     (fun float_buf ->
@@ -380,20 +380,39 @@ let atomic_oob () =
         else int_args (Array.make 5 0)
       in
       let name = if float_buf then "atomic oob float" else "atomic oob int" in
-      diff_small name k ~grid:1 ~block:32 setup;
-      let r = run_small ~mode:I.Bytecode k ~grid:1 ~block:32 setup in
+      let outcome = diff_small ~raises:true name k ~grid:1 ~block:32 setup in
       Alcotest.(check bool) (name ^ ": raised Out_of_bounds") true
-        (match r.outcome with
+        (match outcome with
         | Error m ->
           String.starts_with ~prefix:"Dpc_gpu.Memory.Out_of_bounds" m
         | Ok () -> false))
     [ false; true ]
 
-(* Boxed slots: int/float/buffer values boxed by a let, under divergence. *)
+(* Boxed slots: int/float/buffer values boxed by a let, under divergence.
+   A boxed slot is written natively (BOX quads); nothing reads it back,
+   since a boxed operand has no native form. *)
 let boxed_let () =
   let open B in
   let k =
     kernel ~name:"boxed" ~params:[ pi "a"; pi "out"; pp "outf" ]
+      [
+        if_ ((tid %: i 2) ==: i 0)
+          [ set "x" (tid *: i 3) ]
+          [ set "x" (to_float tid *: f 0.25) ];
+        if_ (tid <: i 10) [ set "y" (v "a") ] [ set "y" (i 7) ];
+        store (v "out") tid (tid +: i 100);
+      ]
+  in
+  ignore
+    (diff_small "boxed let" k ~grid:1 ~block:40 (int_args (Array.make 5 0)))
+
+(* Reading a boxed slot back (a value that is an int in some lanes and a
+   float in others, a buffer-or-int handle) has no native form: the
+   whole kernel takes the walker, with an identical outcome. *)
+let boxed_operand_walker () =
+  let open B in
+  let k =
+    kernel ~name:"boxed_read" ~params:[ pi "a"; pi "out"; pp "outf" ]
       [
         if_ ((tid %: i 2) ==: i 0)
           [ set "x" (tid *: i 3) ]
@@ -403,11 +422,18 @@ let boxed_let () =
         store (v "y") (tid %: i 5) (tid +: i 100);
       ]
   in
-  diff_small "boxed let" k ~grid:1 ~block:40 (int_args (Array.make 5 0))
+  ignore
+    (diff_small ~lowers:false "boxed operand" k ~grid:1 ~block:40
+       (int_args (Array.make 5 0)))
+
+let allocators =
+  [ ("default", Dpc_alloc.Allocator.Default);
+    ("pool", Dpc_alloc.Allocator.Pool);
+    ("halloc", Dpc_alloc.Allocator.Halloc) ]
 
 (* Mallocs at every scope and allocator: the count comes from the lowest
    active lane, per-block/per-grid sites allocate once and then hit the
-   cache, and the handle lands in an int or a boxed slot. *)
+   cache, and the handle lands in an int or a (write-only) boxed slot. *)
 let malloc_scopes () =
   List.iter
     (fun (sname, scope) ->
@@ -416,36 +442,34 @@ let malloc_scopes () =
           List.iter
             (fun (aname, alloc_kind) ->
               let open B in
+              let body =
+                if boxed then
+                  [ malloc ~scope "buf" (i 8 +: tid);
+                    store (v "out") tid (i 1) ]
+                else
+                  [ malloc ~scope "buf" (i 8 +: tid);
+                    atomic_add ~old:"slot" (v "buf") (i 0) (i 1);
+                    store (v "out") tid (v "slot") ]
+              in
               let k =
                 kernel ~name:"mal" ~params:[ pi "a"; pi "out"; pp "outf" ]
                   ((if boxed then
                       [ if_then (tid <: i 0) [ set "buf" (i 0) ] ]
                     else [])
-                  @ [
-                      if_then ((tid %: i 4) <>: i 3)
-                        [ malloc ~scope "buf" (i 8 +: tid);
-                          (* a boxed handle keeps its atomic on the
-                             closure path: only the malloc is native *)
-                          (if boxed then store (v "buf") lane tid
-                           else atomic_add ~old:"slot" (v "buf") (i 0) (i 1));
-                          store (v "out") tid
-                            (if boxed then load (v "buf") (lane /: i 2)
-                             else v "slot") ];
-                    ])
+                  @ [ if_then ((tid %: i 4) <>: i 3) body ])
               in
-              diff_small ~alloc_kind
-                (Printf.sprintf "malloc %s %s%s" sname aname
-                   (if boxed then " boxed" else ""))
-                k ~grid:3 ~block:48 (int_args [| 0 |]))
-            [ ("default", Dpc_alloc.Allocator.Default);
-              ("pool", Dpc_alloc.Allocator.Pool);
-              ("halloc", Dpc_alloc.Allocator.Halloc) ])
+              ignore
+                (diff_small ~alloc_kind
+                   (Printf.sprintf "malloc %s %s%s" sname aname
+                      (if boxed then " boxed" else ""))
+                   k ~grid:3 ~block:48 (int_args [| 0 |])))
+            allocators)
         [ false; true ])
     [ ("warp", A.Per_warp); ("block", A.Per_block); ("grid", A.Per_grid) ]
 
 (* Reads of a float shared array (boxed, but provably numeric) feeding
    float arithmetic and comparisons, including never-written [Vint 0]
-   entries; a handle-holding shared array stays on the closure path. *)
+   entries, beside stores of handles into another shared array. *)
 let numeric_shared () =
   let open B in
   let k =
@@ -460,16 +484,146 @@ let numeric_shared () =
         set "gt" (tid >: shared "sh" (i 63 -: tid));
         store (v "outf") tid (v "acc");
         store (v "out") tid ((v "lt" *: i 2) +: v "gt");
-        store (shared "hs" tid) (i 0) (i 9);
       ]
   in
-  diff_small "numeric shared read" k ~grid:2 ~block:64
-    (int_args (Array.make 5 0))
+  ignore
+    (diff_small "numeric shared read" k ~grid:2 ~block:64
+       (int_args (Array.make 5 0)))
 
-(* No app kernel, under any variant or preset, still sends an atomic, a
-   let (boxed or not: SpMV's combine reads a float shared array) or a
-   malloc through a closure CALL. *)
-let apps_native () =
+(* Device-side launches under a divergent mask (every third lane sits
+   out) from a partial second warp: per-lane grid and block dimensions
+   (the block a float coerced per lane), int, float and buffer
+   arguments.  The children run at block end in breadth order. *)
+let launch_child =
+  let open B in
+  kernel ~name:"child" ~params:[ p "n"; pf "x"; pi "out"; pp "outf" ]
+    [
+      if_then (tid ==: i 0) [ atomic_add (v "out") (v "n" %: i 64) (i 1) ];
+      store (v "outf") ((v "n" +: tid) %: i 64) (v "x" +: to_float bid);
+    ]
+
+let native_launch () =
+  let open B in
+  let k =
+    kernel ~name:"launcher" ~params:[ pi "a"; pi "out"; pp "outf" ]
+      [
+        if_then
+          ((tid %: i 3) <>: i 1)
+          [ launch "child"
+              ~grid:((tid %: i 2) +: i 1)
+              ~block:(to_float ((tid %: i 5) +: i 30))
+              [ tid +: (bid *: i 40); to_float tid *: f 0.5; v "out";
+                v "outf" ] ];
+        store (v "a") (i 0) (tid +: i 1);
+      ]
+  in
+  ignore
+    (diff_small ~callees:[ launch_child ] "native launch" k ~grid:2 ~block:40
+       (int_args [| 0 |]))
+
+(* [cudaDeviceSynchronize] drains the block's pending launches to
+   completion (a child that itself launches and syncs is drained in
+   deep mode), then the parent reads what its children wrote. *)
+let native_devsync () =
+  let open B in
+  let grandchild =
+    kernel ~name:"gchild" ~params:[ pi "out"; p "b" ]
+      [ atomic_add (v "out") (i 40 +: v "b") (tid +: i 1) ]
+  in
+  let child =
+    kernel ~name:"dchild" ~params:[ pi "out"; p "b" ]
+      [
+        atomic_add (v "out") (v "b") (i 1);
+        if_then ((tid ==: i 0) &&: (bid ==: i 1))
+          [ launch "gchild" ~grid:(i 1) ~block:(i 8) [ v "out"; v "b" ] ];
+        device_sync;
+        store (v "out") (i 20 +: v "b") (load (v "out") (i 40 +: v "b"));
+      ]
+  in
+  let k =
+    kernel ~name:"syncer" ~params:[ pi "a"; pi "out"; pp "outf" ]
+      [
+        if_then (tid ==: i 0)
+          [ launch "dchild" ~grid:(i 2) ~block:(i 36) [ v "out"; bid ] ];
+        if_then (tid ==: i 33)
+          [ launch "dchild" ~grid:(i 1) ~block:(i 32) [ v "out"; bid +: i 4 ] ];
+        device_sync;
+        store (v "a") (bid *: i 40 +: tid) (load (v "out") (i 20 +: bid));
+      ]
+  in
+  ignore
+    (diff_small ~callees:[ child; grandchild ] "native devsync deep drain" k
+       ~grid:3 ~block:40
+       (int_args (Array.make 120 0)))
+
+(* [free] of a per-warp buffer under a divergent mask (the lowest active
+   lane's handle), under each allocator. *)
+let native_free () =
+  List.iter
+    (fun (aname, alloc_kind) ->
+      let open B in
+      let k =
+        kernel ~name:"freer" ~params:[ pi "a"; pi "out"; pp "outf" ]
+          [
+            if_then
+              ((tid %: i 4) <>: i 3)
+              [ malloc ~scope:A.Per_warp "buf" (i 32 +: warp);
+                store (v "buf") lane tid;
+                store (v "out") tid (load (v "buf") (lane /: i 2));
+                free (v "buf") ];
+          ]
+      in
+      ignore
+        (diff_small ~alloc_kind ("native free " ^ aname) k ~grid:3 ~block:48
+           (int_args [| 0 |])))
+    allocators
+
+(* Block-uniform [if]/[while]/[for] around barriers, with int, float and
+   loaded (SpMV-style [it < cnt[0]]) conditions and lanes that returned
+   early; then conditions that disagree across the block (int, float)
+   or cannot be tested (a buffer), which must fail with the walker's
+   exact message. *)
+let uniform_control () =
+  let open B in
+  let k =
+    kernel ~name:"uni" ~params:[ pi "a"; pi "out"; pp "outf" ]
+      ~shared:[ ("sh", 64) ]
+      [
+        if_then (tid >: i 60) [ return ];
+        set "it" (i 0);
+        while_
+          (v "it" <: load (v "a") (i 0))
+          [ shared_set "sh" tid (v "it" +: tid);
+            sync;
+            store (v "out") tid (shared "sh" ((tid +: i 1) %: i 60));
+            set "it" (v "it" +: i 1) ];
+        for_ "j" ~from:(load (v "a") (i 1)) ~below:(bid +: i 3)
+          [ sync; atomic_add (v "out") (v "j") (i 1) ];
+        if_ (to_float bid *: f 0.5)
+          [ sync; store (v "outf") tid (f 1.5) ]
+          [ sync; store (v "outf") tid (f 2.5) ];
+        if_ (bid ==: i 1) [ grid_barrier ] [];
+        store (v "out") (i 63) (tid +: i 1);
+      ]
+  in
+  ignore
+    (diff_small "uniform control" k ~grid:3 ~block:64 (int_args [| 3; 1 |]));
+  List.iter
+    (fun (name, cond) ->
+      let k =
+        kernel ~name:"nonuni" ~params:[ pi "a"; pi "out"; pp "outf" ]
+          [ if_ cond [ sync ] [] ]
+      in
+      ignore
+        (diff_small ~raises:true name k ~grid:1 ~block:40
+           (int_args [| 3; 1 |])))
+    [ ("non-uniform int condition", tid <: i 5);
+      ("non-uniform float condition", to_float tid *: f 0.5);
+      ("buffer condition", v "a") ]
+
+(* Every app kernel, under every variant and preset, lowers to bytecode:
+   none of them falls back to the walker. *)
+let apps_lower () =
   List.iter
     (fun (pname, cfg) ->
       List.iter
@@ -479,18 +633,9 @@ let apps_native () =
               List.iter
                 (fun (k : K.t) ->
                   K.finalize k;
-                  match Bc.streams_of_kernel k with
-                  | None -> ()
-                  | Some streams ->
-                    List.iter
-                      (fun (st : Bc.stream) ->
-                        Array.iter
-                          (fun t ->
-                            if List.mem t ("let" :: native_tags) then
-                              Alcotest.failf "%s/%s/%s [%s]: CALL for %s"
-                                e.R.name variant k.K.kname pname t)
-                          st.Bc.s_calls)
-                      streams)
+                  if Bc.streams_of_kernel k = None then
+                    Alcotest.failf "%s/%s/%s [%s]: does not lower" e.R.name
+                      variant k.K.kname pname)
                 (K.Program.kernels prog))
             (e.R.programs ~cfg ()))
         R.all)
@@ -526,8 +671,13 @@ let suite =
       Alcotest.test_case "native atomics all ops" `Quick atomic_cases;
       Alcotest.test_case "native atomic out of bounds" `Quick atomic_oob;
       Alcotest.test_case "native boxed let" `Quick boxed_let;
+      Alcotest.test_case "boxed operand takes the walker" `Quick
+        boxed_operand_walker;
       Alcotest.test_case "native malloc scopes" `Quick malloc_scopes;
       Alcotest.test_case "native numeric shared read" `Quick numeric_shared;
-      Alcotest.test_case "apps lower without native CALLs" `Quick
-        apps_native;
+      Alcotest.test_case "native launch" `Quick native_launch;
+      Alcotest.test_case "native devsync deep drain" `Quick native_devsync;
+      Alcotest.test_case "native free" `Quick native_free;
+      Alcotest.test_case "uniform control and errors" `Quick uniform_control;
+      Alcotest.test_case "apps lower to bytecode" `Quick apps_lower;
     ]

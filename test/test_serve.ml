@@ -318,8 +318,7 @@ let pstore_concurrent_writers () =
    session stored, and probe cross-tier loads with the other one. *)
 let default_tier () = Dpc_sim.Interp.(mode_to_string (default_mode ()))
 
-let other_tier () =
-  if default_tier () = "compiled" then "bytecode" else "compiled"
+let other_tier () = if default_tier () = "ref" then "bytecode" else "ref"
 
 (* Keys that could escape the store directory are refused outright. *)
 let pstore_key_hygiene () =
