@@ -13,10 +13,16 @@
       issue contention is modeled.
 
     Host launches replay sequentially: the host synchronizes between
-    kernel invocations, as the benchmark drivers do. *)
+    kernel invocations, as the benchmark drivers do.
+
+    Events are ordered by (time, seq), where seq is drawn from one
+    counter whenever an event is scheduled.  A resident block holds at
+    most one pending completion key, replaced in place when rates change;
+    the queue holds one entry per SMX (its earliest resident key) plus
+    the pending grid-ready and dispatch wake-up events, so a superseded
+    completion is never queued and never popped (DESIGN.md section 14). *)
 
 module Cfg = Dpc_gpu.Config
-module Heap = Dpc_util.Heap
 module Ev = Dpc_prof.Event
 
 type scheduler = Processor_sharing | Fcfs
@@ -30,7 +36,157 @@ type result = {
   swapped_syncs : int;  (** device syncs that actually suspended a block *)
 }
 
+(* --- event queue ---------------------------------------------------------- *)
+
+(* A binary min-heap over (time, seq) keys, stored as parallel unboxed
+   arrays.  Every entry carries an integer id below [ids]; an id is in
+   the queue at most once, and [pos] maps it to its heap slot so that its
+   key can be changed or the entry cancelled in place.  Seqs are unique,
+   so (time, seq) is a strict total order and the pop sequence does not
+   depend on the heap's shape. *)
+module Event_queue = struct
+  type t = {
+    mutable time : Float.Array.t;
+    mutable seq : int array;
+    mutable id : int array;
+    pos : int array;  (** id -> heap slot; -1 when absent *)
+    mutable len : int;
+    mutable rekeys : int;
+    mutable cancels : int;
+    mutable peak : int;
+  }
+
+  let create ~ids =
+    let cap = Int.min ids 16 in
+    {
+      time = Float.Array.make cap 0.0;
+      seq = Array.make cap 0;
+      id = Array.make cap 0;
+      pos = Array.make ids (-1);
+      len = 0;
+      rekeys = 0;
+      cancels = 0;
+      peak = 0;
+    }
+
+  let length q = q.len
+  let is_empty q = q.len = 0
+  let mem q id = q.pos.(id) >= 0
+  let min_time q = Float.Array.get q.time 0
+  let min_seq q = q.seq.(0)
+  let min_id q = q.id.(0)
+  let rekeys q = q.rekeys
+  let cancels q = q.cancels
+  let peak q = q.peak
+
+  let before q i j =
+    let ti = Float.Array.get q.time i and tj = Float.Array.get q.time j in
+    ti < tj || (ti = tj && q.seq.(i) < q.seq.(j))
+
+  let swap q i j =
+    let ti = Float.Array.get q.time i and si = q.seq.(i) and di = q.id.(i) in
+    let dj = q.id.(j) in
+    Float.Array.set q.time i (Float.Array.get q.time j);
+    q.seq.(i) <- q.seq.(j);
+    q.id.(i) <- dj;
+    q.pos.(dj) <- i;
+    Float.Array.set q.time j ti;
+    q.seq.(j) <- si;
+    q.id.(j) <- di;
+    q.pos.(di) <- j
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if before q i parent then begin
+        swap q i parent;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let l = (2 * i) + 1 in
+    if l < q.len then begin
+      let r = l + 1 in
+      let c = if r < q.len && before q r l then r else l in
+      if before q c i then begin
+        swap q i c;
+        sift_down q c
+      end
+    end
+
+  (* Restore the heap order around slot [i] after its key changed. *)
+  let settle q i =
+    sift_up q i;
+    sift_down q q.pos.(q.id.(i))
+
+  let grow q =
+    let cap = Int.min (Array.length q.pos) (2 * q.len) in
+    let time = Float.Array.make cap 0.0 in
+    Float.Array.blit q.time 0 time 0 q.len;
+    q.time <- time;
+    q.seq <- Array.append q.seq (Array.make (cap - q.len) 0);
+    q.id <- Array.append q.id (Array.make (cap - q.len) 0)
+
+  (* Insert [id] with key (time, seq), or rekey it in place if present. *)
+  let[@inline] set q id time seq =
+    let i = q.pos.(id) in
+    if i >= 0 then begin
+      if q.seq.(i) <> seq || Float.Array.get q.time i <> time then begin
+        q.rekeys <- q.rekeys + 1;
+        Float.Array.set q.time i time;
+        q.seq.(i) <- seq;
+        settle q i
+      end
+    end
+    else begin
+      if q.len = Array.length q.seq then grow q;
+      let i = q.len in
+      q.len <- i + 1;
+      if q.len > q.peak then q.peak <- q.len;
+      Float.Array.set q.time i time;
+      q.seq.(i) <- seq;
+      q.id.(i) <- id;
+      q.pos.(id) <- i;
+      sift_up q i
+    end
+
+  let remove_at q i =
+    let gone = q.id.(i) in
+    let last = q.len - 1 in
+    q.len <- last;
+    q.pos.(gone) <- -1;
+    if i < last then begin
+      let moved = q.id.(last) in
+      Float.Array.set q.time i (Float.Array.get q.time last);
+      q.seq.(i) <- q.seq.(last);
+      q.id.(i) <- moved;
+      q.pos.(moved) <- i;
+      settle q i
+    end
+
+  let pop q = remove_at q 0
+
+  let cancel q id =
+    let i = q.pos.(id) in
+    if i >= 0 then begin
+      q.cancels <- q.cancels + 1;
+      remove_at q i
+    end
+end
+
 (* --- runtime state ------------------------------------------------------ *)
+
+(* The mutable floats live in all-float records, which OCaml stores
+   flat: updating them neither allocates nor goes through the write
+   barrier. *)
+type block_clock = {
+  mutable remaining : float;  (** work left in the current segment *)
+  mutable extra_next : float;  (** swap cost charged to the next segment *)
+  mutable rate : float;
+  mutable last_update : float;
+  mutable due : float;  (** time of the pending completion key *)
+}
 
 type block_run = {
   grid_id : int;
@@ -38,16 +194,14 @@ type block_run = {
   warps : int;
   segments : Trace.segment array;
   mutable seg_i : int;
-  mutable remaining : float;  (** work left in the current segment *)
-  mutable extra_next : float;  (** swap cost charged to the next segment *)
-  mutable rate : float;
-  mutable last_update : float;
+  clk : block_clock;
+  mutable due_seq : int;
+      (** seq of the pending completion key (time [clk.due]); -1 when the
+          block has none *)
   mutable smx : int;  (** -1 when not resident *)
-  mutable epoch : int;  (** invalidates stale completion events *)
   mutable children_out : int;
   mutable waiting_sync : bool;
   mutable waiting_barrier : bool;
-  mutable finished : bool;
 }
 
 type grid_state = {
@@ -60,22 +214,29 @@ type grid_state = {
   mutable drained : bool;  (** all blocks done; no longer counts as active *)
   mutable completed : bool;
   mutable suspended : int;  (** blocks swapped out at a device sync *)
-  mutable started : bool;  (** a block of this grid has reached an SMX *)
+  mutable started : bool;
+      (** a block of this grid has reached an SMX (tracked when profiling) *)
   mutable yielded : bool;
       (** every unfinished block is swapped out: the grid releases its
           concurrency slot (the runtime swaps parents to let children run,
           Section II.A) *)
 }
 
-type event =
-  | Grid_ready of int
-  | Dispatch_tick
-  | Seg_done of block_run * int  (** block, epoch *)
-
 type smx_state = {
-  mutable resident : block_run list;
+  idx : int;  (** also the SMX's event id in the queue *)
+  mutable dirty : bool;  (** its queue entry awaits a {!refresh} *)
+  resident : block_run array;
+      (** slots [0, nblocks) in placement order, oldest first *)
   mutable warps_used : int;
   mutable nblocks : int;
+}
+
+type clock = {
+  mutable now : float;
+  mutable next_dispatch_time : float;
+  mutable occ_integral : float;
+  mutable busy_integral : float;  (** SMX-cycles with a block resident *)
+  mutable occ_last : float;
 }
 
 type t = {
@@ -87,14 +248,18 @@ type t = {
   debug_log : bool;  (** [DPC_TIMING_DEBUG] set: log event counts *)
   grids : grid_state array;
   smxs : smx_state array;
-  events : event Heap.t;
-  mutable now : float;
+  events : Event_queue.t;
+      (** ids: [i] for SMX [i] (its earliest resident completion key),
+          [tick_id] for the dispatch wake-up, [ready_id g] for grid [g]
+          becoming ready *)
+  mutable next_seq : int;  (** tie-break counter for event keys *)
+  dirty : int array;  (** SMXs awaiting a refresh, [ndirty] of them *)
+  mutable ndirty : int;
+  clk : clock;
   (* grid dispatch *)
   ready_queue : int Queue.t;
   mutable active_grids : int;  (** dispatched and not drained *)
   mutable pending_count : int;
-  mutable next_dispatch_time : float;
-  mutable tick_armed : bool;  (** a Dispatch_tick event is outstanding *)
   (* block placement: blocks of dispatched grids awaiting an SMX slot *)
   place_queue : block_run Queue.t;
   (* host roots *)
@@ -103,9 +268,6 @@ type t = {
   (* metrics *)
   mutable device_warps : int;
   mutable busy_smxs : int;  (** SMXs with at least one resident block *)
-  mutable occ_integral : float;
-  mutable busy_integral : float;  (** SMX-cycles with a block resident *)
-  mutable occ_last : float;
   mutable extra_dram : int;
   mutable virtualized : int;
   mutable max_pending : int;
@@ -114,7 +276,15 @@ type t = {
   mutable samples : (float * int) list;  (** (time, resident warps), reversed *)
 }
 
-let seg_work cfg (s : Trace.segment) =
+let tick_id t = Array.length t.smxs
+let ready_id t gid = Array.length t.smxs + 1 + gid
+
+let fresh_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
+
+let[@inline] seg_work cfg (s : Trace.segment) =
   Float.of_int
     (s.Trace.issue_cycles
     + (s.Trace.dram_transactions * cfg.Cfg.dram_transaction_cycles)
@@ -129,18 +299,44 @@ let make_block_run cfg (g : Trace.grid_exec) (bt : Trace.block_trace) =
     warps = bt.Trace.warps;
     segments = bt.Trace.segments;
     seg_i = 0;
-    remaining =
-      seg_work cfg bt.Trace.segments.(0)
-      +. Float.of_int cfg.Cfg.block_start_cycles;
-    extra_next = 0.0;
-    rate = 0.0;
-    last_update = 0.0;
+    clk =
+      {
+        remaining =
+          seg_work cfg bt.Trace.segments.(0)
+          +. Float.of_int cfg.Cfg.block_start_cycles;
+        extra_next = 0.0;
+        rate = 0.0;
+        last_update = 0.0;
+        due = 0.0;
+      };
+    due_seq = -1;
     smx = -1;
-    epoch = 0;
     children_out = 0;
     waiting_sync = false;
     waiting_barrier = false;
-    finished = false;
+  }
+
+(* Fills the vacant [smx_state.resident] slots; never mutated. *)
+let no_block =
+  {
+    grid_id = -1;
+    bidx = -1;
+    warps = 0;
+    segments = [||];
+    seg_i = 0;
+    clk =
+      {
+        remaining = 0.0;
+        extra_next = 0.0;
+        rate = 0.0;
+        last_update = 0.0;
+        due = 0.0;
+      };
+    due_seq = -1;
+    smx = -1;
+    children_out = 0;
+    waiting_sync = false;
+    waiting_barrier = false;
   }
 
 let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
@@ -169,23 +365,35 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     debug_log = Sys.getenv_opt "DPC_TIMING_DEBUG" <> None;
     grids = Array.map mk_grid grids;
     smxs =
-      Array.init cfg.Cfg.num_smx (fun _ ->
-          { resident = []; warps_used = 0; nblocks = 0 });
-    events = Heap.create ();
-    now = 0.0;
+      Array.init cfg.Cfg.num_smx (fun idx ->
+          {
+            idx;
+            dirty = false;
+            resident = Array.make cfg.Cfg.max_blocks_per_smx no_block;
+            warps_used = 0;
+            nblocks = 0;
+          });
+    events =
+      Event_queue.create ~ids:(cfg.Cfg.num_smx + 1 + Array.length grids);
+    next_seq = 0;
+    dirty = Array.make cfg.Cfg.num_smx 0;
+    ndirty = 0;
+    clk =
+      {
+        now = 0.0;
+        next_dispatch_time = 0.0;
+        occ_integral = 0.0;
+        busy_integral = 0.0;
+        occ_last = 0.0;
+      };
     ready_queue = Queue.create ();
     active_grids = 0;
     pending_count = 0;
-    next_dispatch_time = 0.0;
-    tick_armed = false;
     place_queue = Queue.create ();
     roots_left = roots;
     current_root = -1;
     device_warps = 0;
     busy_smxs = 0;
-    occ_integral = 0.0;
-    busy_integral = 0.0;
-    occ_last = 0.0;
     extra_dram = 0;
     virtualized = 0;
     max_pending = 0;
@@ -205,7 +413,7 @@ let emit t ?(smx = -1) (g : grid_state) kind =
   | Some sink ->
     sink
       {
-        Ev.cycles = t.now;
+        Ev.cycles = t.clk.now;
         gid = g.trace.Trace.gid;
         kernel = g.trace.Trace.kernel;
         depth = g.trace.Trace.depth;
@@ -229,30 +437,69 @@ let emit_segment_allocs t (b : block_run) (seg : Trace.segment) =
 (* --- occupancy accounting ----------------------------------------------- *)
 
 let occ_note t =
-  let dt = t.now -. t.occ_last in
+  let c = t.clk in
+  let dt = c.now -. c.occ_last in
   if dt > 0.0 then begin
-    t.occ_integral <- t.occ_integral +. (Float.of_int t.device_warps *. dt);
-    t.busy_integral <- t.busy_integral +. (Float.of_int t.busy_smxs *. dt);
+    c.occ_integral <- c.occ_integral +. (Float.of_int t.device_warps *. dt);
+    c.busy_integral <- c.busy_integral +. (Float.of_int t.busy_smxs *. dt);
     if t.record_timeline then
-      t.samples <- (t.occ_last, t.device_warps) :: t.samples;
-    t.occ_last <- t.now
+      t.samples <- (c.occ_last, t.device_warps) :: t.samples;
+    c.occ_last <- c.now
   end
 
 (* --- processor-sharing SMX model ---------------------------------------- *)
 
 let update_smx t (s : smx_state) =
-  List.iter
-    (fun b ->
-      let dt = t.now -. b.last_update in
-      if dt > 0.0 then
-        b.remaining <- Float.max 0.0 (b.remaining -. (b.rate *. dt));
-      b.last_update <- t.now)
-    s.resident
+  let now = t.clk.now in
+  for k = s.nblocks - 1 downto 0 do
+    let c = s.resident.(k).clk in
+    let dt = now -. c.last_update in
+    if dt > 0.0 then
+      c.remaining <- Float.max 0.0 (c.remaining -. (c.rate *. dt));
+    c.last_update <- now
+  done
 
-let reschedule t (b : block_run) =
-  b.epoch <- b.epoch + 1;
-  let dt = if b.rate > 0.0 then b.remaining /. b.rate else 0.0 in
-  Heap.push t.events (t.now +. dt) (Seg_done (b, b.epoch))
+(* Point the SMX's queue entry at its earliest pending completion key,
+   or drop the entry when no resident block has one. *)
+let refresh t (s : smx_state) =
+  let best = ref no_block in
+  for k = 0 to s.nblocks - 1 do
+    let b = s.resident.(k) in
+    if
+      b.due_seq >= 0
+      && (!best == no_block
+         || b.clk.due < !best.clk.due
+         || (b.clk.due = !best.clk.due && b.due_seq < !best.due_seq))
+    then best := b
+  done;
+  let b = !best in
+  if b == no_block then Event_queue.cancel t.events s.idx
+  else Event_queue.set t.events s.idx b.clk.due b.due_seq
+
+(* A key of [s]'s resident blocks changed: refresh its entry before the
+   next pop.  Deferring merges the several changes one event makes. *)
+let touch t (s : smx_state) =
+  if not s.dirty then begin
+    s.dirty <- true;
+    t.dirty.(t.ndirty) <- s.idx;
+    t.ndirty <- t.ndirty + 1
+  end
+
+let flush t =
+  for i = 0 to t.ndirty - 1 do
+    let s = t.smxs.(t.dirty.(i)) in
+    s.dirty <- false;
+    refresh t s
+  done;
+  t.ndirty <- 0
+
+(* Give resident block [b] a fresh completion key at its current rate. *)
+let rekey t (b : block_run) =
+  let c = b.clk in
+  let dt = if c.rate > 0.0 then c.remaining /. c.rate else 0.0 in
+  c.due <- t.clk.now +. dt;
+  b.due_seq <- fresh_seq t;
+  touch t t.smxs.(b.smx)
 
 let recompute_rates t (s : smx_state) =
   let issue = Float.of_int t.cfg.Cfg.issue_rate in
@@ -260,40 +507,45 @@ let recompute_rates t (s : smx_state) =
      instructions per cycle, so a block's ceiling is warps x slots.  At
      the default 1 this is exactly the historical single-issue model. *)
   let ipw = Float.of_int t.cfg.Cfg.issue_per_warp in
-  let total_warps =
-    List.fold_left (fun acc b -> acc + b.warps) 0 s.resident
-  in
-  List.iter
-    (fun b ->
-      let w = Float.of_int b.warps in
-      let rate =
-        match t.scheduler with
-        | Fcfs -> Float.min (w *. ipw) issue
-        | Processor_sharing ->
-          if total_warps = 0 then 0.0
-          else Float.min (w *. ipw) (issue *. w /. Float.of_int total_warps)
-      in
-      b.rate <- rate;
-      reschedule t b)
-    s.resident
+  let total_warps = s.warps_used in
+  (* Newest first: the order in which keys draw their seqs. *)
+  for k = s.nblocks - 1 downto 0 do
+    let b = s.resident.(k) in
+    let w = Float.of_int b.warps in
+    let rate =
+      match t.scheduler with
+      | Fcfs -> Float.min (w *. ipw) issue
+      | Processor_sharing ->
+        if total_warps = 0 then 0.0
+        else Float.min (w *. ipw) (issue *. w /. Float.of_int total_warps)
+    in
+    b.clk.rate <- rate;
+    rekey t b
+  done;
+  (* Also when the last block left: its entry must go. *)
+  touch t s
 
 let add_to_smx t (b : block_run) smx_idx =
   let s = t.smxs.(smx_idx) in
   update_smx t s;
   b.smx <- smx_idx;
-  b.last_update <- t.now;
+  b.clk.last_update <- t.clk.now;
   occ_note t;
-  s.resident <- b :: s.resident;
+  s.resident.(s.nblocks) <- b;
   s.warps_used <- s.warps_used + b.warps;
   s.nblocks <- s.nblocks + 1;
   if s.nblocks = 1 then t.busy_smxs <- t.busy_smxs + 1;
   t.device_warps <- t.device_warps + b.warps;
-  (let g = t.grids.(b.grid_id) in
-   if not g.started then begin
-     g.started <- true;
-     emit t ~smx:smx_idx g Ev.Grid_started
-   end;
-   emit t ~smx:smx_idx g (Ev.Block_placed { block = b.bidx; warps = b.warps }));
+  (* Tested here, not only in [emit]: the payload would be allocated
+     before [emit] looks at the sink. *)
+  if t.sink <> None then begin
+    let g = t.grids.(b.grid_id) in
+    if not g.started then begin
+      g.started <- true;
+      emit t ~smx:smx_idx g Ev.Grid_started
+    end;
+    emit t ~smx:smx_idx g (Ev.Block_placed { block = b.bidx; warps = b.warps })
+  end;
   recompute_rates t s
 
 let remove_from_smx t (b : block_run) =
@@ -301,16 +553,21 @@ let remove_from_smx t (b : block_run) =
     let s = t.smxs.(b.smx) in
     update_smx t s;
     occ_note t;
-    s.resident <- List.filter (fun x -> x != b) s.resident;
+    (* Close the gap, keeping the placement order. *)
+    let k = ref 0 in
+    while s.resident.(!k) != b do incr k done;
+    Array.blit s.resident (!k + 1) s.resident !k (s.nblocks - !k - 1);
+    s.resident.(s.nblocks - 1) <- no_block;
     s.warps_used <- s.warps_used - b.warps;
     s.nblocks <- s.nblocks - 1;
     if s.nblocks = 0 then t.busy_smxs <- t.busy_smxs - 1;
     t.device_warps <- t.device_warps - b.warps;
-    emit t ~smx:b.smx
-      t.grids.(b.grid_id)
-      (Ev.Block_removed { block = b.bidx; warps = b.warps });
+    if t.sink <> None then
+      emit t ~smx:b.smx
+        t.grids.(b.grid_id)
+        (Ev.Block_removed { block = b.bidx; warps = b.warps });
     b.smx <- -1;
-    b.epoch <- b.epoch + 1;
+    b.due_seq <- -1;
     recompute_rates t s
   end
 
@@ -319,17 +576,17 @@ let remove_from_smx t (b : block_run) =
 let find_smx t warps =
   let best = ref (-1) in
   let best_load = ref max_int in
-  Array.iteri
-    (fun i s ->
-      if
-        s.nblocks < t.cfg.Cfg.max_blocks_per_smx
-        && s.warps_used + warps <= t.cfg.Cfg.max_warps_per_smx
-        && s.warps_used < !best_load
-      then begin
-        best := i;
-        best_load := s.warps_used
-      end)
-    t.smxs;
+  for i = 0 to Array.length t.smxs - 1 do
+    let s = t.smxs.(i) in
+    if
+      s.nblocks < t.cfg.Cfg.max_blocks_per_smx
+      && s.warps_used + warps <= t.cfg.Cfg.max_warps_per_smx
+      && s.warps_used < !best_load
+    then begin
+      best := i;
+      best_load := s.warps_used
+    end
+  done;
   !best
 
 let rec place_blocks t =
@@ -350,18 +607,17 @@ let rec try_dispatch t =
     (not (Queue.is_empty t.ready_queue))
     && t.active_grids < t.cfg.Cfg.max_concurrent_grids
   then begin
-    if t.now +. 1e-9 < t.next_dispatch_time then begin
+    if t.clk.now +. 1e-9 < t.clk.next_dispatch_time then begin
       (* Rate-limited: arm (at most one) wake-up at the next dispatch slot. *)
-      if not t.tick_armed then begin
-        t.tick_armed <- true;
-        Heap.push t.events t.next_dispatch_time Dispatch_tick
-      end
+      if not (Event_queue.mem t.events (tick_id t)) then
+        Event_queue.set t.events (tick_id t) t.clk.next_dispatch_time
+          (fresh_seq t)
     end
     else begin
       let gid = Queue.pop t.ready_queue in
       let g = t.grids.(gid) in
       if t.trace_log then
-        Printf.eprintf "[%10.0f] dispatch g%d (%s %dx%d)\n" t.now gid
+        Printf.eprintf "[%10.0f] dispatch g%d (%s %dx%d)\n" t.clk.now gid
           g.trace.Trace.kernel (Array.length g.blocks)
           g.trace.Trace.block_dim;
       g.dispatched <- true;
@@ -375,7 +631,7 @@ let rec try_dispatch t =
           t.cfg.Cfg.virtual_dispatch_interval
         else t.cfg.Cfg.dispatch_interval
       in
-      t.next_dispatch_time <- t.now +. Float.of_int interval;
+      t.clk.next_dispatch_time <- t.clk.now +. Float.of_int interval;
       Array.iter (fun b -> Queue.push b t.place_queue) g.blocks;
       place_blocks t;
       (* Zero-block work (empty grids) cannot occur: grid_dim >= 1. *)
@@ -403,7 +659,9 @@ and launch_grid t gid ~latency =
      emit t g (Ev.Pool_high_water { level = t.pending_count });
    if virtualized then
      emit t g (Ev.Pool_virtualized { pending = t.pending_count }));
-  Heap.push t.events (t.now +. Float.of_int latency +. penalty) (Grid_ready gid)
+  Event_queue.set t.events (ready_id t gid)
+    (t.clk.now +. Float.of_int latency +. penalty)
+    (fresh_seq t)
 
 (* --- completion plumbing -------------------------------------------------- *)
 
@@ -411,16 +669,18 @@ and launch_grid t gid ~latency =
    resident: launches do not suspend the parent). *)
 let advance_in_place t (b : block_run) =
   b.seg_i <- b.seg_i + 1;
-  b.remaining <- seg_work t.cfg b.segments.(b.seg_i) +. b.extra_next;
-  b.extra_next <- 0.0;
-  b.last_update <- t.now;
-  reschedule t b
+  let c = b.clk in
+  c.remaining <- seg_work t.cfg b.segments.(b.seg_i) +. c.extra_next;
+  c.extra_next <- 0.0;
+  c.last_update <- t.clk.now;
+  rekey t b
 
 (* Re-enter the placement queue with the next segment pending. *)
 let requeue_block t (b : block_run) =
   b.seg_i <- b.seg_i + 1;
-  b.remaining <- seg_work t.cfg b.segments.(b.seg_i) +. b.extra_next;
-  b.extra_next <- 0.0;
+  let c = b.clk in
+  c.remaining <- seg_work t.cfg b.segments.(b.seg_i) +. c.extra_next;
+  c.extra_next <- 0.0;
   Queue.push b t.place_queue;
   place_blocks t
 
@@ -461,7 +721,7 @@ and check_grid_complete t (g : grid_state) =
   then begin
     g.completed <- true;
     if t.trace_log then
-      Printf.eprintf "[%10.0f] complete g%d (%s)\n" t.now g.trace.Trace.gid
+      Printf.eprintf "[%10.0f] complete g%d (%s)\n" t.clk.now g.trace.Trace.gid
         g.trace.Trace.kernel;
     t.completed_grids <- t.completed_grids + 1;
     if t.sink <> None then begin
@@ -505,7 +765,6 @@ and check_grid_complete t (g : grid_state) =
   end
 
 let block_finished t (b : block_run) =
-  b.finished <- true;
   remove_from_smx t b;
   place_blocks t;
   let g = t.grids.(b.grid_id) in
@@ -536,7 +795,8 @@ let handle_segment_end t (b : block_run) =
       (* The parent block is swapped out to free resources (Section III.B). *)
       t.swapped_syncs <- t.swapped_syncs + 1;
       t.extra_dram <- t.extra_dram + t.cfg.Cfg.sync_swap_dram;
-      b.extra_next <- b.extra_next +. Float.of_int t.cfg.Cfg.sync_swap_cycles;
+      b.clk.extra_next <-
+        b.clk.extra_next +. Float.of_int t.cfg.Cfg.sync_swap_cycles;
       b.waiting_sync <- true;
       let smx = b.smx in
       remove_from_smx t b;
@@ -583,52 +843,62 @@ let run t =
     t.roots_left <- rest;
     t.current_root <- first;
     launch_grid t first ~latency:t.cfg.Cfg.host_launch_latency);
-  let n_events = ref 0 in
-  let n_ready = ref 0 and n_tick = ref 0 and n_seg = ref 0 and n_stale = ref 0 in
-  let progress = ref true in
-  while !progress do
-    incr n_events;
-    match Heap.pop_min t.events with
-    | None -> progress := false
-    | Some (time, ev) -> (
-      (* Stale completion events (superseded by a reschedule) must not
-         advance the clock. *)
-      let advance () =
-        t.now <- Float.max t.now time;
-        occ_note t
-      in
-      match ev with
-      | Grid_ready gid ->
-        advance ();
+  let q = t.events in
+  let nsmx = Array.length t.smxs in
+  let n_ready = ref 0 and n_tick = ref 0 and n_fired = ref 0 in
+  let n_seg = ref 0 in
+  flush t;
+  while not (Event_queue.is_empty q) do
+    let time = Event_queue.min_time q and id = Event_queue.min_id q in
+    if id < nsmx then begin
+      (* The earliest completion key of SMX [id]: its owner fires. *)
+      let s = t.smxs.(id) in
+      let seq = Event_queue.min_seq q in
+      let k = ref 0 in
+      while s.resident.(!k).due_seq <> seq do incr k done;
+      let b = s.resident.(!k) in
+      b.due_seq <- -1;
+      touch t s;
+      incr n_fired;
+      t.clk.now <- Float.max t.clk.now time;
+      occ_note t;
+      (* Settle the block's accounting at the current time. *)
+      update_smx t s;
+      if b.clk.remaining <= 1e-6 then begin
+        b.clk.remaining <- 0.0;
+        incr n_seg;
+        handle_segment_end t b
+      end
+      else
+        (* Rates changed since this key was drawn; re-arm. *)
+        rekey t b
+    end
+    else begin
+      Event_queue.pop q;
+      t.clk.now <- Float.max t.clk.now time;
+      occ_note t;
+      if id = tick_id t then begin
+        incr n_tick;
+        try_dispatch t
+      end
+      else begin
+        let gid = id - nsmx - 1 in
         if t.trace_log then
-          Printf.eprintf "[%10.0f] ready g%d\n" t.now gid;
+          Printf.eprintf "[%10.0f] ready g%d\n" t.clk.now gid;
         incr n_ready;
         Queue.push gid t.ready_queue;
         try_dispatch t
-      | Dispatch_tick ->
-        advance ();
-        incr n_tick;
-        t.tick_armed <- false;
-        try_dispatch t
-      | Seg_done (b, epoch) ->
-        incr n_seg;
-        if epoch <> b.epoch then incr n_stale;
-        if epoch = b.epoch && not b.finished then begin
-          advance ();
-          (* Settle the block's accounting at the current time. *)
-          if b.smx >= 0 then update_smx t t.smxs.(b.smx);
-          if b.remaining <= 1e-6 then begin
-            b.remaining <- 0.0;
-            handle_segment_end t b
-          end
-          else
-            (* Rates changed since this event was scheduled; re-arm. *)
-            reschedule t b
-        end)
+      end
+    end;
+    flush t
   done;
   (if t.debug_log then
-     Printf.eprintf "[timing] events %d: ready %d tick %d seg %d (stale %d) grids %d\n%!"
-       !n_events !n_ready !n_tick !n_seg !n_stale (Array.length t.grids));
+     Printf.eprintf
+       "[timing] events %d: ready %d tick %d fired %d seg %d; queue: rekeys \
+        %d cancels %d peak %d; grids %d\n%!"
+       (!n_ready + !n_tick + !n_fired)
+       !n_ready !n_tick !n_fired !n_seg (Event_queue.rekeys q)
+       (Event_queue.cancels q) (Event_queue.peak q) (Array.length t.grids));
   let incomplete =
     Array.fold_left
       (fun acc g -> if g.completed then acc else acc + 1)
@@ -644,10 +914,11 @@ let run t =
   (* Achieved occupancy as the profiler defines it: average resident warps
      per *busy* SMX over the warp capacity (idle launch-latency gaps and
      idle SMXs are not averaged in). *)
-  let denom = t.busy_integral *. Float.of_int t.cfg.Cfg.max_warps_per_smx in
+  let c = t.clk in
+  let denom = c.busy_integral *. Float.of_int t.cfg.Cfg.max_warps_per_smx in
   {
-    total_cycles = t.now;
-    occupancy = (if denom > 0.0 then t.occ_integral /. denom else 0.0);
+    total_cycles = c.now;
+    occupancy = (if denom > 0.0 then c.occ_integral /. denom else 0.0);
     extra_dram = t.extra_dram;
     virtualized_launches = t.virtualized;
     max_pending = t.max_pending;

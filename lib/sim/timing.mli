@@ -24,6 +24,43 @@ type result = {
   swapped_syncs : int;
 }
 
+(** The replay's event queue: a binary min-heap over (time, seq) keys in
+    parallel unboxed arrays.  Each entry has an integer id below the
+    [ids] given at creation; an id is queued at most once, so its key
+    can be changed or the entry cancelled in place.  Entries pop in
+    (time, seq) order; with unique seqs that order is total. *)
+module Event_queue : sig
+  type t
+
+  val create : ids:int -> t
+  val length : t -> int
+  val is_empty : t -> bool
+  val mem : t -> int -> bool
+
+  (** [set q id time seq] queues [id] with key (time, seq), or rekeys it
+      in place if it is already queued. *)
+  val set : t -> int -> float -> int -> unit
+
+  (** Remove [id] if queued. *)
+  val cancel : t -> int -> unit
+
+  (** The minimum entry's key and id; the queue must be non-empty. *)
+  val min_time : t -> float
+
+  val min_seq : t -> int
+  val min_id : t -> int
+
+  (** Remove the minimum entry; the queue must be non-empty. *)
+  val pop : t -> unit
+
+  (** Keys changed in place, entries cancelled, and the largest length
+      reached, since creation. *)
+  val rekeys : t -> int
+
+  val cancels : t -> int
+  val peak : t -> int
+end
+
 type t
 
 exception Stuck of string

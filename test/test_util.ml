@@ -1,4 +1,4 @@
-(* Tests for Dpc_util: RNG determinism, Vec, Heap, Stats, Table. *)
+(* Tests for Dpc_util: RNG determinism, Vec, Stats, Table. *)
 
 open Dpc_util
 
@@ -72,36 +72,6 @@ let test_vec_iter_order () =
   let out = ref [] in
   Vec.iter (fun x -> out := x :: !out) v;
   Alcotest.(check (list int)) "order" [ 3; 1; 4; 1; 5 ] (List.rev !out)
-
-let test_heap_sorted_output () =
-  let h = Heap.create () in
-  let r = Rng.create 5 in
-  let items = List.init 500 (fun i -> (Rng.float r, i)) in
-  List.iter (fun (p, v) -> Heap.push h p v) items;
-  let last = ref neg_infinity in
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop_min h with
-    | None -> continue := false
-    | Some (p, _) ->
-      Alcotest.(check bool) "non-decreasing" true (p >= !last);
-      last := p;
-      incr n
-  done;
-  Alcotest.(check int) "all popped" 500 !n
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "a";
-  Heap.push h 1.0 "b";
-  Heap.push h 1.0 "c";
-  let pop () = match Heap.pop_min h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ]
-    [ first; second; third ]
 
 let test_stats_mean_geomean () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
@@ -237,8 +207,6 @@ let suite =
     Alcotest.test_case "vec push/get/pop" `Quick test_vec_push_get;
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec iter order" `Quick test_vec_iter_order;
-    Alcotest.test_case "heap sorted" `Quick test_heap_sorted_output;
-    Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "stats mean/geomean" `Quick test_stats_mean_geomean;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
     Alcotest.test_case "histogram boundaries" `Quick
