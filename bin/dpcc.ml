@@ -387,9 +387,7 @@ let interp_arg =
   let backend =
     Arg.enum
       [ ("bytecode", Dpc_sim.Interp.Bytecode);
-        ("ref", Dpc_sim.Interp.Reference);
-        (* the retired closure tier's name, kept as an alias *)
-        ("compiled", Dpc_sim.Interp.Bytecode) ]
+        ("ref", Dpc_sim.Interp.Reference) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
        ~doc:"Interpreter back end for profiling runs: bytecode|ref — \

@@ -7,6 +7,8 @@
      experiments fig7-10         the overall evaluation figures
      experiments summary         Section V.C average speedups
      experiments all             everything above
+     experiments ablations       the device and transform ablations
+                                 A1-A7 (not part of all)
 
    Scenario mode (bypasses the figures):
      --scenario KEY=V,...   run one first-class scenario (repeatable);
@@ -174,6 +176,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
         | "fig9" -> print_suite_figs (get_suite ()) `Fig9
         | "fig10" -> print_suite_figs (get_suite ()) `Fig10
         | "summary" -> print_suite_figs (get_suite ()) `Summary
+        | "ablations" -> E.Ablations.print session
         | "all" ->
           let s = get_suite () in
           print_suite_figs s `Fig7;
@@ -186,7 +189,8 @@ let run figures quiet scale jobs sched json_out trace_dir interp
           E.Fig6_config.print ~verbose ?scale ~session ()
         | other ->
           Printf.eprintf
-            "unknown figure %S (fig5 fig6 fig7 fig8 fig9 fig10 summary all)\n"
+            "unknown figure %S (fig5 fig6 fig7 fig8 fig9 fig10 summary all \
+             ablations)\n"
             other;
           exit 2)
       figures;
@@ -208,7 +212,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
 let figures =
   Arg.(value & pos_all string [] & info [] ~docv:"FIGURE"
        ~doc:"Which figures to regenerate (fig5, fig6, fig7, fig8, fig9, \
-             fig10, summary, all).")
+             fig10, summary, all, ablations).")
 
 let quiet =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress logging.")
@@ -254,9 +258,7 @@ let interp =
   let backend =
     Arg.enum
       [ ("bytecode", Dpc_sim.Interp.Bytecode);
-        ("ref", Dpc_sim.Interp.Reference);
-        (* the retired closure tier's name, kept as an alias *)
-        ("compiled", Dpc_sim.Interp.Bytecode) ]
+        ("ref", Dpc_sim.Interp.Reference) ]
   in
   Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
        ~doc:"Interpreter back end: bytecode|ref — $(b,bytecode) (fused \

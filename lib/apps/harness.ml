@@ -382,9 +382,9 @@ let check_float_arrays ~what ?(tol = 1e-6) (expect : float array)
         fail "%s: index %d: expected %g, got %g" what i e got.(i))
     expect
 
-(** Run the caller's inspection hook on the device (profiling capture —
-    e.g. {!Device.profile} / {!Device.chrome_trace}) after the app's
-    launches, then return its report.  The hook must not launch. *)
+(** Run the caller's inspection hook on the device (profiling capture,
+    e.g. {!Device.profile}) after the app's launches, then return its
+    report.  The hook must not launch. *)
 let inspect_and_report ?inspect dev =
   Option.iter (fun f -> f dev) inspect;
   Device.report dev

@@ -408,20 +408,21 @@ let sweep_of_json (j : Json.t) =
 (* Per-scenario cost estimate: effective problem items x per-item app
    weight x variant weight x interpreter weight.  The weights are fit
    from the measured per-scenario wall clocks committed in
-   BENCH_pr8.json (the evaluation suite under every interpreter tier,
-   best-of-reps, serial): the compiled tier's grid-level wall over the
-   app's effective item count gives the per-item app weight (in
-   microseconds of compiled wall per item), the per-variant wall
-   ratios' geometric means across the seven apps give the variant
-   weights, and the tier wall totals over the compiled total give the
-   interpreter weights.  Earlier fits used simulated cycle counts as a
+   BENCH_pr8.json (the evaluation suite under every interpreter tier
+   of the time, best-of-reps, serial).  The unit is the wall of the
+   since-retired closure tier: its grid-level wall over the app's
+   effective item count gives the per-item app weight (in microseconds
+   of closure-tier wall per item), the per-variant wall ratios'
+   geometric means across the seven apps give the variant weights, and
+   each tier's wall total over the closure tier's gives the interpreter
+   weights.  Earlier fits used simulated cycle counts as a
    wall proxy; the direct measurement corrects that (e.g. basic-dp
    burns ~10x the simulated cycles of grid-level but slightly *less*
    interpreter wall, because its tiny grids do proportionally little
    work per charge).  The stealing scheduler only needs relative
    order: mis-estimates cost balance, never correctness. *)
 
-(* (effective items at scale, per-item weight in us of compiled wall).
+(* (effective items at scale, per-item weight in us of closure-tier wall).
    Scale semantics per app: node count for the citeseer-like apps,
    log2 node count for the kron-based apps, shrink divisor (larger =
    smaller tree, nominal full tree 16384 nodes) for the tree apps. *)

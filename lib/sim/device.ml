@@ -66,14 +66,13 @@ let reset_pool t = Alloc.reset_pool t.session.Interp.alloc
 
 (* --- metrics -------------------------------------------------------------- *)
 
-let compute_report t =
+(* The run report from the functional counters and one timing replay
+   over everything launched so far. *)
+let report_of_timing t (timing : Timing.result) =
   let s = t.session in
   let grids = Interp.grids s in
   let roots = Interp.roots s in
   let totals = Trace.totals_of_grids grids in
-  let timing =
-    Timing.simulate ~scheduler:t.scheduler s.Interp.cfg grids roots
-  in
   let alloc = s.Interp.alloc in
   {
     Metrics.cycles = timing.Timing.total_cycles;
@@ -98,37 +97,32 @@ let compute_report t =
     total_grids = Array.length grids;
   }
 
+(* One timing replay over everything launched so far (with [sink]
+   attached, if any); its report becomes the cached report. *)
+let replay ?sink t =
+  let s = t.session in
+  let r =
+    report_of_timing t
+      (Timing.simulate ~scheduler:t.scheduler ?sink s.Interp.cfg
+         (Interp.grids s) (Interp.roots s))
+  in
+  t.cached_report <- Some r;
+  r
+
 (** Full run report (functional metrics + timing replay).  Cached until the
     next launch. *)
 let report t =
-  match t.cached_report with
-  | Some r -> r
-  | None ->
-    let r = compute_report t in
-    t.cached_report <- Some r;
-    r
+  match t.cached_report with Some r -> r | None -> replay t
 
 (* --- profiling ------------------------------------------------------------ *)
 
 (** Replay the timing model with a fresh per-call recorder attached and
-    return the event stream.  Replays are deterministic, so the stream
-    agrees with the cached {!report}. *)
+    return the event stream.  The sink does not change the replay, so its
+    report is cached for {!report}: a profiled run replays once. *)
 let profile t =
-  let s = t.session in
   let recorder = Dpc_prof.Event.recorder () in
-  let tm =
-    Timing.create ~scheduler:t.scheduler
-      ~sink:(Dpc_prof.Event.sink recorder)
-      s.Interp.cfg (Interp.grids s) (Interp.roots s)
-  in
-  ignore (Timing.run tm : Timing.result);
+  ignore (replay ~sink:(Dpc_prof.Event.sink recorder) t : Metrics.report);
   Dpc_prof.Event.events recorder
-
-let kernel_profile t = Dpc_prof.Profile.of_events (profile t)
-
-let chrome_trace t =
-  Dpc_prof.Chrome_trace.of_events
-    ~num_smx:t.session.Interp.cfg.Cfg.num_smx (profile t)
 
 (* --- convenient buffer readback ------------------------------------------ *)
 

@@ -58,16 +58,9 @@ val report : t -> Metrics.report
 
 (** {2 Profiling} *)
 
-(** Re-run the timing replay over everything launched so far with a
+(** Run the timing replay over everything launched so far with a
     profiling sink attached and return the recorded event stream.  The
-    replay is deterministic, so the events are consistent with
-    {!report}'s numbers; the recorder is created per call (no shared
-    state between concurrent devices). *)
+    same replay's report is cached for {!report} (the sink does not
+    change the replay), so a profiled run replays once; the recorder is
+    created per call (no shared state between concurrent devices). *)
 val profile : t -> Dpc_prof.Event.t array
-
-(** {!profile} folded into the per-kernel nvprof-style summary. *)
-val kernel_profile : t -> Dpc_prof.Profile.row list
-
-(** {!profile} rendered as a Chrome trace-event document (one track per
-    SMX plus the launch-queue track). *)
-val chrome_trace : t -> Dpc_prof.Json.t

@@ -61,11 +61,9 @@ type mode = Bytecode | Reference
 
 let mode_to_string = function Bytecode -> "bytecode" | Reference -> "ref"
 
-(* [compiled] named the retired closure tier; it stays an alias of the
-   bytecode tier so old scenario keys, JSON and flags still parse. *)
 let mode_of_string s =
   match String.lowercase_ascii s with
-  | "bytecode" | "bc" | "compiled" -> Some Bytecode
+  | "bytecode" | "bc" -> Some Bytecode
   | "ref" | "reference" | "walker" -> Some Reference
   | _ -> None
 

@@ -40,8 +40,7 @@ val default_mode : unit -> mode
 val mode_to_string : mode -> string
 
 (** Inverse of {!mode_to_string}, accepting the [bc] / [reference] /
-    [walker] aliases and [compiled], the retired closure tier's tag, as
-    an alias of [bytecode]; [None] on anything else. *)
+    [walker] aliases; [None] on anything else. *)
 val mode_of_string : string -> mode option
 
 type session = {

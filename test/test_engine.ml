@@ -370,34 +370,29 @@ let cost_follows_default_tier () =
       (Scenario.cost_estimate (explicit Dpc_sim.Interp.Bytecode))
       (Scenario.cost_estimate open_tier)
 
-(* [interp=compiled], the retired closure tier's tag, is an alias of the
-   bytecode tier: the string key, the JSON form and an old-style sweep
-   entry all parse, print back as [interp=bytecode], and the run's
-   exported outcome is byte-identical to an explicit bytecode run. *)
-let compiled_alias () =
-  let key = "app=SSSP,variant=grid-level,scale=300,interp=compiled" in
-  let sc = Scenario.of_string key in
-  let bc =
-    Scenario.make ~interp:Dpc_sim.Interp.Bytecode ~scale:300 ~app:"SSSP"
-      (H.Cons Pragma.Grid)
+(* [compiled], the retired closure tier's tag, is no longer a tier
+   name: the string key and the JSON form are refused with a one-line
+   message naming the valid tiers. *)
+let compiled_rejected () =
+  let msg name f =
+    match f () with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  Alcotest.(check bool) "prints interp=bytecode" true
-    (String.ends_with ~suffix:",interp=bytecode" (Scenario.to_string sc));
-  Alcotest.check scenario_t "string key canonicalizes" bc sc;
-  Alcotest.check scenario_t "JSON canonicalizes" bc
-    (Scenario.of_json
-       (Json.Obj
-          [ ("app", Json.String "SSSP"); ("variant", Json.String "grid-level");
-            ("scale", Json.Int 300); ("interp", Json.String "compiled") ]));
+  let expect = "bad interp mode \"compiled\" (expected bytecode or ref)" in
+  Alcotest.(check string) "string key" expect
+    (msg "string key" (fun () ->
+         Scenario.of_string
+           "app=SSSP,variant=grid-level,scale=300,interp=compiled"));
+  Alcotest.(check string) "JSON" expect
+    (msg "JSON" (fun () ->
+         Scenario.of_json
+           (Json.Obj
+              [ ("app", Json.String "SSSP");
+                ("variant", Json.String "grid-level");
+                ("interp", Json.String "compiled") ])));
   Alcotest.(check bool) "mode_of_string compiled" true
-    (Dpc_sim.Interp.mode_of_string "compiled" = Some Dpc_sim.Interp.Bytecode);
-  let export sc =
-    Json.to_string
-      (Export.outcome_json
-         (Session.run_outcome (Session.create ~cache:false ()) sc))
-  in
-  Alcotest.(check string) "outcome byte-identical to bytecode" (export bc)
-    (export sc)
+    (Dpc_sim.Interp.mode_of_string "compiled" = None)
 
 (* --- the session input cache ---------------------------------------------- *)
 
@@ -536,8 +531,8 @@ let suite =
     Alcotest.test_case "canonical identity" `Quick canonical_identity;
     Alcotest.test_case "cost follows default tier" `Quick
       cost_follows_default_tier;
-    Alcotest.test_case "interp=compiled aliases bytecode" `Quick
-      compiled_alias;
+    Alcotest.test_case "interp=compiled rejected" `Quick
+      compiled_rejected;
     Alcotest.test_case "codec rejects" `Quick rejects;
     Alcotest.test_case "extras lint" `Quick extras_lint;
     Alcotest.test_case "sweep decode" `Quick sweep_decode;

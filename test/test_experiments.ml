@@ -1,6 +1,6 @@
 (* Tests for the experiment harness's aggregation and rendering, using
    synthetic reports (running the real suite takes minutes and is covered
-   by bin/experiments.exe). *)
+   by bin/experiments.exe), plus the two sub-second device ablations. *)
 
 module H = Dpc_apps.Harness
 module M = Dpc_sim.Metrics
@@ -90,6 +90,21 @@ let test_summary_table () =
   Alcotest.(check bool) "vs basic and vs flat" true
     (contains s "10.00" && contains s "5.00")
 
+(* A4 and A6 run hand-written programs on a [Device], outside any
+   session; their rows are pinned to the values EXPERIMENTS.md reports. *)
+let test_ablation_device_rows () =
+  Alcotest.(check (list (list string)))
+    "A4 rows"
+    [ [ "4"; "391750"; "948" ]; [ "32"; "127932"; "287" ];
+      [ "512"; "23311"; "24" ] ]
+    (Table.rows (Dpc_experiments.Ablations.buffer_sizing ()));
+  Alcotest.(check (list (list string)))
+    "A6 rows"
+    [ [ "basic-dp"; "421373"; "1020"; "18.1%" ];
+      [ "free launch (thread reuse)"; "57596"; "0"; "9.9%" ];
+      [ "grid-level consolidation"; "20145"; "1"; "83.7%" ] ]
+    (Table.rows (Dpc_experiments.Ablations.free_launch ()))
+
 let suite =
   [
     Alcotest.test_case "speedups" `Quick test_speedups;
@@ -98,4 +113,5 @@ let suite =
     Alcotest.test_case "fig8 table" `Quick test_fig8_table;
     Alcotest.test_case "fig10 ratios" `Quick test_fig10_ratios;
     Alcotest.test_case "summary table" `Quick test_summary_table;
+    Alcotest.test_case "ablations A4/A6 rows" `Quick test_ablation_device_rows;
   ]

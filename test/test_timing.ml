@@ -633,3 +633,48 @@ let suite =
       Alcotest.test_case "event queue sorted" `Quick test_queue_sorted_output;
       Alcotest.test_case "event queue fifo ties" `Quick test_queue_fifo_ties;
     ]
+
+(* --- one replay per profiled run ---------------------------------------------
+
+   [Device.profile] caches the report of its own sink-attached replay,
+   so a later [Device.report] does not replay again.  That report must
+   equal an unprofiled device's, bit for bit. *)
+
+let report_bits (r : M.report) =
+  Printf.sprintf
+    "cycles=%h time_ms=%h eff=%h occ=%h host=%d dev=%d dram=%d l2=%d \
+     banks=%d mshr=%d allocs=%d alloc_cycles=%d fallbacks=%d virt=%d \
+     pending=%d swapped=%d depth=%d grids=%d"
+    r.M.cycles r.M.time_ms r.M.warp_efficiency r.M.occupancy
+    r.M.host_launches r.M.device_launches r.M.dram_transactions r.M.l2_hits
+    r.M.bank_conflict_replays r.M.mshr_stalls r.M.alloc_calls
+    r.M.alloc_cycles r.M.pool_fallbacks r.M.virtualized_launches
+    r.M.max_pending r.M.swapped_syncs r.M.max_depth r.M.total_grids
+
+let test_profile_caches_report () =
+  let launched () =
+    let parent =
+      kernel ~name:"parent" ~params:[ pi "out" ]
+        [ launch "child" ~grid:(i 1) ~block:(i 32) [ v "out" ] ]
+    in
+    let dev =
+      Device.create ~cfg:Cfg.test_device
+        (mk_program [ busy_kernel "child" 5; parent ])
+    in
+    let out = Device.alloc_int dev ~name:"out" 4 in
+    Device.launch dev "parent" ~grid:4 ~block:64
+      [ V.Vbuf out.Dpc_gpu.Memory.id ];
+    dev
+  in
+  let profiled = launched () in
+  let events = Device.profile profiled in
+  Alcotest.(check bool) "profile recorded events" true
+    (Array.length events > 0);
+  Alcotest.(check string) "report after profile = unprofiled report"
+    (report_bits (Device.report (launched ())))
+    (report_bits (Device.report profiled))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "profile caches its report" `Quick
+        test_profile_caches_report ]
