@@ -22,6 +22,8 @@
                    scenario mode: the dpc-sweep-v1 outcome list
      --trace DIR   write a Chrome trace-event file and a per-kernel
                    profile for every suite run into DIR
+   Both describe the figs 7-10 suite: with figures that do not read it
+   (fig5, fig6, ablations alone) they are refused with exit code 2.
 
    All execution goes through one Dpc_engine.Session: independent
    simulations fan out over OCaml domains (--jobs N; --jobs 1 is the
@@ -60,9 +62,9 @@ let print_suite_figs suite which =
   Dpc_util.Table.print t;
   print_newline ()
 
-let needs_suite = function
-  | "fig7" | "fig8" | "fig9" | "fig10" | "summary" | "all" -> true
-  | _ -> false
+let suite_figures = [ "fig7"; "fig8"; "fig9"; "fig10"; "summary"; "all" ]
+
+let needs_suite f = List.mem (String.lowercase_ascii f) suite_figures
 
 let read_file path =
   let ic = open_in_bin path in
@@ -149,16 +151,24 @@ let run figures quiet scale jobs sched json_out trace_dir interp
       2)
   else begin
     let figures = if figures = [] then [ "all" ] else figures in
-    (* The JSON snapshot and the trace files read the same shared run
-       collection as figs 7-10, so asking for either forces it.  A trace
-       capture needs its own session (the artifact hook is fixed at
-       session creation), so only the untraced path reuses the shared
-       one. *)
+    let reads_suite = List.exists needs_suite figures in
+    (* The JSON snapshot and the trace files describe the shared run
+       collection of figs 7-10, so they are refused when no requested
+       figure reads it.  A trace capture needs its own session (the
+       artifact hook is fixed at session creation), so only the
+       untraced path reuses the shared one. *)
+    if (not reads_suite) && (json_out <> None || trace_dir <> None) then begin
+      Printf.eprintf
+        "experiments: %s only with a figure that reads the suite (%s)\n"
+        (match (json_out, trace_dir) with
+        | Some _, Some _ -> "--json and --trace work"
+        | Some _, None -> "--json works"
+        | _ -> "--trace works")
+        (String.concat " " suite_figures);
+      exit 2
+    end;
     let suite =
-      if
-        List.exists needs_suite figures
-        || json_out <> None || trace_dir <> None
-      then
+      if reads_suite then
         Some
           (E.Suite.collect ~verbose ?scale ~jobs ~sched ?trace_dir
              ?session:(if trace_dir = None then Some session else None)
@@ -246,13 +256,15 @@ let json_out =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
        ~doc:"Write the metrics snapshot as JSON to $(docv): the suite \
              snapshot for figures, the dpc-sweep-v1 outcome list in \
-             scenario mode.")
+             scenario mode.  With figures, needs one that reads the \
+             suite (fig7-10, summary, all).")
 
 let trace_dir =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR"
        ~doc:"Profile every suite run and write Chrome trace-event files \
              (*.trace.json, for Perfetto/chrome://tracing) and per-kernel \
-             profiles (*.profile.json) into $(docv).")
+             profiles (*.profile.json) into $(docv).  Needs a figure \
+             that reads the suite (fig7-10, summary, all).")
 
 let interp =
   let backend =

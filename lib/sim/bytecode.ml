@@ -64,14 +64,27 @@ exception Not_compilable
 
 type storage = Si of int | Sf of int | Sb of int
 
+(* A warp's register plane outlives its block: {!exec_block} takes the
+   warp from its kernel's free list and returns it at block end, so the
+   geometry fields are rebound on every reuse. *)
 type warp = {
-  widx : int;
-  base_lane : int;  (** threadIdx.x of lane 0 *)
-  nlanes : int;  (** threads in this warp (last warp may be partial) *)
+  mutable widx : int;
+  mutable base_lane : int;  (** threadIdx.x of lane 0 *)
+  mutable nlanes : int;  (** threads in this warp (last warp may be partial) *)
   ints : int array array;  (** indexed [row].[lane] *)
   flts : float array array;
   boxd : V.t array array;
   mutable returned : int;  (** bitmask of lanes that executed [return] *)
+}
+
+(* The session-side runtime a block reaches back into: [flush_deep] runs
+   a pending launch immediately (deep drain at [cudaDeviceSynchronize]),
+   [enqueue] defers it to the session's breadth-order queue,
+   [add_alloc_cycles] accumulates allocator cycles on the session. *)
+type host = {
+  flush_deep : R.pending_launch -> unit;
+  enqueue : R.pending_launch -> unit;
+  add_alloc_cycles : int -> unit;
 }
 
 let full_mask w = (1 lsl w.nlanes) - 1
@@ -96,8 +109,7 @@ type cctx = {
   grid_alloc_count : int ref;
   pending : R.pending_launch Vec.t;
   deep : bool;
-  flush_deep : R.pending_launch -> unit;
-  add_alloc_cycles : int -> unit;
+  host : host;
 }
 
 (* Local copies of the hot {!Runtime} primitives.  flambda is off, so a
@@ -159,7 +171,7 @@ let malloc_value c ~kname ~site scope ~mask n_elems : V.t =
     let buf, cost =
       Alloc.alloc ~contention c.alloc c.mem ~name ~count:n_elems
     in
-    c.add_alloc_cycles cost;
+    c.host.add_alloc_cycles cost;
     c.seg.Trace.allocs <- c.seg.Trace.allocs + 1;
     c.seg.Trace.alloc_fb <-
       c.seg.Trace.alloc_fb
@@ -1294,7 +1306,7 @@ let rec exec bp c (w : warp) pc0 stop rmask =
       chg c 2 !cur;
       let todo = Vec.to_array c.pending in
       Vec.clear c.pending;
-      Array.iter c.flush_deep todo;
+      Array.iter c.host.flush_deep todo;
       Trace.cut c.seg Trace.Seg_sync;
       incr p
     | 19 ->
@@ -1302,7 +1314,7 @@ let rec exec bp c (w : warp) pc0 stop rmask =
       let ids = row_i bp w code.(!p + 1) in
       let buf = Mem.get_buf c.mem ids.(lb !cur) in
       let cost = Alloc.free c.alloc buf in
-      c.add_alloc_cycles cost;
+      c.host.add_alloc_cycles cost;
       c.seg.Trace.alloc_cyc <- c.seg.Trace.alloc_cyc + cost;
       R.charge c.seg cost 1;
       p := !p + 2
@@ -2281,6 +2293,9 @@ type ckernel = {
   ck_param_ty : Ty.slot_ty list;
   ck_run : cctx -> unit;
   ck_streams : stream list;  (** every lowered program, in program order *)
+  mutable ck_free : warp array;
+      (** warps of finished blocks, ready for reuse: [0, ck_nfree) *)
+  mutable ck_nfree : int;
 }
 
 (* Which shared arrays only ever hold numbers?  Shared arrays start as
@@ -2365,7 +2380,7 @@ let compile_kernel (k : K.t) : ckernel option =
       Some
         { ck_kernel = k; ck_nint = !ni; ck_nflt = !nf; ck_nbox = !nb;
           ck_param_store = param_store; ck_param_ty = param_ty; ck_run = run;
-          ck_streams = List.rev !acc }
+          ck_streams = List.rev !acc; ck_free = [||]; ck_nfree = 0 }
     with Not_compilable -> None)
 
 let streams_of_kernel k =
@@ -2397,25 +2412,77 @@ let args_ok ck mem (args : V.t list) =
 
 (* --- block execution ----------------------------------------------------- *)
 
+(* A warp for one block: a finished block's warp from the kernel's free
+   list, reset to exactly the state a fresh allocation has (rows [0],
+   [0.0] and [Vint 0], no lane returned), or a fresh one.  The free list
+   lives in the [ckernel], which only ever runs in one domain, like its
+   programs' scratch.  A block nested inside another block of the same
+   kernel (a child run by a deep [DEVSYNC] flush) takes its own warps,
+   since its parent's are off the list until the parent ends. *)
+let take_warp ck ~widx ~base_lane ~nlanes =
+  if ck.ck_nfree = 0 then
+    {
+      widx;
+      base_lane;
+      nlanes;
+      ints = Array.init ck.ck_nint (fun _ -> Array.make 32 0);
+      flts = Array.init ck.ck_nflt (fun _ -> Array.make 32 0.0);
+      boxd = Array.init ck.ck_nbox (fun _ -> Array.make 32 (V.Vint 0));
+      returned = 0;
+    }
+  else begin
+    let n = ck.ck_nfree - 1 in
+    ck.ck_nfree <- n;
+    let w = ck.ck_free.(n) in
+    w.widx <- widx;
+    w.base_lane <- base_lane;
+    w.nlanes <- nlanes;
+    w.returned <- 0;
+    for r = 0 to Array.length w.ints - 1 do
+      let a = w.ints.(r) in
+      for l = 0 to 31 do
+        Array.unsafe_set a l 0
+      done
+    done;
+    for r = 0 to Array.length w.flts - 1 do
+      let a = w.flts.(r) in
+      for l = 0 to 31 do
+        Array.unsafe_set a l 0.0
+      done
+    done;
+    for r = 0 to Array.length w.boxd - 1 do
+      let a = w.boxd.(r) in
+      for l = 0 to 31 do
+        Array.unsafe_set a l (V.Vint 0)
+      done
+    done;
+    w
+  end
+
+(* Return a finished block's warps to the free list. *)
+let release_warps ck (warps : warp array) =
+  let need = ck.ck_nfree + Array.length warps in
+  if need > Array.length ck.ck_free then begin
+    let a = Array.make (Int.max need (2 * Array.length ck.ck_free)) warps.(0) in
+    Array.blit ck.ck_free 0 a 0 ck.ck_nfree;
+    ck.ck_free <- a
+  end;
+  Array.blit warps 0 ck.ck_free ck.ck_nfree (Array.length warps);
+  ck.ck_nfree <- need
+
 let exec_block (ck : ckernel) ~(cfg : Cfg.t) ~mem ~alloc ~mm ~gid
     ~grid_dim ~block_dim ~depth ~block_idx ~(args : V.t list) ~grid_mallocs
-    ~grid_alloc_count ~flush_deep ~enqueue ~add_alloc_cycles ~deep :
-    Trace.block_trace =
+    ~grid_alloc_count ~host ~deep : Trace.block_trace =
   let nwarps = Cfg.warps_per_block cfg ~block_dim in
-  let warps =
-    Array.init nwarps (fun widx ->
-        let base_lane = widx * cfg.Cfg.warp_size in
-        let nlanes = Int.min cfg.Cfg.warp_size (block_dim - base_lane) in
-        {
-          widx;
-          base_lane;
-          nlanes;
-          ints = Array.init ck.ck_nint (fun _ -> Array.make 32 0);
-          flts = Array.init ck.ck_nflt (fun _ -> Array.make 32 0.0);
-          boxd = Array.init ck.ck_nbox (fun _ -> Array.make 32 (V.Vint 0));
-          returned = 0;
-        })
+  let ws = cfg.Cfg.warp_size in
+  let warp widx =
+    let base_lane = widx * ws in
+    take_warp ck ~widx ~base_lane ~nlanes:(Int.min ws (block_dim - base_lane))
   in
+  let warps = Array.make nwarps (warp 0) in
+  for widx = 1 to nwarps - 1 do
+    warps.(widx) <- warp widx
+  done;
   (* Bind parameters in every lane (argument kinds verified by args_ok). *)
   List.iter2
     (fun st (v : V.t) ->
@@ -2427,11 +2494,27 @@ let exec_block (ck : ckernel) ~(cfg : Cfg.t) ~mem ~alloc ~mm ~gid
           | V.Vbuf id -> id
           | V.Vfloat _ -> assert false
         in
-        Array.iter (fun w -> Array.fill w.ints.(r) 0 32 x) warps
+        for k = 0 to nwarps - 1 do
+          let a = warps.(k).ints.(r) in
+          for l = 0 to 31 do
+            Array.unsafe_set a l x
+          done
+        done
       | Sf r ->
         let x = match v with V.Vfloat f -> f | _ -> assert false in
-        Array.iter (fun w -> Array.fill w.flts.(r) 0 32 x) warps
-      | Sb r -> Array.iter (fun w -> Array.fill w.boxd.(r) 0 32 v) warps)
+        for k = 0 to nwarps - 1 do
+          let a = warps.(k).flts.(r) in
+          for l = 0 to 31 do
+            Array.unsafe_set a l x
+          done
+        done
+      | Sb r ->
+        for k = 0 to nwarps - 1 do
+          let a = warps.(k).boxd.(r) in
+          for l = 0 to 31 do
+            Array.unsafe_set a l v
+          done
+        done)
     ck.ck_param_store args;
   let shared =
     Array.of_list
@@ -2458,16 +2541,17 @@ let exec_block (ck : ckernel) ~(cfg : Cfg.t) ~mem ~alloc ~mm ~gid
       grid_alloc_count;
       pending = Vec.create ~dummy:R.dummy_pending;
       deep;
-      flush_deep;
-      add_alloc_cycles;
+      host;
     }
   in
   Memmodel.block_start mm;
   ck.ck_run c;
+  release_warps ck warps;
   (* Block end: in deep mode (an enclosing sync is waiting on this
      subtree) children run to completion now; otherwise they join the
      global breadth-order queue. *)
   let todo = Vec.to_array c.pending in
   Vec.clear c.pending;
-  if deep then Array.iter flush_deep todo else Array.iter enqueue todo;
+  if deep then Array.iter host.flush_deep todo
+  else Array.iter host.enqueue todo;
   Trace.finish c.seg ~block_idx ~warps:nwarps

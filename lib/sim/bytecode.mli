@@ -7,10 +7,11 @@
     and runs on the reference walker in {!Interp}.  Trace and metrics
     output is byte-identical to the walker's.
 
-    A lowered kernel's programs own mutable scratch, so a {!ckernel} may
-    be reused freely across launches, sessions and runs {e within one
-    domain}, but must never execute concurrently in two domains.  The
-    engine's cross-run cache therefore keeps one table per domain. *)
+    A lowered kernel's programs own mutable scratch, and the kernel keeps
+    a free list of warp register planes, so a {!ckernel} may be reused
+    freely across launches, sessions and runs {e within one domain}, but
+    must never execute concurrently in two domains.  The engine's
+    cross-run cache therefore keeps one table per domain. *)
 
 (** A kernel lowered to bytecode, with its register-plane layout and the
     inferred parameter types used to vet launch arguments. *)
@@ -27,12 +28,22 @@ val compile_kernel : Dpc_kir.Kernel.t -> ckernel option
     launch only to the reference walker. *)
 val args_ok : ckernel -> Dpc_gpu.Memory.t -> Dpc_kir.Value.t list -> bool
 
+(** The session-side runtime a block reaches back into, built once per
+    interpreter session: [flush_deep] runs a pending launch immediately
+    (deep drain at [cudaDeviceSynchronize]), [enqueue] defers it to the
+    session's breadth-order queue, [add_alloc_cycles] accumulates
+    allocator cycles on the session. *)
+type host = {
+  flush_deep : Runtime.pending_launch -> unit;
+  enqueue : Runtime.pending_launch -> unit;
+  add_alloc_cycles : int -> unit;
+}
+
 (** Execute one block of a lowered kernel and return its trace.  The
-    labelled arguments mirror the reference walker's block context;
-    [flush_deep] runs a pending launch immediately (deep drain at
-    [cudaDeviceSynchronize]), [enqueue] defers it to the session's
-    breadth-order queue, [add_alloc_cycles] accumulates allocator cycles
-    on the session. *)
+    labelled arguments mirror the reference walker's block context.
+    The block's warp register planes come from a free list in the
+    [ckernel] (reset to the fresh state) and go back to it when the
+    block ends. *)
 val exec_block :
   ckernel ->
   cfg:Dpc_gpu.Config.t ->
@@ -47,9 +58,7 @@ val exec_block :
   args:Dpc_kir.Value.t list ->
   grid_mallocs:Dpc_kir.Value.t option array ->
   grid_alloc_count:int ref ->
-  flush_deep:(Runtime.pending_launch -> unit) ->
-  enqueue:(Runtime.pending_launch -> unit) ->
-  add_alloc_cycles:(int -> unit) ->
+  host:host ->
   deep:bool ->
   Trace.block_trace
 

@@ -101,30 +101,12 @@ type session = {
       (** per-session lowering cache: kernel name -> lowered form, or
           [None] when the kernel does not lower and every launch of it
           must take the reference walker *)
+  host : Bytecode.host;  (** this session's runtime, as lowered blocks see it *)
 }
 
 let dummy_grid : Trace.grid_exec =
   { gid = -1; kernel = ""; grid_dim = 0; block_dim = 0; depth = 0;
     parent = None; blocks = [||] }
-
-let create_session ?(grid_budget = 150_000) ?mode ?ckernels ~cfg ~alloc prog =
-  K.Program.finalize prog;
-  {
-    cfg;
-    mem = Mem.create ();
-    alloc;
-    prog;
-    grids = Vec.create ~dummy:dummy_grid;
-    roots = [];
-    mm = Memmodel.create cfg;
-    alloc_cycles = 0;
-    max_depth = 0;
-    grid_budget;
-    fifo = Queue.create ();
-    mode = (match mode with Some m -> m | None -> !default_mode_ref);
-    ckernels =
-      (match ckernels with Some tbl -> tbl | None -> Hashtbl.create 16);
-  }
 
 (* --- warp / block execution state -------------------------------------- *)
 
@@ -775,12 +757,7 @@ and exec_grid s ~callee ~grid_dim ~block_dim ~(args : V.t list) ~parent
       Array.init grid_dim (fun block_idx ->
           Bytecode.exec_block ck ~cfg ~mem:s.mem ~alloc:s.alloc
             ~mm:s.mm ~gid ~grid_dim ~block_dim ~depth ~block_idx
-            ~args ~grid_mallocs ~grid_alloc_count
-            ~flush_deep:(run_pending s ~deep:true)
-            ~enqueue:(fun pl -> Queue.push pl s.fifo)
-            ~add_alloc_cycles:(fun cost ->
-              s.alloc_cycles <- s.alloc_cycles + cost)
-            ~deep)
+            ~args ~grid_mallocs ~grid_alloc_count ~host:s.host ~deep)
     | None ->
       Array.init grid_dim (fun block_idx ->
           exec_block s ~kernel ~gid ~grid_dim ~block_dim ~depth ~block_idx
@@ -788,6 +765,38 @@ and exec_grid s ~callee ~grid_dim ~block_dim ~(args : V.t list) ~parent
   in
   grid.Trace.blocks <- blocks;
   gid
+
+let create_session ?(grid_budget = 150_000) ?mode ?ckernels ~cfg ~alloc prog =
+  K.Program.finalize prog;
+  let mode = match mode with Some m -> m | None -> !default_mode_ref in
+  let ckernels =
+    match ckernels with Some tbl -> tbl | None -> Hashtbl.create 16
+  in
+  let rec s =
+    {
+      cfg;
+      mem = Mem.create ();
+      alloc;
+      prog;
+      grids = Vec.create ~dummy:dummy_grid;
+      roots = [];
+      mm = Memmodel.create cfg;
+      alloc_cycles = 0;
+      max_depth = 0;
+      grid_budget;
+      fifo = Queue.create ();
+      mode;
+      ckernels;
+      host =
+        {
+          Bytecode.flush_deep = (fun pl -> run_pending s ~deep:true pl);
+          enqueue = (fun pl -> Queue.push pl s.fifo);
+          add_alloc_cycles =
+            (fun cost -> s.alloc_cycles <- s.alloc_cycles + cost);
+        };
+    }
+  in
+  s
 
 (** Host-side kernel launch: executes the grid (and, transitively, its
     children) and records it as a root for the timing model. *)

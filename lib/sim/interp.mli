@@ -57,6 +57,9 @@ type session = {
   fifo : pending_launch Queue.t;
   mode : mode;
   ckernels : (string, Bytecode.ckernel option) Hashtbl.t;
+  host : Bytecode.host;
+      (** the session's launch queue and allocator-cycle counter as
+          lowered blocks reach them; built once per session *)
 }
 
 (** [create_session ~cfg ~alloc prog] finalizes [prog] and prepares an

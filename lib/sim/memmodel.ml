@@ -30,7 +30,13 @@ module Cfg = Dpc_gpu.Config
 type t = {
   cfg : Cfg.t;
   l2_tags : int array;  (** direct-mapped L2 tag store (session lifetime) *)
+  seg_shift : int;
+      (** log2 [mem_segment_bytes] when that is a power of two, else -1 *)
+  tag_mask : int;  (** [l2_segments - 1] when that is a power of two, else -1 *)
   seen : int array;  (** segment-dedup scratch, length >= warp size *)
+  seg_gen : int array;  (** per-slot generation stamps of the dedup table *)
+  seg_slot : int array;  (** first segment stamped into each slot *)
+  mutable acc_gen : int;  (** current generation of the dedup table *)
   banks : int;  (** shared-memory banks; 0 = unmodeled *)
   mshr : int;  (** per-warp outstanding budget; 0 = unlimited *)
   mshr_retire : int;
@@ -48,11 +54,34 @@ type t = {
    only affects speed, never the count. *)
 let word_slots = 64
 
+(* The segment-dedup table of {!account_access} is keyed by
+   [segment land (seg_slots - 1)]; like the broadcast scratch, a slot
+   collision falls back to a linear check, so its size only affects
+   speed. *)
+let seg_slots = 64
+
+(* [log2 n] when [n] is a positive power of two, else -1. *)
+let pow2_shift n =
+  if n <= 0 || n land (n - 1) <> 0 then -1
+  else begin
+    let k = ref 0 in
+    while 1 lsl !k < n do
+      incr k
+    done;
+    !k
+  end
+
 let create (cfg : Cfg.t) =
+  let nt = cfg.Cfg.l2_segments in
   {
     cfg;
-    l2_tags = Array.make cfg.Cfg.l2_segments (-1);
+    l2_tags = Array.make nt (-1);
+    seg_shift = pow2_shift cfg.Cfg.mem_segment_bytes;
+    tag_mask = (if pow2_shift nt >= 0 then nt - 1 else -1);
     seen = Array.make (Int.max 32 cfg.Cfg.warp_size) 0;
+    seg_gen = Array.make seg_slots (-1);
+    seg_slot = Array.make seg_slots 0;
+    acc_gen = 0;
     banks = cfg.Cfg.shared_banks;
     mshr = cfg.Cfg.mshr_per_warp;
     mshr_retire = cfg.Cfg.mshr_retire_per_access;
@@ -64,6 +93,8 @@ let create (cfg : Cfg.t) =
   }
 
 let cfg t = t.cfg
+
+let l2_tags t = Array.copy t.l2_tags
 
 (** Does this model track shared-memory bank conflicts?  Call sites use
     this to skip per-lane index collection entirely when off. *)
@@ -83,26 +114,61 @@ let block_start t =
     the warp's MSHR file for the new misses: outstanding transactions
     drain by [mshr_retire_per_access] per memory instruction, and any
     transaction issued past the [mshr_per_warp] budget counts one
-    [seg.mshr_st] stall. *)
+    [seg.mshr_st] stall.
+
+    Segments reach the L2 in the order of their first lane, exactly as
+    a linear scan over the lanes would find them.  A lane repeats a
+    segment when it equals the previous lane's (the common coalesced
+    case) or when the generation-stamped slot table holds it; a slot
+    already stamped by a different segment falls back to scanning this
+    call's distinct segments, so the table never misjudges a lane.  On
+    non-negative operands a power-of-two segment size or L2 size turns
+    the division or modulo into a shift or mask with the same result;
+    negative operands keep OCaml's truncating [/] and [mod]. *)
 let account_access t ~(seg : Trace.seg_builder) ~warp (addrs : int array) n =
   let seg_bytes = t.cfg.Cfg.mem_segment_bytes in
+  let shift = t.seg_shift in
   let l2_tags = t.l2_tags in
-  let seen = t.seen in
   let ntags = Array.length l2_tags in
+  let tmask = t.tag_mask in
+  let seen = t.seen in
+  let sgen = t.seg_gen in
+  let sslot = t.seg_slot in
+  t.acc_gen <- t.acc_gen + 1;
+  let g = t.acc_gen in
   let nseen = ref 0 in
+  let prev = ref 0 in
   let dram_before = seg.Trace.dram in
   for k = 0 to n - 1 do
-    let sg = addrs.(k) / seg_bytes in
-    let dup = ref false in
-    let j = ref 0 in
-    while (not !dup) && !j < !nseen do
-      if seen.(!j) = sg then dup := true;
-      incr j
-    done;
-    if not !dup then begin
+    let a = addrs.(k) in
+    let sg = if shift >= 0 && a >= 0 then a lsr shift else a / seg_bytes in
+    let fresh =
+      if k > 0 && sg = !prev then false
+      else begin
+        let s = sg land (seg_slots - 1) in
+        if sgen.(s) <> g then begin
+          sgen.(s) <- g;
+          sslot.(s) <- sg;
+          true
+        end
+        else if sslot.(s) = sg then false
+        else begin
+          (* slot collision: confirm against this call's segments *)
+          let dup = ref false in
+          let j = ref 0 in
+          while (not !dup) && !j < !nseen do
+            if seen.(!j) = sg then dup := true;
+            incr j
+          done;
+          not !dup
+        end
+      end
+    in
+    prev := sg;
+    if fresh then begin
       seen.(!nseen) <- sg;
       incr nseen;
-      let idx = sg mod ntags in
+      let idx = if tmask >= 0 && sg >= 0 then sg land tmask else sg mod ntags in
       if l2_tags.(idx) = sg then seg.Trace.l2 <- seg.Trace.l2 + 1
       else begin
         l2_tags.(idx) <- sg;

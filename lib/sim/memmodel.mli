@@ -22,6 +22,10 @@ val create : Dpc_gpu.Config.t -> t
 
 val cfg : t -> Dpc_gpu.Config.t
 
+(** A copy of the direct-mapped L2 tag store: slot [i] holds the segment
+    number cached there, or [-1].  For tests and inspection. *)
+val l2_tags : t -> int array
+
 (** Does this model track shared-memory bank conflicts?  Call sites
     skip per-lane index collection entirely when [false]. *)
 val models_shared : t -> bool

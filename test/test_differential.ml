@@ -621,6 +621,156 @@ let uniform_control () =
       ("non-uniform float condition", to_float tid *: f 0.5);
       ("buffer condition", v "a") ]
 
+(* --- register-plane reuse ---------------------------------------------------
+
+   A lowered block takes its warps' register rows from its kernel's free
+   list and returns them at block end.  Each kernel below has every lane
+   read an int slot [x] that only every third lane writes, a different
+   third in each block (a read the walker answers with its zero fill),
+   so a reused row that kept an earlier block's values would change what
+   the other lanes store.  A float slot [y], written on every lane,
+   rides along.  (A float slot read where it may be unwritten is boxed
+   by the typing, and such a kernel does not lower.) *)
+
+let stale_reads ~out ~outf ~at ~base =
+  let open B in
+  [
+    if_then
+      (((lane +: bid +: base) %: i 3) ==: i 0)
+      [ set "x" (tid +: base +: i 1) ];
+    set "y" (to_float (v "x" +: tid) *: f 0.25);
+    store (v out) at (v "x" *: i 2);
+    store (v outf) at (v "y");
+  ]
+
+(* A kernel that launches itself and syncs: each child grid runs inside
+   its parent's block (a deep drain), so a same-kernel block executes
+   while its parent's warps are still live, and the parent then reads
+   its own [x] and [y] back after the sync. *)
+let plane_recursive () =
+  let open B in
+  let slot = (v "d" *: i 64) +: (bid *: i 32) +: (tid %: i 32) in
+  let k =
+    kernel ~name:"recur" ~params:[ pi "out"; pp "outf"; p "d" ]
+      (stale_reads ~out:"out" ~outf:"outf" ~at:slot ~base:(v "d" *: i 7)
+      @ [
+          if_then
+            ((tid ==: i 0) &&: (v "d" <: i 2))
+            [ launch "recur" ~grid:(i 2) ~block:(i 33 +: (v "d" *: i 20))
+                [ v "out"; v "outf"; v "d" +: i 1 ] ];
+          device_sync;
+          atomic_add (v "out") (i 192 +: (tid %: i 32)) (v "x");
+          atomic_add (v "outf") (i 192 +: (tid %: i 32)) (v "y");
+        ])
+  in
+  ignore
+    (diff_small "plane reuse: nested same-kernel block" k ~grid:2 ~block:40
+       (fun dev ->
+         [ V.Vbuf (Device.alloc_int dev ~name:"out" 256).Mem.id;
+           V.Vbuf (Device.alloc_float dev ~name:"outf" 256).Mem.id;
+           V.Vint 0 ]))
+
+(* Several launches of one kernel on one device, in order; [setup]
+   allocates the buffers and returns the launches as (grid, block,
+   args).  Every launch's outcome (or exception text) is recorded. *)
+let run_seq ~mode (k : K.t) setup =
+  let prog = K.Program.create () in
+  K.Program.add prog (fresh k);
+  let dev = Device.create ~mode prog in
+  let outcomes =
+    List.map
+      (fun (grid, block, args) ->
+        match Device.launch dev k.K.kname ~grid ~block args with
+        | () -> "ok"
+        | exception e -> Printexc.to_string e)
+      (setup dev)
+  in
+  (outcomes, dev)
+
+(* Run a launch sequence under both tiers on one device each; outcomes,
+   traces, device memory and (when nothing raised) the report must
+   agree.  Returns the bytecode device's memory dump. *)
+let diff_seq name k setup =
+  let wout, wdev = run_seq ~mode:I.Reference k setup in
+  let bout, bdev = run_seq ~mode:I.Bytecode k setup in
+  let ctx = name ^ " [bytecode]" in
+  let bs = Device.session bdev in
+  Alcotest.(check bool) (ctx ^ ": ran on the bytecode tier") true
+    (Hashtbl.fold (fun _ ck ok -> ok && Option.is_some ck) bs.I.ckernels
+       (Hashtbl.length bs.I.ckernels > 0));
+  Alcotest.(check (list string)) (ctx ^ ": outcomes") wout bout;
+  let wg = I.grids (Device.session wdev) and bg = I.grids bs in
+  Alcotest.(check int) (ctx ^ ": grid count") (Array.length wg)
+    (Array.length bg);
+  Array.iteri
+    (fun i g ->
+      check_grid ~tier:"bytecode" (Printf.sprintf "%s grid %d" ctx i) g bg.(i))
+    wg;
+  if List.for_all (String.equal "ok") wout then
+    Alcotest.(check string) (ctx ^ ": report")
+      (report_str (Device.report wdev))
+      (report_str (Device.report bdev));
+  let mem = dump_memory bdev in
+  Alcotest.(check string) (ctx ^ ": device memory") (dump_memory wdev) mem;
+  mem
+
+(* Writes [x] and [y] at [base + global thread id]; with [bad = 1],
+   thread 5 of block 1 stores out of bounds, after block 0 has finished
+   and given its warps back. *)
+let plane_kernel =
+  let open B in
+  let at = v "base" +: (bid *: bdim) +: tid in
+  kernel ~name:"planes" ~params:[ pi "out"; pp "outf"; p "base"; p "bad" ]
+    ([ if_then
+         ((v "bad" ==: i 1) &&: (bid ==: i 1) &&: (tid ==: i 5))
+         [ store (v "out") (i (-1)) (i 0) ] ]
+    @ stale_reads ~out:"out" ~outf:"outf" ~at ~base:(v "base"))
+
+let plane_block_dims () =
+  ignore
+    (diff_seq "plane reuse: block sizes" plane_kernel (fun dev ->
+         let out = V.Vbuf (Device.alloc_int dev ~name:"out" 512).Mem.id in
+         let outf =
+           V.Vbuf (Device.alloc_float dev ~name:"outf" 512).Mem.id
+         in
+         List.map
+           (fun (base, block) ->
+             (2, block, [ out; outf; V.Vint base; V.Vint 0 ]))
+           [ (0, 40); (80, 100); (280, 20); (320, 64); (448, 31) ]))
+
+let line_of prefix dump =
+  List.find
+    (fun l -> String.starts_with ~prefix l)
+    (String.split_on_char '\n' dump)
+
+let plane_after_raise () =
+  let setup ~with_bad dev =
+    let buf name = V.Vbuf (Device.alloc_int dev ~name 128).Mem.id in
+    let fbuf name = V.Vbuf (Device.alloc_float dev ~name 128).Mem.id in
+    let out1 = buf "out1" and outf1 = fbuf "outf1" in
+    let out2 = buf "out2" and outf2 = fbuf "outf2" in
+    (if with_bad then [ (3, 40, [ out1; outf1; V.Vint 0; V.Vint 1 ]) ]
+     else [])
+    @ [ (3, 40, [ out2; outf2; V.Vint 0; V.Vint 0 ]) ]
+  in
+  let after =
+    diff_seq "plane reuse: launch after a raise" plane_kernel
+      (setup ~with_bad:true)
+  in
+  let clean_out, clean =
+    run_seq ~mode:I.Bytecode plane_kernel (setup ~with_bad:false)
+  in
+  Alcotest.(check (list string)) "fresh device: good launch" [ "ok" ]
+    clean_out;
+  let clean_mem = dump_memory clean in
+  List.iter
+    (fun name ->
+      Alcotest.(check string)
+        (name ^ " after a raise = on a fresh device")
+        (line_of (name ^ ":") clean_mem)
+        (line_of (name ^ ":") after))
+    [ "out2"; "outf2" ]
+
 (* Every app kernel, under every variant and preset, lowers to bytecode:
    none of them falls back to the walker. *)
 let apps_lower () =
@@ -680,4 +830,8 @@ let suite =
       Alcotest.test_case "native free" `Quick native_free;
       Alcotest.test_case "uniform control and errors" `Quick uniform_control;
       Alcotest.test_case "apps lower to bytecode" `Quick apps_lower;
+      Alcotest.test_case "plane reuse nested same kernel" `Quick
+        plane_recursive;
+      Alcotest.test_case "plane reuse block sizes" `Quick plane_block_dims;
+      Alcotest.test_case "plane reuse after a raise" `Quick plane_after_raise;
     ]

@@ -678,3 +678,158 @@ let suite =
   suite
   @ [ Alcotest.test_case "profile caches its report" `Quick
         test_profile_caches_report ]
+
+(* --- global-memory coalescing against the quadratic model -------------------
+
+   [Memmodel.account_access] finds a lane's segment with a shift when
+   the segment size is a power of two and the address is non-negative,
+   and finds repeats through the previous lane and a stamped slot
+   table.  The reference below is the plain form it replaced: a
+   division per lane and a linear scan of the segments seen so far.
+   Both run the same calls; after every call the L2/DRAM/stall counts
+   and the L2 tags must agree, and a call that raises (a negative
+   segment has no L2 slot) must raise the same way in both. *)
+
+type ref_mm = {
+  r_cfg : Cfg.t;
+  r_tags : int array;
+  r_seen : int array;
+  r_out : int array;
+}
+
+let ref_mm (cfg : Cfg.t) =
+  {
+    r_cfg = cfg;
+    r_tags = Array.make cfg.Cfg.l2_segments (-1);
+    r_seen = Array.make 32 0;
+    r_out = Array.make 64 0;
+  }
+
+let ref_account r ~(seg : T.seg_builder) ~warp (addrs : int array) n =
+  let seg_bytes = r.r_cfg.Cfg.mem_segment_bytes in
+  let ntags = Array.length r.r_tags in
+  let nseen = ref 0 in
+  let dram_before = seg.T.dram in
+  for k = 0 to n - 1 do
+    let sg = addrs.(k) / seg_bytes in
+    let dup = ref false in
+    for j = 0 to !nseen - 1 do
+      if r.r_seen.(j) = sg then dup := true
+    done;
+    if not !dup then begin
+      r.r_seen.(!nseen) <- sg;
+      incr nseen;
+      let idx = sg mod ntags in
+      if r.r_tags.(idx) = sg then seg.T.l2 <- seg.T.l2 + 1
+      else begin
+        r.r_tags.(idx) <- sg;
+        seg.T.dram <- seg.T.dram + 1
+      end
+    end
+  done;
+  let mshr = r.r_cfg.Cfg.mshr_per_warp in
+  if mshr > 0 then begin
+    let w = warp land 63 in
+    let misses = seg.T.dram - dram_before in
+    let out = Int.max 0 (r.r_out.(w) - r.r_cfg.Cfg.mshr_retire_per_access) in
+    let total = out + misses in
+    if total > mshr then begin
+      seg.T.mshr_st <- seg.T.mshr_st + (total - mshr);
+      r.r_out.(w) <- mshr
+    end
+    else r.r_out.(w) <- total
+  end
+
+(* One lane's address, as a segment number and a byte offset in it:
+   repeats of a few segments, segments 64 apart (the same dedup slot),
+   spread-out segments, and negative addresses — within one segment of
+   zero (truncating division still gives segment 0) or further down. *)
+type lane_addr = Same_as_prev | Addr of int * int
+
+let lane_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Same_as_prev);
+        (4, map2 (fun s o -> Addr (s, o)) (int_bound 6) (int_bound 1000));
+        ( 3,
+          map2
+            (fun s o -> Addr ((s * 64) + 5, o))
+            (int_bound 4) (int_bound 1000)
+        );
+        (2, map2 (fun s o -> Addr (s, o)) (int_bound 20_000) (int_bound 1000));
+        (1, map (fun o -> Addr (0, -o)) (int_bound 1000));
+        (1, map2 (fun s o -> Addr (-s, o)) (int_range 1 3) (int_bound 1000));
+      ])
+
+let addrs_of ~seg_bytes lanes =
+  let a = Array.make (List.length lanes) 0 in
+  List.iteri
+    (fun k l ->
+      a.(k) <-
+        (match l with
+        | Same_as_prev -> if k = 0 then 0 else a.(k - 1)
+        | Addr (_, o) when o < 0 -> -(-o mod seg_bytes)
+        | Addr (s, o) -> (s * seg_bytes) + (o mod seg_bytes)))
+    lanes;
+  a
+
+type mm_case = {
+  seg_bytes : int;
+  l2 : int;
+  mshr : int;
+  calls : (int * lane_addr list) list;  (** warp, lanes *)
+}
+
+let mm_case_gen =
+  QCheck.Gen.(
+    map4
+      (fun seg_bytes l2 mshr calls -> { seg_bytes; l2; mshr; calls })
+      (oneofl [ 128; 96; 64; 1 ])
+      (oneofl [ 64; 48 ])
+      (oneofl [ 0; 3 ])
+      (list_size (int_bound 24)
+         (pair (int_bound 3) (list_size (int_bound 32) lane_gen))))
+
+let mm_case_print c =
+  Printf.sprintf "seg_bytes=%d l2=%d mshr=%d [%s]" c.seg_bytes c.l2 c.mshr
+    (String.concat "; "
+       (List.map
+          (fun (w, lanes) ->
+            Printf.sprintf "w%d:%s" w
+              (String.concat ","
+                 (Array.to_list
+                    (Array.map string_of_int
+                       (addrs_of ~seg_bytes:c.seg_bytes lanes)))))
+          c.calls))
+
+let prop_account_matches_model =
+  QCheck.Test.make ~count:1000
+    ~name:"account_access matches the quadratic model"
+    (QCheck.make ~print:mm_case_print mm_case_gen)
+    (fun c ->
+      let cfg =
+        { Cfg.k20c with
+          Cfg.mem_segment_bytes = c.seg_bytes;
+          l2_segments = c.l2;
+          mshr_per_warp = c.mshr;
+          mshr_retire_per_access = 1 }
+      in
+      let mm = Mm.create cfg and r = ref_mm cfg in
+      let seg = T.seg_builder () and rseg = T.seg_builder () in
+      let outcome f =
+        match f () with () -> "ok" | exception e -> Printexc.to_string e
+      in
+      List.for_all
+        (fun (warp, lanes) ->
+          let a = addrs_of ~seg_bytes:c.seg_bytes lanes in
+          let n = Array.length a in
+          let got = outcome (fun () -> Mm.account_access mm ~seg ~warp a n) in
+          let want = outcome (fun () -> ref_account r ~seg:rseg ~warp a n) in
+          got = want && seg.T.l2 = rseg.T.l2 && seg.T.dram = rseg.T.dram
+          && seg.T.mshr_st = rseg.T.mshr_st
+          && Mm.l2_tags mm = r.r_tags)
+        c.calls)
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest prop_account_matches_model ]
