@@ -32,7 +32,6 @@ type t = {
   l2_tags : int array;  (** direct-mapped L2 tag store (session lifetime) *)
   seg_shift : int;
       (** log2 [mem_segment_bytes] when that is a power of two, else -1 *)
-  tag_mask : int;  (** [l2_segments - 1] when that is a power of two, else -1 *)
   seen : int array;  (** segment-dedup scratch, length >= warp size *)
   seg_gen : int array;  (** per-slot generation stamps of the dedup table *)
   seg_slot : int array;  (** first segment stamped into each slot *)
@@ -77,7 +76,6 @@ let create (cfg : Cfg.t) =
     cfg;
     l2_tags = Array.make nt (-1);
     seg_shift = pow2_shift cfg.Cfg.mem_segment_bytes;
-    tag_mask = (if pow2_shift nt >= 0 then nt - 1 else -1);
     seen = Array.make (Int.max 32 cfg.Cfg.warp_size) 0;
     seg_gen = Array.make seg_slots (-1);
     seg_slot = Array.make seg_slots 0;
@@ -122,15 +120,14 @@ let block_start t =
     case) or when the generation-stamped slot table holds it; a slot
     already stamped by a different segment falls back to scanning this
     call's distinct segments, so the table never misjudges a lane.  On
-    non-negative operands a power-of-two segment size or L2 size turns
-    the division or modulo into a shift or mask with the same result;
-    negative operands keep OCaml's truncating [/] and [mod]. *)
+    a non-negative address a power-of-two segment size turns the
+    division into a shift with the same result; negative addresses keep
+    OCaml's truncating [/]. *)
 let account_access t ~(seg : Trace.seg_builder) ~warp (addrs : int array) n =
   let seg_bytes = t.cfg.Cfg.mem_segment_bytes in
   let shift = t.seg_shift in
   let l2_tags = t.l2_tags in
   let ntags = Array.length l2_tags in
-  let tmask = t.tag_mask in
   let seen = t.seen in
   let sgen = t.seg_gen in
   let sslot = t.seg_slot in
@@ -168,7 +165,7 @@ let account_access t ~(seg : Trace.seg_builder) ~warp (addrs : int array) n =
     if fresh then begin
       seen.(!nseen) <- sg;
       incr nseen;
-      let idx = if tmask >= 0 && sg >= 0 then sg land tmask else sg mod ntags in
+      let idx = sg mod ntags in
       if l2_tags.(idx) = sg then seg.Trace.l2 <- seg.Trace.l2 + 1
       else begin
         l2_tags.(idx) <- sg;
