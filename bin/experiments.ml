@@ -64,7 +64,9 @@ let print_suite_figs suite which =
 
 let suite_figures = [ "fig7"; "fig8"; "fig9"; "fig10"; "summary"; "all" ]
 
-let needs_suite f = List.mem (String.lowercase_ascii f) suite_figures
+let figure_names = "fig5" :: "fig6" :: suite_figures @ [ "ablations" ]
+
+let needs_suite f = List.mem f suite_figures
 
 let read_file path =
   let ic = open_in_bin path in
@@ -138,19 +140,29 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
     exit 2
   end;
+  let scenario_mode = scenario_args <> [] || sweep_file <> None in
+  let figures = if figures = [] then [ "all" ] else figures in
+  let figures = List.map String.lowercase_ascii figures in
+  (* Check every figure name before anything runs, so a misspelt name
+     does not first cost every figure listed before it. *)
+  (match List.find_opt (fun f -> not (List.mem f figure_names)) figures with
+  | Some other when not scenario_mode ->
+    Printf.eprintf "unknown figure %S (%s)\n" other
+      (String.concat " " figure_names);
+    exit 2
+  | _ -> ());
   (* One session for everything this invocation runs: figures and
      scenario sweeps share its pool and compiled-kernel cache. *)
   let session =
     Session.create ~jobs ~sched ~verbose ~cache:(not no_cache)
       ?persist:cache_dir ()
   in
-  if scenario_args <> [] || sweep_file <> None then (
+  if scenario_mode then (
     try run_scenarios session ~verbose ~json_out scenario_args sweep_file
     with Invalid_argument msg | Failure msg ->
       Printf.eprintf "experiments: %s\n" msg;
       2)
   else begin
-    let figures = if figures = [] then [ "all" ] else figures in
     let reads_suite = List.exists needs_suite figures in
     (* The JSON snapshot and the trace files describe the shared run
        collection of figs 7-10, so they are refused when no requested
@@ -178,7 +190,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     let get_suite () = Option.get suite in
     List.iter
       (fun f ->
-        match String.lowercase_ascii f with
+        match f with
         | "fig5" -> E.Fig5_allocators.print ~verbose ?scale ~session ()
         | "fig6" -> E.Fig6_config.print ~verbose ?scale ~session ()
         | "fig7" -> print_suite_figs (get_suite ()) `Fig7
@@ -197,12 +209,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
           E.Fig5_allocators.print ~verbose ?scale ~session ();
           print_newline ();
           E.Fig6_config.print ~verbose ?scale ~session ()
-        | other ->
-          Printf.eprintf
-            "unknown figure %S (fig5 fig6 fig7 fig8 fig9 fig10 summary all \
-             ablations)\n"
-            other;
-          exit 2)
+        | _ -> assert false (* names checked above *))
       figures;
     (match json_out with
     | Some path ->

@@ -13,19 +13,17 @@
 
     - {b BC01} opcode validity: only the twenty documented stream ops
       may appear, with their enumerated immediates in range (ATOMIC
-      buffer kind 0–1, op 0–4, old-value kind 0–2; MALLOC scope 0–2,
-      destination kind 0–1; LAUNCH grid/block kinds 0–1, argument kinds
-      0–2, a non-negative argument count).
+      buffer kind 0–1, op 0–4, old-value kind 0–1; MALLOC scope 0–2;
+      LAUNCH grid/block kinds 0–1, argument kinds 0–2, a non-negative
+      argument count).
     - {b BC02} instruction fit: every operand (including each FUSE
       quad) lies inside its enclosing region — a truncated stream is
       caught before the executor reads past the end.
-    - {b BC03}/{b BC04} register-plane typing: every int (and boxed) /
-      float operand resolves inside its plane — temp rows below the
+    - {b BC03}/{b BC04} register-plane typing: every int / float
+      operand resolves inside its plane — temp rows below the
       temp-plane height, warp rows below the plane row count, constants
-      inside the pool — LAUNCH dimensions and arguments and the FREE
-      buffer included; boxed destinations (BOX quads, an ATOMIC old
-      value, a MALLOC handle) are warp rows of the boxed plane, which
-      has neither temps nor constants.
+      inside the pool — LAUNCH dimensions and arguments, an ATOMIC old
+      value, a MALLOC handle and the FREE buffer included.
     - {b BC05} FUSE well-formedness: a positive quad count, documented
       sub-ops only, SPECIAL kinds 0–6, and raising quads (IDIV/IMOD) of
       at most one kind per group (the lowering's abort-ordering rule).
@@ -97,16 +95,6 @@ let check_stream (s : B.stream) : Diag.t list =
         pc what (plane_name pl) (-r - 1)
     else reg_read pl ~pc ~what r
   in
-  let box_write ~pc ~what r =
-    if r < 0 then
-      emit ~id:"BC09"
-        "pc %d: %s writes constant-pool entry %d (constants are read-only)"
-        pc what (-r - 1)
-    else if r >= s.B.s_nbox then
-      emit ~id:"BC03"
-        "pc %d: %s writes boxed row %d, but the warp boxed plane has %d rows"
-        pc what r s.B.s_nbox
-  in
   let cond ~pc ~what kind row =
     if kind <> 0 && kind <> 1 then
       emit ~id:"BC06" "pc %d: %s condition kind %d (expected 0=int 1=float)"
@@ -142,8 +130,6 @@ let check_stream (s : B.stream) : Diag.t list =
     | 33 | 35 | 37 -> r1 Pf Pi; 0  (* FNOT F2I F2I_FREE *)
     | 34 | 36 -> r1 Pi Pf; 0  (* I2F I2F_FREE *)
     | 40 -> 0  (* CHARGE1: operands unused *)
-    | 42 | 44 -> reg_read Pi ~pc ~what a; box_write ~pc ~what d; 0
-    | 43 -> reg_read Pf ~pc ~what a; box_write ~pc ~what d; 0
     | 41 ->
       if a < 0 || a > 6 then
         emit ~id:"BC05" "pc %d: %s: SPECIAL kind %d (expected 0..6)" pc what
@@ -351,17 +337,14 @@ let check_stream (s : B.stream) : Diag.t list =
             (match dk with
             | 0 -> ()
             | 1 -> reg_write vpl ~pc:p ~what:"ATOMIC old value" d
-            | 2 -> box_write ~pc:p ~what:"ATOMIC old value" d
             | _ ->
               emit ~id:"BC01"
-                "pc %d: ATOMIC old-value kind %d (expected 0=none \
-                 1=unboxed 2=boxed)"
-                p dk);
+                "pc %d: ATOMIC old-value kind %d (expected 0=none 1=row)" p
+                dk);
             walk (p + 9) stop)
       | 16 ->
-        need 6 (fun () ->
+        need 5 (fun () ->
             let scope = code.(p + 1) and site = code.(p + 2) in
-            let dk = code.(p + 4) and d = code.(p + 5) in
             if scope < 0 || scope > 2 then
               emit ~id:"BC01"
                 "pc %d: MALLOC scope %d (expected 0=warp 1=block 2=grid)" p
@@ -371,14 +354,8 @@ let check_stream (s : B.stream) : Diag.t list =
                 "pc %d: MALLOC site %d, but the kernel has %d malloc sites" p
                 site s.B.s_nsites;
             reg_read Pi ~pc:p ~what:"MALLOC count" code.(p + 3);
-            (match dk with
-            | 0 -> reg_write Pi ~pc:p ~what:"MALLOC destination" d
-            | 1 -> box_write ~pc:p ~what:"MALLOC destination" d
-            | _ ->
-              emit ~id:"BC01"
-                "pc %d: MALLOC destination kind %d (expected 0=int 1=boxed)"
-                p dk);
-            walk (p + 6) stop)
+            reg_write Pi ~pc:p ~what:"MALLOC destination" code.(p + 4);
+            walk (p + 5) stop)
       | 13 | 14 | 17 ->
         let shload = op <> 14 in
         let n = if shload then 5 else 6 in

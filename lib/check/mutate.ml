@@ -579,7 +579,7 @@ let tv_clean_grid = tv_case ~gran:P.Grid Fun.id
 (* ------------------------------------------------------------------ *)
 
 let bc_stream ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
-    ?(nint = 4) ?(nflt = 2) ?(nbox = 2) ?(nsites = 2) ?(nshared = 1)
+    ?(nint = 4) ?(nflt = 2) ?(nsites = 2) ?(nshared = 1)
     ?(nnames = 2) ?result code () =
   {
     Bc.s_kname = "bc_mutant";
@@ -590,7 +590,6 @@ let bc_stream ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
     s_ntmpf = ntmpf;
     s_nint = nint;
     s_nflt = nflt;
-    s_nbox = nbox;
     s_nsites = nsites;
     s_nshared = nshared;
     s_nnames = nnames;
@@ -642,40 +641,35 @@ let bc01_real_damaged_tail () =
 let bc_clean_real_lowering () = bc_real_stream ()
 
 (* The natively lowered statement ops: ATOMIC [15; kind; op; b; i; o; c;
-   dk; d], MALLOC [16; scope; site; n; dk; d], SHLOADN [17; i; d; sh;
-   nm] and the BOXI/BOXF/BOXU quads 42-44 (destination a boxed warp
-   row). *)
+   dk; d], MALLOC [16; scope; site; n; d] and SHLOADN [17; i; d; sh;
+   nm]. *)
 let bc01_atomic_bad_op = bc_stream [ 15; 0; 7; 0; 1; 2; 0; 0; 0 ]
-let bc01_malloc_bad_scope = bc_stream [ 16; 5; 0; 0; 0; 3 ]
+let bc01_malloc_bad_scope = bc_stream [ 16; 5; 0; 0; 3 ]
 let bc02_truncated_atomic = bc_stream [ 15; 0; 0; 0 ]
 let bc03_atomic_buffer_oob = bc_stream [ 15; 0; 0; 9; 1; 2; 0; 0; 0 ]
-let bc03_box_row_oob = bc_stream [ 7; 1; 0; 42; 0; 0; 5 ]
 let bc04_atomic_float_operand_oob = bc_stream [ 15; 1; 0; 0; 1; 5; 0; 0; 0 ]
 let bc04_shloadn_dst_oob = bc_stream [ 17; 0; 7; 0; 0 ]
-let bc07_malloc_site_oob = bc_stream [ 16; 0; 7; 0; 0; 3 ]
+let bc07_malloc_site_oob = bc_stream [ 16; 0; 7; 0; 3 ]
 let bc08_shloadn_slot_oob = bc_stream [ 17; 0; 1; 5; 0 ]
 let bc09_atomic_old_to_const = bc_stream [ 15; 0; 0; 0; 1; 2; 0; 1; -1 ]
-let bc09_box_to_const = bc_stream [ 7; 1; 0; 43; 0; 0; -1 ]
-let bc09_malloc_dst_const = bc_stream [ 16; 0; 0; 0; 0; -2 ]
+let bc09_malloc_dst_const = bc_stream [ 16; 0; 0; 0; -2 ]
 
 let bc_clean_native_ops =
   bc_stream
     [ 15; 0; 0; 0; 1; 2; 0; 1; 3;  (* int atomicAdd, old -> int row 3 *)
-      15; 1; 4; 0; 1; 0; 2; 2; 1;  (* float CAS, old -> boxed row 1 *)
-      16; 1; 0; -1; 0; 3;  (* per-block malloc, count from the pool *)
-      7; 2; 0; 42; 0; 0; 0; 43; 0; 0; 1;  (* BOXI, BOXF *)
+      15; 1; 4; 0; 1; 0; 2; 1; 1;  (* float CAS, old -> float row 1 *)
+      16; 1; 0; -1; 3;  (* per-block malloc, count from the pool *)
       17; 0; 1; 0; 0 ]
 
 (* A real lowering of every natively lowered statement kind — a per-warp
-   malloc, an atomic returning its old value, a boxed let — pristine and
-   with its ATOMIC buffer kind damaged. *)
+   malloc, an atomic returning its old value — pristine and with its
+   ATOMIC buffer kind damaged. *)
 let bc_real_native_stream () =
   let k =
     kernel ~name:"bc_native" ~params:[ pi "a"; p "n" ]
       [
         malloc ~scope:A.Per_warp "buf" (i 4);
         atomic_add ~old:"old" (v "a") (i 0) (v "n");
-        if_ (v "old" >: i 0) [ set "x" (i 1) ] [ set "x" (f 2.0) ];
         store (v "buf") (i 0) (v "old");
       ]
   in
@@ -912,8 +906,6 @@ let all : mutant list =
       expect = Some "BC02"; target = Stream bc02_truncated_atomic };
     { mname = "bc03_atomic_buffer_oob"; analysis = "bytecode";
       expect = Some "BC03"; target = Stream bc03_atomic_buffer_oob };
-    { mname = "bc03_box_row_oob"; analysis = "bytecode";
-      expect = Some "BC03"; target = Stream bc03_box_row_oob };
     { mname = "bc04_atomic_float_operand_oob"; analysis = "bytecode";
       expect = Some "BC04"; target = Stream bc04_atomic_float_operand_oob };
     { mname = "bc04_shloadn_dst_oob"; analysis = "bytecode";
@@ -924,8 +916,6 @@ let all : mutant list =
       expect = Some "BC08"; target = Stream bc08_shloadn_slot_oob };
     { mname = "bc09_atomic_old_to_const"; analysis = "bytecode";
       expect = Some "BC09"; target = Stream bc09_atomic_old_to_const };
-    { mname = "bc09_box_to_const"; analysis = "bytecode";
-      expect = Some "BC09"; target = Stream bc09_box_to_const };
     { mname = "bc09_malloc_dst_const"; analysis = "bytecode";
       expect = Some "BC09"; target = Stream bc09_malloc_dst_const };
     { mname = "bc_clean_straightline"; analysis = "bytecode";

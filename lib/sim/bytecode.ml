@@ -7,8 +7,8 @@
 
     - {b Registers.}  Frame slots proven monomorphic by
       {!Dpc_kir.Typing} live in raw [int array] / [float array] lanes of
-      a per-warp register plane (buffer handles are ints); slots the
-      inference could not type stay in boxed {!V.t} lanes.  An operand
+      a per-warp register plane (buffer handles are ints); a kernel with
+      a slot the inference could not type runs on the walker.  An operand
       is a single int [r]: [r >= tmp_base] indexes the program's private
       temp plane, [0 <= r < tmp_base] a warp register row, [r < 0] the
       32-wide constant pool.  Int and float spaces are separate; the
@@ -28,17 +28,17 @@
       [returned]; runs of pure ops fuse across statement boundaries.
     - {b Native statements.}  Every statement kind lowers to stream ops:
       arithmetic, loads/stores, shared memory, structured control,
-      atomics on int and float buffers, lets into boxed slots (BOX
-      quads), device mallocs, reads of shared arrays that provably hold
-      only numbers, and the device runtime itself — [LAUNCH],
-      [DEVSYNC] and [FREE], with the walker's charges, DRAM
-      transactions, segment cuts and pending-launch order.
+      atomics on int and float buffers, device mallocs, reads of shared
+      arrays that provably hold only numbers, and the device runtime
+      itself — [LAUNCH], [DEVSYNC] and [FREE], with the walker's
+      charges, DRAM transactions, segment cuts and pending-launch
+      order.
     - {b Block-uniform segments.}  A barrier and the [if]/[while]/[for]
       around it run under one per-block driver; each uniform condition
       or loop bound is its own small program, run on every live warp,
       whose lanes must agree.
-    - {b Fallback.}  A construct with no native form — boxed or
-      type-mixed operands, a barrier outside block-uniform code,
+    - {b Fallback.}  A construct with no native form — any boxed slot,
+      boxed or type-mixed operands, a barrier outside block-uniform code,
       [any]-element atomics — raises {!Not_compilable} at lowering time
       and the whole kernel runs on the reference walker.
 
@@ -62,7 +62,7 @@ exception Not_compilable
 
 (* --- register plane and block context ------------------------------------ *)
 
-type storage = Si of int | Sf of int | Sb of int
+type storage = Si of int | Sf of int
 
 (* A warp's register plane outlives its block: {!exec_block} takes the
    warp from its kernel's free list and returns it at block end, so the
@@ -73,7 +73,6 @@ type warp = {
   mutable nlanes : int;  (** threads in this warp (last warp may be partial) *)
   ints : int array array;  (** indexed [row].[lane] *)
   flts : float array array;
-  boxd : V.t array array;
   mutable returned : int;  (** bitmask of lanes that executed [return] *)
 }
 
@@ -226,10 +225,10 @@ let temp_base = tmpb
     15 ATOMIC kind op b i o c dk d   9   kind 0 int / 1 float buffer; op
                                         0 add 1 min 2 max 3 exch 4 cas
                                         (c read for cas only); dk 0 no
-                                        old / 1 unboxed row / 2 boxed row
-    16 MALLOC scope site n dk d     6   scope 0 warp / 1 block / 2 grid;
+                                        old / 1 old into row d
+    16 MALLOC scope site n d        5   scope 0 warp / 1 block / 2 grid;
                                         n read at the lowest active lane;
-                                        dk 0 int row / 1 boxed row
+                                        handle into int row d
     17 SHLOADN i d sh nm            5   boxed read of a numeric shared
                                         array, coerced to float
     18 DEVSYNC                      1   drain pending launches (deep)
@@ -244,7 +243,6 @@ let temp_base = tmpb
      30 INEG  31 FNEG  32 INOT  33 FNOT
      34 I2F   35 F2I   36 I2F_FREE  37 F2I_FREE   (36/37 charge nothing)
      38 MOVI  39 MOVF  40 CHARGE1   41 SPECIAL (a = special kind)
-     42 BOXI  43 BOXF  44 BOXU      (d = boxed warp row)
 *)
 
 (* --- lowered program ------------------------------------------------------ *)
@@ -275,7 +273,6 @@ type stream = {
   s_ntmpf : int;  (** float temp-plane rows *)
   s_nint : int;  (** warp int-plane rows (buffer handles included) *)
   s_nflt : int;  (** warp float-plane rows *)
-  s_nbox : int;  (** warp boxed-plane rows *)
   s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
   s_nnames : int;  (** interned name ids *)
@@ -683,7 +680,8 @@ let exec_fuse bp c (w : warp) (code : int array) p m =
         Array.unsafe_set d l (Array.unsafe_get a l)
       done
     | 40 -> ()
-    | 41 ->
+    | _ ->
+      (* 41 SPECIAL *)
       let arg = Array.unsafe_get code (q + 1) in
       let d = row_i bp w (Array.unsafe_get code (q + 3)) in
       if arg = 0 then
@@ -709,28 +707,6 @@ let exec_fuse bp c (w : warp) (code : int array) p m =
           Array.unsafe_set d (Array.unsafe_get lanes t) v
         done
       end
-    | 42 ->
-      let a = row_i bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
-      for t = 0 to nact - 1 do
-        let l = Array.unsafe_get lanes t in
-        Array.unsafe_set d l (V.Vint (Array.unsafe_get a l))
-      done
-    | 43 ->
-      let a = row_f bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
-      for t = 0 to nact - 1 do
-        let l = Array.unsafe_get lanes t in
-        Array.unsafe_set d l (V.Vfloat (Array.unsafe_get a l))
-      done
-    | _ ->
-      (* 44 BOXU *)
-      let a = row_i bp w (Array.unsafe_get code (q + 1)) in
-      let d = w.boxd.(Array.unsafe_get code (q + 3)) in
-      for t = 0 to nact - 1 do
-        let l = Array.unsafe_get lanes t in
-        Array.unsafe_set d l (V.Vbuf (Array.unsafe_get a l))
-      done
   done
 
 (* One warp atomic (ATOMIC), lane by lane in mask order, exactly as the
@@ -753,7 +729,6 @@ let exec_atomic bp c (w : warp) (code : int array) p m =
   let k = ref 0 in
   let mm = ref m in
   let b = ref (Mem.get_buf c.mem (Array.unsafe_get ids (lb m))) in
-  let boxed = if dk = 2 then w.boxd.(code.(p + 8)) else [||] in
   if code.(p + 1) = 0 then begin
     let oi = row_i bp w code.(p + 5) in
     let ci = if op = 4 then row_i bp w code.(p + 6) else oi in
@@ -789,8 +764,7 @@ let exec_atomic bp c (w : warp) (code : int array) p m =
       (match bf.Mem.data with
       | Mem.I a -> Array.unsafe_set a idx nv
       | Mem.F a -> Array.unsafe_set a idx (Float.of_int nv));
-      if dk = 1 then Array.unsafe_set di l old
-      else if dk = 2 then boxed.(l) <- V.Vint old;
+      if dk = 1 then Array.unsafe_set di l old;
       Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
       incr k;
       mm := !mm land (!mm - 1)
@@ -831,8 +805,7 @@ let exec_atomic bp c (w : warp) (code : int array) p m =
       (match bf.Mem.data with
       | Mem.F a -> Array.unsafe_set a idx nv
       | Mem.I a -> Array.unsafe_set a idx (Float.to_int nv));
-      if dk = 1 then Array.unsafe_set df l old
-      else if dk = 2 then boxed.(l) <- V.Vfloat old;
+      if dk = 1 then Array.unsafe_set df l old;
       Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
       incr k;
       mm := !mm land (!mm - 1)
@@ -1269,10 +1242,8 @@ let rec exec bp c (w : warp) pc0 stop rmask =
       let v =
         malloc_value c ~kname:bp.kname ~site:code.(q + 2) scope ~mask:m n
       in
-      if code.(q + 4) = 0 then
-        Array.fill (row_i bp w code.(q + 5)) 0 32 (V.as_buf v)
-      else Array.fill w.boxd.(code.(q + 5)) 0 32 v;
-      p := q + 6
+      Array.fill (row_i bp w code.(q + 4)) 0 32 (V.as_buf v);
+      p := q + 5
     | 17 ->
       (* SHLOADN: every value in the array is a number, so the float
          coercion the consumer would apply lane by lane cannot raise and
@@ -1479,8 +1450,7 @@ let rec lx l (e : A.expr) : reg =
     (match (l.env.storage.(v.A.slot), l.env.slots.(v.A.slot)) with
     | Si r, Ty.St_buf el -> Ru (el, r)
     | Si r, _ -> Ri r
-    | Sf r, _ -> Rf r
-    | Sb _, _ -> raise Not_compilable)
+    | Sf r, _ -> Rf r)
   | A.Special sp ->
     let k =
       match sp with
@@ -1758,14 +1728,7 @@ let rec ls l (s : A.stmt) =
     | Sf r -> (
       match lx l e with
       | Rf x -> push_op l 39 x 0 r
-      | _ -> raise Not_compilable)
-    | Sb r -> (
-      (* boxed destination: box each lane by the operand's static kind *)
-      match lx l e with
-      | Ri x -> push_op l 42 x 0 r
-      | Rf x -> push_op l 43 x 0 r
-      | Ru (_, x) -> push_op l 44 x 0 r
-      | Rn _ -> raise Not_compilable))
+      | _ -> raise Not_compilable))
   | A.Store (be, ie, xe) -> (
     let rb = lx l be in
     let ri = lx l ie in
@@ -1886,10 +1849,9 @@ let rec ls l (s : A.stmt) =
     ls_atomic l op be ie oe ce old
   | A.Malloc { dst; count; scope; site } ->
     if site < 0 || dst.A.slot < 0 then raise Not_compilable;
-    let dk, d =
+    let d =
       match l.env.storage.(dst.A.slot) with
-      | Si r -> (0, r)
-      | Sb r -> (1, r)
+      | Si r -> r
       | Sf _ -> raise Not_compilable (* the handle cannot coerce to float *)
     in
     let nr = int_free l (lx l count) in
@@ -1899,7 +1861,6 @@ let rec ls l (s : A.stmt) =
       (match scope with A.Per_warp -> 0 | A.Per_block -> 1 | A.Per_grid -> 2);
     bpush l.code site;
     bpush l.code nr;
-    bpush l.code dk;
     bpush l.code d
   | A.Launch { A.callee; grid; block; args; _ } ->
     (* grid and block coerce to int per lane; arguments are boxed by
@@ -1948,9 +1909,9 @@ let rec ls l (s : A.stmt) =
    an int buffer with an int operand (and an int-coercible compare for
    CAS), or a float buffer with a numeric operand (CAS compares
    [Float.to_int] of the old value with the int-coerced compare, as the
-   walker does).  The [old] destination must be the buffer's unboxed
-   kind or boxed.  Every other shape ([any]-element buffers, boxed
-   operands) raises {!Not_compilable}. *)
+   walker does).  The [old] destination must be a slot of the buffer's
+   kind.  Every other shape ([any]-element buffers, boxed operands)
+   raises {!Not_compilable}. *)
 and ls_atomic l op be ie oe ce old =
   let rb = lx l be in
   let ri = lx l ie in
@@ -1970,10 +1931,9 @@ and ls_atomic l op be ie oe ce old =
     | None -> (0, 0)
     | Some v -> (
       if v.A.slot < 0 then raise Not_compilable;
-      match l.env.storage.(v.A.slot) with
-      | Sb r -> (2, r)
-      | st -> (
-        match unboxed st with Some r -> (1, r) | None -> raise Not_compilable))
+      match unboxed l.env.storage.(v.A.slot) with
+      | Some r -> (1, r)
+      | None -> raise Not_compilable)
   in
   let kind, br, orr, cr, (dk, d) =
     match (rb, rc) with
@@ -2008,14 +1968,13 @@ and ls_atomic l op be ie oe ce old =
 
 (* Warp register-plane row counts, recovered from the slot storage map. *)
 let plane_rows (env : env) =
-  let ni = ref 0 and nf = ref 0 and nb = ref 0 in
+  let ni = ref 0 and nf = ref 0 in
   Array.iter
     (function
       | Si r -> if r + 1 > !ni then ni := r + 1
-      | Sf r -> if r + 1 > !nf then nf := r + 1
-      | Sb r -> if r + 1 > !nb then nb := r + 1)
+      | Sf r -> if r + 1 > !nf then nf := r + 1)
     env.storage;
-  (!ni, !nf, !nb)
+  (!ni, !nf)
 
 (* Lower one program: [emit] appends its code to a fresh lowering state
    and returns the uniform-condition result, if any.  [dirty] says
@@ -2063,7 +2022,7 @@ let lower_prog (env : env) ~dirty emit : bprog * stream =
       addrs = Array.make 32 0;
     }
   in
-  let ni, nf, nb = plane_rows env in
+  let ni, nf = plane_rows env in
   let sm =
     {
       s_kname = env.kname;
@@ -2074,7 +2033,6 @@ let lower_prog (env : env) ~dirty emit : bprog * stream =
       s_ntmpf = l.max_tf;
       s_nint = ni;
       s_nflt = nf;
-      s_nbox = nb;
       s_nsites = env.nsites;
       s_nshared = Array.length env.shtys;
       s_nnames = l.nnames;
@@ -2244,7 +2202,7 @@ and compile_uniform env acc (s : A.stmt) : cctx -> unit =
       if v.A.slot < 0 then raise Not_compilable;
       match env.storage.(v.A.slot) with
       | Si r -> r
-      | Sf _ | Sb _ -> raise Not_compilable
+      | Sf _ -> raise Not_compilable
     in
     let ulo = lower_ucond env acc lo in
     let uhi = lower_ucond env acc hi in
@@ -2288,7 +2246,6 @@ type ckernel = {
   ck_kernel : K.t;
   ck_nint : int;  (** int-plane rows per warp *)
   ck_nflt : int;
-  ck_nbox : int;
   ck_param_store : storage list;  (** aligned with the parameter list *)
   ck_param_ty : Ty.slot_ty list;
   ck_run : cctx -> unit;
@@ -2340,7 +2297,7 @@ let compile_kernel (k : K.t) : ckernel option =
     try
       let nslots = Array.length ty.Ty.slots in
       let storage = Array.make nslots (Si 0) in
-      let ni = ref 0 and nf = ref 0 and nb = ref 0 in
+      let ni = ref 0 and nf = ref 0 in
       Array.iteri
         (fun i st ->
           match st with
@@ -2350,9 +2307,7 @@ let compile_kernel (k : K.t) : ckernel option =
           | Ty.St_float ->
             storage.(i) <- Sf !nf;
             incr nf
-          | Ty.St_boxed ->
-            storage.(i) <- Sb !nb;
-            incr nb)
+          | Ty.St_boxed -> raise Not_compilable)
         ty.Ty.slots;
       let shindex = Hashtbl.create 4 in
       List.iteri
@@ -2378,7 +2333,7 @@ let compile_kernel (k : K.t) : ckernel option =
           k.K.params
       in
       Some
-        { ck_kernel = k; ck_nint = !ni; ck_nflt = !nf; ck_nbox = !nb;
+        { ck_kernel = k; ck_nint = !ni; ck_nflt = !nf;
           ck_param_store = param_store; ck_param_ty = param_ty; ck_run = run;
           ck_streams = List.rev !acc; ck_free = [||]; ck_nfree = 0 }
     with Not_compilable -> None)
@@ -2394,7 +2349,7 @@ let args_ok ck mem (args : V.t list) =
     List.for_all2
       (fun sty (v : V.t) ->
         match (sty, v) with
-        | (Ty.St_boxed | Ty.St_bot), _ -> true
+        | Ty.St_bot, _ -> true
         | Ty.St_int, V.Vint _ -> true
         | Ty.St_float, V.Vfloat _ -> true
         | Ty.St_buf Ty.Eany, V.Vbuf _ -> true
@@ -2413,8 +2368,8 @@ let args_ok ck mem (args : V.t list) =
 (* --- block execution ----------------------------------------------------- *)
 
 (* A warp for one block: a finished block's warp from the kernel's free
-   list, reset to exactly the state a fresh allocation has (rows [0],
-   [0.0] and [Vint 0], no lane returned), or a fresh one.  The free list
+   list, reset to exactly the state a fresh allocation has (rows [0]
+   and [0.0], no lane returned), or a fresh one.  The free list
    lives in the [ckernel], which only ever runs in one domain, like its
    programs' scratch.  A block nested inside another block of the same
    kernel (a child run by a deep [DEVSYNC] flush) takes its own warps,
@@ -2427,7 +2382,6 @@ let take_warp ck ~widx ~base_lane ~nlanes =
       nlanes;
       ints = Array.init ck.ck_nint (fun _ -> Array.make 32 0);
       flts = Array.init ck.ck_nflt (fun _ -> Array.make 32 0.0);
-      boxd = Array.init ck.ck_nbox (fun _ -> Array.make 32 (V.Vint 0));
       returned = 0;
     }
   else begin
@@ -2448,12 +2402,6 @@ let take_warp ck ~widx ~base_lane ~nlanes =
       let a = w.flts.(r) in
       for l = 0 to 31 do
         Array.unsafe_set a l 0.0
-      done
-    done;
-    for r = 0 to Array.length w.boxd - 1 do
-      let a = w.boxd.(r) in
-      for l = 0 to 31 do
-        Array.unsafe_set a l (V.Vint 0)
       done
     done;
     w
@@ -2506,13 +2454,6 @@ let exec_block (ck : ckernel) ~(cfg : Cfg.t) ~mem ~alloc ~mm ~gid
           let a = warps.(k).flts.(r) in
           for l = 0 to 31 do
             Array.unsafe_set a l x
-          done
-        done
-      | Sb r ->
-        for k = 0 to nwarps - 1 do
-          let a = warps.(k).boxd.(r) in
-          for l = 0 to 31 do
-            Array.unsafe_set a l v
           done
         done)
     ck.ck_param_store args;

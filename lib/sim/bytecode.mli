@@ -2,9 +2,10 @@
     bytecode over unboxed register planes with superinstruction fusion,
     executed by a tight dispatch loop.  Every statement kind, the device
     runtime's launch, synchronize and free included, lowers to native
-    stream ops; a kernel with a construct that has no native form (boxed
-    or type-mixed operands, [any]-element atomics) does not lower at all
-    and runs on the reference walker in {!Interp}.  Trace and metrics
+    stream ops; a kernel with a slot the type inference left boxed, or
+    with a construct that has no native form (type-mixed operands,
+    [any]-element atomics), does not lower at all and runs on the
+    reference walker in {!Interp}.  Trace and metrics
     output is byte-identical to the walker's.
 
     A lowered kernel's programs own mutable scratch, and the kernel keeps
@@ -76,7 +77,6 @@ type stream = {
   s_ntmpf : int;  (** float temp-plane rows *)
   s_nint : int;  (** warp int-plane rows (buffer handles included) *)
   s_nflt : int;  (** warp float-plane rows *)
-  s_nbox : int;  (** warp boxed-plane rows *)
   s_nsites : int;  (** the kernel's [Malloc] sites *)
   s_nshared : int;  (** shared arrays in scope *)
   s_nnames : int;  (** interned names: shared arrays, launch callees *)

@@ -398,7 +398,6 @@ let test_bcverify_direct () =
       s_ntmpf = 1;
       s_nint = 4;
       s_nflt = 2;
-      s_nbox = 0;
       s_nsites = 0;
       s_nshared = 1;
       s_nnames = 2;

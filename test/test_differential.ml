@@ -173,14 +173,15 @@ let test_k20c_counters_zero () =
 
 (* --- natively lowered statements on small kernels -------------------------
 
-   Every statement kind lowers to native bytecode ops: atomics, boxed
-   lets, mallocs, numeric boxed shared reads, launches, device syncs,
-   frees and the block-uniform control flow around barriers.  Each small
-   kernel below runs under both tiers; the outcome (or the exact
-   exception text), the Metrics report, every Trace segment and the
-   final contents of every device buffer must agree byte for byte, and
-   the kernel must really have lowered — or, for a construct with no
-   native form, really have taken the walker. *)
+   Every statement kind lowers to native bytecode ops: atomics, mallocs,
+   numeric boxed shared reads, launches, device syncs, frees and the
+   block-uniform control flow around barriers; a kernel with any boxed
+   slot takes the walker.  Each small kernel below runs under both
+   tiers; the outcome (or the exact exception text), the Metrics report,
+   every Trace segment and the final contents of every device buffer
+   must agree byte for byte, and the kernel must really have lowered —
+   or, for a construct with no native form, really have taken the
+   walker. *)
 
 module B = Dpc_kir.Build
 module A = Dpc_kir.Ast
@@ -297,8 +298,8 @@ let atomic_ops =
 (* One atomic under a divergent mask (every third lane sits out), five
    lanes contending per element, a partial second warp.  [old] is none,
    an unboxed slot, or a slot made boxed by a dead float/int assignment
-   (a boxed slot is written natively; reading it back has no native
-   form, so that variant records nothing). *)
+   (the boxed slot sends the kernel to the walker; that variant records
+   nothing). *)
 let atomic_kernel ~float_buf ~int_operand ~op ~old =
   let open B in
   let operand =
@@ -355,7 +356,9 @@ let atomic_cases () =
                 if float_buf then float_args [| 0.5; 1.0; 2.0; 3.0; 4.0 |]
                 else int_args [| 0; 1; 2; 3; 4 |]
               in
-              ignore (diff_small name k ~grid:2 ~block:48 setup))
+              ignore
+                (diff_small ~lowers:(old <> `Boxed) name k ~grid:2 ~block:48
+                   setup))
             [ ("no-old", `None); ("old", `Unboxed); ("boxed-old", `Boxed) ])
         [ ("int", false, true); ("float", true, false);
           ("float/int-operand", true, true) ])
@@ -388,9 +391,9 @@ let atomic_oob () =
         | Ok () -> false))
     [ false; true ]
 
-(* Boxed slots: int/float/buffer values boxed by a let, under divergence.
-   A boxed slot is written natively (BOX quads); nothing reads it back,
-   since a boxed operand has no native form. *)
+(* Boxed slots: int/float/buffer values boxed by a let, under divergence,
+   and never read back.  A boxed slot has no native form, so the kernel
+   takes the walker. *)
 let boxed_let () =
   let open B in
   let k =
@@ -404,7 +407,8 @@ let boxed_let () =
       ]
   in
   ignore
-    (diff_small "boxed let" k ~grid:1 ~block:40 (int_args (Array.make 5 0)))
+    (diff_small ~lowers:false "boxed let" k ~grid:1 ~block:40
+       (int_args (Array.make 5 0)))
 
 (* Reading a boxed slot back (a value that is an int in some lanes and a
    float in others, a buffer-or-int handle) has no native form: the
@@ -426,6 +430,21 @@ let boxed_operand_walker () =
     (diff_small ~lowers:false "boxed operand" k ~grid:1 ~block:40
        (int_args (Array.make 5 0)))
 
+(* An int parameter made boxed by a never-taken float assignment, and
+   never read: the boxed parameter slot sends the kernel to the walker,
+   which binds the argument like any other. *)
+let boxed_param_walker () =
+  let open B in
+  let k =
+    kernel ~name:"boxed_param"
+      ~params:[ pi "a"; pi "out"; pp "outf"; p "n" ]
+      [ if_then (tid <: i 0) [ set "n" (f 1.5) ];
+        store (v "out") tid (tid +: i 100) ]
+  in
+  ignore
+    (diff_small ~lowers:false "boxed parameter" k ~grid:1 ~block:40
+       (fun dev -> int_args (Array.make 5 0) dev @ [ V.Vint 7 ]))
+
 let allocators =
   [ ("default", Dpc_alloc.Allocator.Default);
     ("pool", Dpc_alloc.Allocator.Pool);
@@ -433,7 +452,8 @@ let allocators =
 
 (* Mallocs at every scope and allocator: the count comes from the lowest
    active lane, per-block/per-grid sites allocate once and then hit the
-   cache, and the handle lands in an int or a (write-only) boxed slot. *)
+   cache, and the handle lands in an int slot, or in a (write-only)
+   boxed one that sends the kernel to the walker. *)
 let malloc_scopes () =
   List.iter
     (fun (sname, scope) ->
@@ -459,7 +479,7 @@ let malloc_scopes () =
                   @ [ if_then ((tid %: i 4) <>: i 3) body ])
               in
               ignore
-                (diff_small ~alloc_kind
+                (diff_small ~alloc_kind ~lowers:(not boxed)
                    (Printf.sprintf "malloc %s %s%s" sname aname
                       (if boxed then " boxed" else ""))
                    k ~grid:3 ~block:48 (int_args [| 0 |])))
@@ -820,9 +840,11 @@ let suite =
         test_k20c_counters_zero;
       Alcotest.test_case "native atomics all ops" `Quick atomic_cases;
       Alcotest.test_case "native atomic out of bounds" `Quick atomic_oob;
-      Alcotest.test_case "native boxed let" `Quick boxed_let;
+      Alcotest.test_case "boxed let takes the walker" `Quick boxed_let;
       Alcotest.test_case "boxed operand takes the walker" `Quick
         boxed_operand_walker;
+      Alcotest.test_case "boxed parameter takes the walker" `Quick
+        boxed_param_walker;
       Alcotest.test_case "native malloc scopes" `Quick malloc_scopes;
       Alcotest.test_case "native numeric shared read" `Quick numeric_shared;
       Alcotest.test_case "native launch" `Quick native_launch;
