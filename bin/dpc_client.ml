@@ -163,8 +163,8 @@ let timeout_s =
 
 let stats =
   Arg.(value & flag & info [ "stats" ]
-       ~doc:"Print the daemon's stats (cache hits, steals, latency) as \
-             JSON.")
+       ~doc:"Print the daemon's stats (cache hits, input reuse, latency) \
+             as JSON.")
 
 let ping =
   Arg.(value & flag & info [ "ping" ] ~doc:"Liveness check.")

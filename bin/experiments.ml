@@ -10,7 +10,7 @@
      experiments ablations       the device and transform ablations
                                  A1-A7 (not part of all)
 
-   Scenario mode (bypasses the figures):
+   Scenario mode (runs no figure; a figure name beside it is refused):
      --scenario KEY=V,...   run one first-class scenario (repeatable);
                             e.g. --scenario app=SSSP,variant=grid-level,scale=700
      --sweep FILE.json      run every scenario of a JSON sweep file
@@ -141,12 +141,19 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     exit 2
   end;
   let scenario_mode = scenario_args <> [] || sweep_file <> None in
+  (* Scenario mode runs no figure, so a figure name beside it is a
+     mistake, not something to ignore. *)
+  (match figures with
+  | f :: _ when scenario_mode ->
+    Printf.eprintf "experiments: figure %S given with --scenario/--sweep\n" f;
+    exit 2
+  | _ -> ());
   let figures = if figures = [] then [ "all" ] else figures in
   let figures = List.map String.lowercase_ascii figures in
   (* Check every figure name before anything runs, so a misspelt name
      does not first cost every figure listed before it. *)
   (match List.find_opt (fun f -> not (List.mem f figure_names)) figures with
-  | Some other when not scenario_mode ->
+  | Some other ->
     Printf.eprintf "unknown figure %S (%s)\n" other
       (String.concat " " figure_names);
     exit 2
@@ -253,11 +260,10 @@ let pool_sched =
   in
   Arg.(value & opt s Dpc_util.Pool.Shared & info [ "sched" ] ~docv:"SCHED"
        ~doc:"Batch dispatch scheduler: $(b,shared) (one atomic counter, \
-             submission order — the default) or $(b,steal) (per-worker \
-             deques seeded longest-first by the scenario cost estimate, \
-             idle workers steal).  Tables, JSON and traces are \
-             byte-identical either way; only wall-clock scheduling \
-             differs.")
+             submission order — the default) or $(b,steal) (the same \
+             counter over the scenarios sorted longest-first by their \
+             cost estimate).  Tables, JSON and traces are byte-identical \
+             either way; only wall-clock scheduling differs.")
 
 let json_out =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"

@@ -419,7 +419,7 @@ let sweep_of_json (j : Json.t) =
    wall proxy; the direct measurement corrects that (e.g. basic-dp
    burns ~10x the simulated cycles of grid-level but slightly *less*
    interpreter wall, because its tiny grids do proportionally little
-   work per charge).  The stealing scheduler only needs relative
+   work per charge).  The cost-ordered scheduler only needs relative
    order: mis-estimates cost balance, never correctness. *)
 
 (* (effective items at scale, per-item weight in us of closure-tier wall).
@@ -457,11 +457,11 @@ let interp_weight m =
 
 (* Deep-memory-model scenarios spend extra interpreter wall per memory
    instruction (bank-conflict index collection and the MSHR ledger in
-   Memmodel), so a mixed sweep would under-seed them in the stealing
-   deques.  The weights are per enabled feature — derived from the
-   resolved config rather than the preset name so [cfg.FIELD=N]
-   overrides are priced too.  Fit against the pr10 memmodel sweep:
-   deep presets run ~6-9% more wall than k20c at equal scale. *)
+   Memmodel), so a mixed sweep would otherwise claim them too late.
+   The weights are per enabled feature — derived from the resolved
+   config rather than the preset name so [cfg.FIELD=N] overrides are
+   priced too.  Fit against the pr10 memmodel sweep: deep presets run
+   ~6-9% more wall than k20c at equal scale. *)
 let cfg_weight t =
   let c = resolve_cfg t in
   let w = 1.0 in
@@ -470,8 +470,8 @@ let cfg_weight t =
   w
 
 (** Relative wall-clock estimate of one run, in baseline-cycle units.
-    Only the ordering matters: {!Session.run_all}'s stealing scheduler
-    seeds its deques longest-first by this value. *)
+    Only the ordering matters: under {!Dpc_util.Pool.Steal},
+    {!Session.run_all} claims scenarios longest-first by this value. *)
 let cost_estimate t =
   let items, per_item = app_cost_model t.app t.scale in
   items *. per_item *. variant_weight t.variant *. interp_weight t.interp

@@ -79,7 +79,7 @@ val interp_of_string : string -> Dpc_sim.Interp.mode
     device-config weight for deep-memory-model features), fit from
     the measured per-scenario wall clocks committed in [BENCH_pr8.json]
     (the evaluation suite under every interpreter tier).
-    {!Session.run_all}'s stealing scheduler orders its deques
+    Under {!Dpc_util.Pool.Steal}, {!Session.run_all} claims scenarios
     longest-first by this value; estimates steer scheduling only and
     never affect results. *)
 val cost_estimate : t -> float

@@ -15,12 +15,9 @@
     scenario outcomes in submission order, capturing per-run exceptions
     (e.g. an infeasible explicit configuration in an exhaustive sweep)
     instead of failing the batch.  Under the {!Dpc_util.Pool.Steal}
-    scheduler the pool seeds its deques longest-first from the session's
-    {!cost} estimate: the static {!Scenario.cost_estimate} model at
-    first, refined online by each finished run's measured wall clock
-    ({!Costs}), so a second sweep seeds from what the first observed.
-    Stealing and estimates only reorder wall-clock execution, never
-    outcomes. *)
+    scheduler the pool claims scenarios longest-first by the static
+    {!Scenario.cost_estimate} model; the order only changes wall-clock
+    execution, never outcomes. *)
 
 module Registry = Dpc_apps.Registry
 module Metrics = Dpc_sim.Metrics
@@ -52,7 +49,6 @@ let verify_prep ~tier (p : Dpc_apps.Harness.prep) : (unit, string) result =
 type t = {
   cache : Kcache.t option;
   inputs : Input_cache.t option;
-  costs : Costs.t;
   pool : Pool.t;
   verbose : bool;
   verbose_lock : Mutex.t;
@@ -84,7 +80,6 @@ let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
               ())
        else None);
     inputs = (if cache then Some (Input_cache.create ()) else None);
-    costs = Costs.create ();
     pool = Pool.create ~sched ~jobs ();
     verbose;
     verbose_lock = Mutex.create ();
@@ -94,7 +89,7 @@ let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
 
 let jobs t = Pool.jobs t.pool
 let sched t = Pool.sched t.pool
-let last_steals t = Pool.last_steals t.pool
+let last_steals _ = 0
 
 let cache_stats t =
   match t.cache with Some c -> Kcache.stats c | None -> Kcache.zero_stats
@@ -112,17 +107,6 @@ let input_stats t =
 
 let changed_inputs t =
   match t.inputs with Some c -> Input_cache.changed c | None -> []
-
-(** Current cost estimate of one scenario: the static model, overridden
-    by this session's calibrated observation once the scenario has run
-    (see {!Costs}).  This is what {!run_all} seeds the stealing
-    scheduler with. *)
-let cost t sc =
-  Costs.estimate t.costs ~key:(Scenario.key sc)
-    ~static:(Scenario.cost_estimate sc)
-
-(** Distinct scenarios this session has timed so far. *)
-let observed_costs t = Costs.observations t.costs
 
 (* Under strict mode every prepared program additionally gets its
    bytecode streams statically verified at prepare time (fresh builds
@@ -160,8 +144,7 @@ let run_one t (sc : Scenario.t) =
 let wrap_strict t f =
   if t.strict_check then Dpc_check.Strict.with_strict f else f ()
 
-(** Execute one scenario, capturing its error and wall clock; the
-    measured time also feeds the session's online cost table.  This is
+(** Execute one scenario, capturing its error and wall clock.  This is
     the unit both {!run_all} and the serve daemon's streaming executor
     are built on. *)
 let run_outcome t (sc : Scenario.t) : outcome =
@@ -169,10 +152,7 @@ let run_outcome t (sc : Scenario.t) : outcome =
   let result =
     try Ok (wrap_strict t (fun () -> run_one t sc)) with e -> Error e
   in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  Costs.record t.costs ~key:(Scenario.key sc)
-    ~static:(Scenario.cost_estimate sc) ~seconds:elapsed_s;
-  { scenario = sc; result; elapsed_s }
+  { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
 
 (** Execute one scenario; exceptions propagate. *)
 let run t sc =
@@ -206,7 +186,7 @@ let run_all t (scenarios : Scenario.t list) : outcome list =
     end;
     o
   in
-  Pool.parallel_map ~cost:(cost t) t.pool work scenarios
+  Pool.parallel_map ~cost:Scenario.cost_estimate t.pool work scenarios
 
 (** [report outcome] unwraps, re-raising a captured failure. *)
 let report (o : outcome) =

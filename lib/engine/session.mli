@@ -20,13 +20,12 @@ type outcome = {
 type t
 
 (** [jobs] bounds batch parallelism (default 1); [sched] picks the
-    batch pool's dispatch scheduler (default [Shared]; [Steal] seeds
-    per-worker deques longest-first from the session's {!cost} estimate
-    and lets idle workers steal — outcomes are identical, only
-    wall-clock scheduling changes); [cache:false] disables program and
-    input reuse (every run builds fresh); [persist] backs the cache with the on-disk
-    store rooted at that directory (created when absent; ignored with
-    [cache:false]); [verbose] prints a line per finished scenario
+    batch pool's dispatch scheduler (default [Shared]; [Steal] claims
+    scenarios longest-first by {!Scenario.cost_estimate} — outcomes are
+    identical, only wall-clock scheduling changes); [cache:false]
+    disables program and input reuse (every run builds fresh); [persist]
+    backs the cache with the on-disk store rooted at that directory
+    (created when absent; ignored with [cache:false]); [verbose] prints a line per finished scenario
     (writes are serialized across worker domains); [inspect] runs after
     each scenario's launches with its device; [strict_check] installs
     the static verifier's domain-local strict finalize hook around each
@@ -46,8 +45,10 @@ val jobs : t -> int
 
 val sched : t -> Dpc_util.Pool.sched
 
-(** Tasks stolen across worker deques during the most recent {!run_all}
-    (0 under the [Shared] scheduler and on the serial path). *)
+(** Always [0]: no task is ever stolen, since both pool schedulers claim
+    from one shared counter.  It stays only because the benchmark's
+    [pool.steals] metric reads it (the serve daemon's [steals] stat
+    likewise). *)
 val last_steals : t -> int
 
 (** Zero for cacheless sessions. *)
@@ -68,17 +69,7 @@ val input_stats : t -> Input_cache.stats
     always empty for cacheless sessions. *)
 val changed_inputs : t -> string list
 
-(** Current cost estimate of one scenario: the static
-    {!Scenario.cost_estimate}, overridden by this session's calibrated
-    wall-clock observation once the scenario has run ({!Costs}).  This
-    is what {!run_all} seeds the stealing scheduler with. *)
-val cost : t -> Scenario.t -> float
-
-(** Distinct scenarios this session has timed so far. *)
-val observed_costs : t -> int
-
-(** Execute one scenario, capturing its error and wall clock; the
-    measurement also feeds the session's online cost table. *)
+(** Execute one scenario, capturing its error and wall clock. *)
 val run_outcome : t -> Scenario.t -> outcome
 
 (** Execute one scenario; exceptions propagate. *)

@@ -271,8 +271,9 @@ let stats_json t =
              ("hits", Json.Int inputs.Input_cache.hits);
              ("entries", Json.Int inputs.Input_cache.entries);
            ] );
+       (* Always 0 (no task is ever stolen); kept for the benchmark's
+          serve stats reader. *)
        ("steals", Json.Int (Session.last_steals t.session));
-       ("cost_observations", Json.Int (Session.observed_costs t.session));
        ( "latency",
          Json.Obj
            [

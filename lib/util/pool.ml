@@ -7,18 +7,11 @@
     long-lived, and per-call spawning keeps nested/overlapping pools from
     ever exceeding the machine's domain budget between calls.
 
-    [Shared] dispatch is the historical single-bump scheduler: one
-    [Atomic] counter, claims in submission order.
-
-    [Steal] dispatch seeds one {!Wsdeque} per worker.  Task indices are
-    sorted by descending cost estimate (stable: ties keep submission
-    order) and dealt round-robin, pushed so that each deque's {e bottom}
-    — the owner's end — holds its most expensive task: owners drain their
-    deque longest-first (LPT), and a worker whose deque runs dry steals
-    from its neighbours' {e top} ends (their cheapest queued work,
-    round-robin from its own id), which fills idle tails without
-    disturbing the victims' cost order.  Nobody pushes after seeding, so
-    an empty sweep of all deques is a final termination condition. *)
+    Both schedulers share one claim loop: every worker takes the next
+    position from one [Atomic] counter and runs [order.(position)].
+    [order] is the identity under [Shared] and the task indices sorted by
+    descending cost estimate (stable: ties keep submission order) under
+    [Steal], so the expensive tasks start first (LPT). *)
 
 type sched = Shared | Steal
 
@@ -27,33 +20,22 @@ let sched_to_string = function Shared -> "shared" | Steal -> "steal"
 let sched_of_string s =
   match String.lowercase_ascii s with
   | "shared" -> Shared
-  | "steal" | "work-steal" | "work-stealing" -> Steal
+  | "steal" -> Steal
   | other ->
     invalid_arg
       (Printf.sprintf "bad pool scheduler %S (expected shared or steal)"
          other)
 
-type t = { jobs : int; sched : sched; mutable last_steals : int }
+type t = { jobs : int; sched : sched }
 
 let create ?(sched = Shared) ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  { jobs; sched; last_steals = 0 }
+  { jobs; sched }
 
 let jobs t = t.jobs
 let sched t = t.sched
-let last_steals t = t.last_steals
 
 let default_jobs () = Int.max 1 (Domain.recommended_domain_count () - 1)
-
-(* One task, recorded: a cell is written before [failed] is raised so the
-   post-join sweep sees every claimed task's fate. *)
-let run_task (type a b) (f : a -> b) tasks (results : b option array)
-    (errors : (exn * Printexc.raw_backtrace) option array) failed i =
-  match f tasks.(i) with
-  | v -> results.(i) <- Some v
-  | exception e ->
-    errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
-    Atomic.set failed true
 
 (* Deterministic failure report.  [failed] is set, so at least one error
    cell is populated.  Workers fail fast (they stop claiming once
@@ -84,74 +66,23 @@ let reraise_lowest (type a b) (f : a -> b) tasks (results : b option array)
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> assert false
 
-(* --- shared-counter dispatch --------------------------------------------- *)
-
-let shared_worker f tasks results errors failed next n _me () =
-  let continue = ref true in
-  while !continue do
-    let i = Atomic.fetch_and_add next 1 in
-    if i >= n || Atomic.get failed then continue := false
-    else run_task f tasks results errors failed i
-  done
-
-(* --- work-stealing dispatch ---------------------------------------------- *)
-
-(* Deal task indices over [w] deques, most expensive first.  Worker [k]'s
-   own deque ends up in descending-cost order bottom-to-top... backwards:
-   we push each worker's share cheapest-first, so [pop_bottom] (the
-   owner's end) yields its most expensive remaining task and [steal_top]
-   yields its cheapest. *)
-let seed_deques ?cost tasks n w =
-  let order = Array.init n Fun.id in
-  (match cost with
-  | None -> ()
-  | Some c ->
-    let costs = Array.map (fun x -> c x) tasks in
-    (* Stable descending sort: ties keep submission order. *)
+(* Submission order, sorted by descending cost under [Steal]; the index
+   tie-break keeps the sort stable, so the order is deterministic. *)
+let claim_order ?cost sched tasks =
+  let order = Array.init (Array.length tasks) Fun.id in
+  (match (sched, cost) with
+  | Steal, Some c ->
+    let costs = Array.map c tasks in
     let cmp a b =
       match Float.compare costs.(b) costs.(a) with
       | 0 -> Int.compare a b
       | d -> d
     in
-    Array.sort cmp order);
-  let deques =
-    Array.init w (fun _ -> Wsdeque.create ~capacity:(2 + (n / w)) ())
-  in
-  (* order.(k) goes to deque (k mod w); walk each share in reverse so the
-     share's most expensive index is pushed last (= sits at the bottom). *)
-  for k = n - 1 downto 0 do
-    Wsdeque.push_bottom deques.(k mod w) order.(k)
-  done;
-  deques
-
-let stealing_worker f tasks results errors failed deques steals w me () =
-  let continue = ref true in
-  while !continue do
-    if Atomic.get failed then continue := false
-    else
-      match Wsdeque.pop_bottom deques.(me) with
-      | Some i -> run_task f tasks results errors failed i
-      | None ->
-        (* Own deque dry: sweep the other deques round-robin from our
-           id.  Since nobody pushes after seeding, finding them all
-           empty means no queued work is left anywhere — stop. *)
-        let stolen = ref None in
-        let v = ref 1 in
-        while !stolen = None && !v < w do
-          stolen := Wsdeque.steal_top deques.((me + !v) mod w);
-          incr v
-        done;
-        (match !stolen with
-        | Some i ->
-          Atomic.incr steals;
-          run_task f tasks results errors failed i
-        | None -> continue := false)
-  done
-
-(* --- entry points ---------------------------------------------------------- *)
+    Array.sort cmp order
+  | _ -> ());
+  order
 
 let parallel_map (type a b) ?cost t (f : a -> b) (xs : a list) : b list =
-  t.last_steals <- 0;
   match xs with
   | [] -> []
   | _ when t.jobs = 1 -> List.map f xs
@@ -163,23 +94,29 @@ let parallel_map (type a b) ?cost t (f : a -> b) (xs : a list) : b list =
       Array.make n None
     in
     let failed = Atomic.make false in
-    let w = Int.min t.jobs n in
-    let steals = Atomic.make 0 in
-    let worker =
-      match t.sched with
-      | Shared ->
-        let next = Atomic.make 0 in
-        shared_worker f tasks results errors failed next n
-      | Steal ->
-        let deques = seed_deques ?cost tasks n w in
-        stealing_worker f tasks results errors failed deques steals w
+    let order = claim_order ?cost t.sched tasks in
+    let next = Atomic.make 0 in
+    (* A cell is written before [failed] is raised, so the post-join
+       sweep sees every claimed task's fate. *)
+    let worker () =
+      let continue = ref true in
+      while !continue do
+        let k = Atomic.fetch_and_add next 1 in
+        if k >= n || Atomic.get failed then continue := false
+        else
+          let i = order.(k) in
+          match f tasks.(i) with
+          | v -> results.(i) <- Some v
+          | exception e ->
+            errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
+            Atomic.set failed true
+      done
     in
     let domains =
-      Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1)))
+      Array.init (Int.min t.jobs n - 1) (fun _ -> Domain.spawn worker)
     in
-    worker 0 ();
+    worker ();
     Array.iter Domain.join domains;
-    t.last_steals <- Atomic.get steals;
     if Atomic.get failed then reraise_lowest f tasks results errors n;
     List.init n (fun i ->
         match results.(i) with Some v -> v | None -> assert false)

@@ -7,18 +7,18 @@
     [parallel_map] output is byte-identical to the serial run regardless
     of the worker count {e and} of the scheduler.
 
-    Two dispatch schedulers are available:
+    Both schedulers run one claim loop: workers take positions from one
+    shared atomic counter.  They differ only in the order the positions
+    map to:
 
-    - {!Shared}: workers claim task indices from one shared atomic
-      counter, in submission order.  Cheap and fair for uniform tasks,
+    - {!Shared}: submission order.  Cheap and fair for uniform tasks,
       but the submission order decides when expensive tasks start — a
       sweep that lists its big runs last parks them behind every small
       one, and the last-claimed big task straggles alone.
-    - {!Steal}: per-worker deques ({!Wsdeque}) seeded longest-first from
-      a caller-supplied cost estimate, with round-robin victim selection
-      when a worker's own deque runs dry.  Expensive tasks start first
-      (LPT order), and idle workers steal queued work from busy ones, so
-      skewed sweeps finish near the greedy-optimal makespan.
+    - {!Steal}: longest-first (LPT) by a caller-supplied cost estimate,
+      so expensive tasks start first and the cheap ones fill the tail.
+      No task is ever stolen: the name stays because callers and
+      command lines select this scheduler by it.
 
     Both schedulers run the same task set to completion and return
     results in submission order; only wall-clock scheduling differs.
@@ -30,8 +30,8 @@
 
 type t
 
-(** Dispatch scheduler: shared-counter submission order, or per-worker
-    deques with work stealing (see the module description). *)
+(** Dispatch scheduler: claims in submission order, or longest-first by
+    cost estimate (see the module description). *)
 type sched = Shared | Steal
 
 val sched_to_string : sched -> string
@@ -51,12 +51,6 @@ val jobs : t -> int
 
 val sched : t -> sched
 
-(** Number of tasks taken from another worker's deque during the most
-    recent [parallel_map]/[parallel_iter] on this pool.  Always [0] for
-    the {!Shared} scheduler and the serial path.  Read it after the call
-    returns (it is written by the submitting domain on completion). *)
-val last_steals : t -> int
-
 (** [Domain.recommended_domain_count () - 1], clamped to at least 1:
     leave one core for the submitting domain's own work. *)
 val default_jobs : unit -> int
@@ -66,8 +60,8 @@ val default_jobs : unit -> int
     returned in submission order.
 
     [cost] estimates each task's relative duration; the {!Steal}
-    scheduler seeds its deques longest-first from it (ties keep
-    submission order).  The {!Shared} scheduler and the serial path
+    scheduler claims tasks longest-first by it (ties keep submission
+    order).  The {!Shared} scheduler and the serial path
     ignore it.  Estimates only steer scheduling — they never change
     results.
 

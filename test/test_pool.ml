@@ -1,8 +1,8 @@
 (* Tests for the Domain worker pool: ordering, exception propagation,
-   the stealing scheduler's contract (identical results, steals actually
-   happen, deterministic lowest-index failure reporting) and — the
-   property the experiment harness depends on — byte-identical figure
-   tables at any job count. *)
+   the cost-ordered scheduler's contract (identical results, expensive
+   tasks claimed first, deterministic lowest-index failure reporting)
+   and — the property the experiment harness depends on — byte-identical
+   figure tables at any job count. *)
 
 module Pool = Dpc_util.Pool
 module Suite = Dpc_experiments.Suite
@@ -76,7 +76,7 @@ let prop_map_equals_list_map =
       let f x = (x * 31) lxor 5 in
       Pool.parallel_map (Pool.create ~jobs ()) f xs = List.map f xs)
 
-(* Same contract for the stealing scheduler, with an arbitrary cost
+(* Same contract for the cost-ordered scheduler, with an arbitrary cost
    estimate: estimates steer scheduling only, never results or order. *)
 let prop_steal_map_equals_list_map =
   QCheck.Test.make ~count:50 ~name:"steal parallel_map = List.map"
@@ -99,27 +99,39 @@ let test_steal_order_preserved () =
   Alcotest.(check (list int)) "ordered" (List.map f xs)
     (Pool.parallel_map ~cost p f xs)
 
-let test_steal_occurs () =
-  (* One task is ~100x the rest; its owner is pinned on it while the
-     other three workers drain their own deques and then come stealing
-     its queued share.  [last_steals] must see that. *)
-  let p = Pool.create ~sched:Pool.Steal ~jobs:4 () in
-  let cost i = if i = 0 then 100. else 1. in
-  let f i =
-    Unix.sleepf (if i = 0 then 0.1 else 0.001);
-    i
+(* Each task records its start position through one atomic sequence.
+   The first [jobs] tasks to start wait (deadline-guarded) until every
+   worker has started one, so no worker can start a second task before
+   each worker's first claim is recorded: the first [jobs] start
+   positions belong exactly to the first [jobs] claims.  Costs grow
+   with the index: [Steal] must claim the most expensive task, submitted
+   last, in that first wave; [Shared] claims in submission order and
+   ignores the estimate, so task 0 (the cheapest) is in it. *)
+let test_claim_order () =
+  let jobs = 3 and n = 12 in
+  let cost i = float_of_int i in
+  let check sched first =
+    let seq = Atomic.make 0 in
+    let starts = Array.make n (-1) in
+    let f i =
+      starts.(i) <- Atomic.fetch_and_add seq 1;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get seq < jobs && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.0005
+      done;
+      i
+    in
+    let xs = List.init n Fun.id in
+    Alcotest.(check (list int)) "order" xs
+      (Pool.parallel_map ~cost (Pool.create ~sched ~jobs ()) f xs);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: task %d in the first wave"
+         (Pool.sched_to_string sched) first)
+      true
+      (starts.(first) >= 0 && starts.(first) < jobs)
   in
-  let xs = List.init 40 Fun.id in
-  let res = Pool.parallel_map ~cost p f xs in
-  Alcotest.(check (list int)) "order" xs res;
-  Alcotest.(check bool) "steals happened" true (Pool.last_steals p > 0)
-
-let test_steal_counter_resets () =
-  (* A uniform run after a stealing run must report its own count, not
-     the previous call's. *)
-  let p = Pool.create ~sched:Pool.Steal ~jobs:1 () in
-  Pool.parallel_iter p ignore (List.init 10 Fun.id);
-  Alcotest.(check int) "serial path never steals" 0 (Pool.last_steals p)
+  check Pool.Steal (n - 1);
+  check Pool.Shared 0
 
 (* Two tasks rendezvous on an atomic so they are guaranteed to be
    in-flight simultaneously, then both raise.  Whatever the claim timing,
@@ -151,11 +163,11 @@ let test_lowest_failure_concurrent () =
   check Pool.Steal
 
 let test_lowest_failure_unclaimed () =
-  (* The stealing scheduler runs the most expensive task first; it fails
-     immediately, while a cheaper, lower-indexed task that would also
-     fail is still sitting unclaimed in a deque.  The cleanup pass must
-     find it: the reported error names the lowest-indexed failing task
-     even though it had not run when the pool went down. *)
+  (* The cost-ordered scheduler runs the most expensive task first; it
+     fails immediately, while a cheaper, lower-indexed task that would
+     also fail is still unclaimed.  The cleanup pass must find it: the
+     reported error names the lowest-indexed failing task even though it
+     had not run when the pool went down. *)
   let p = Pool.create ~sched:Pool.Steal ~jobs:2 () in
   let cost i = if i = 25 then 1000. else 1. in
   let f i =
@@ -200,9 +212,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_steal_map_equals_list_map;
     Alcotest.test_case "steal order preserved" `Quick
       test_steal_order_preserved;
-    Alcotest.test_case "steal occurs under skew" `Quick test_steal_occurs;
-    Alcotest.test_case "steal counter per-call" `Quick
-      test_steal_counter_resets;
+    Alcotest.test_case "claim order" `Quick test_claim_order;
     Alcotest.test_case "concurrent failures: lowest wins" `Quick
       test_lowest_failure_concurrent;
     Alcotest.test_case "unclaimed lower failure wins" `Quick

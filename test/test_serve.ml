@@ -1,5 +1,5 @@
 (* Serve layer: wire framing, dpc-serve-v1 codecs, the persistent
-   on-disk program cache, online cost learning, and the daemon itself
+   on-disk program cache, and the daemon itself
    (run in-process on a second domain against a temp socket).
 
    The load-bearing properties: a sweep served by the daemon is
@@ -15,7 +15,6 @@ module Scenario = Dpc_engine.Scenario
 module Session = Dpc_engine.Session
 module Kcache = Dpc_engine.Kcache
 module Pstore = Dpc_engine.Pstore
-module Costs = Dpc_engine.Costs
 module Export = Dpc_experiments.Export
 module Framing = Dpc_util.Framing
 module Protocol = Dpc_serve.Protocol
@@ -157,46 +156,6 @@ let protocol_event_roundtrip () =
           (Json.to_string (Protocol.event_to_json e))
           (Json.to_string (Protocol.event_to_json e')))
     events
-
-(* --- online cost learning --------------------------------------------------- *)
-
-(* Observations override the static model: when measured wall clocks
-   invert the static ordering, the estimates follow the measurement. *)
-let costs_inversion () =
-  let c = Costs.create () in
-  (* Static model says "a" is 10x the work of "b"; the wall clock says
-     the opposite. *)
-  Costs.record c ~key:"a" ~static:10. ~seconds:0.001;
-  Costs.record c ~key:"b" ~static:1. ~seconds:0.1;
-  Alcotest.(check int) "two observations" 2 (Costs.observations c);
-  let ea = Costs.estimate c ~key:"a" ~static:10. in
-  let eb = Costs.estimate c ~key:"b" ~static:1. in
-  Alcotest.(check bool) "observed ordering wins" true (eb > ea);
-  (* Never-seen keys keep the static estimate, on the same scale. *)
-  Alcotest.(check (float 1e-9)) "unseen key keeps static" 5.
-    (Costs.estimate c ~key:"c" ~static:5.);
-  (* Garbage durations are ignored. *)
-  Costs.record c ~key:"d" ~static:1. ~seconds:0.;
-  Costs.record c ~key:"e" ~static:1. ~seconds:Float.nan;
-  Alcotest.(check int) "garbage ignored" 2 (Costs.observations c)
-
-(* A session's cost estimate switches from the static model to the
-   calibrated observation once a scenario has run: a second sweep seeds
-   the stealing scheduler by measured cost. *)
-let session_cost_learning () =
-  let s = Session.create () in
-  let small = Scenario.make ~app:"SSSP" ~scale:100 (H.Cons Pragma.Grid) in
-  let big = Scenario.make ~app:"SSSP" ~scale:1000 (H.Cons Pragma.Grid) in
-  Alcotest.(check int) "no observations yet" 0 (Session.observed_costs s);
-  let o_small = Session.run_outcome s small in
-  let o_big = Session.run_outcome s big in
-  Alcotest.(check int) "both runs observed" 2 (Session.observed_costs s);
-  (* Ratio guard against scheduler noise: only assert the ordering when
-     the measured wall clocks are unambiguous. *)
-  if o_big.Session.elapsed_s > 1.5 *. o_small.Session.elapsed_s then
-    Alcotest.(check bool)
-      "second-sweep seeding follows measured cost" true
-      (Session.cost s big > Session.cost s small)
 
 (* --- persistent store ------------------------------------------------------- *)
 
@@ -491,8 +450,6 @@ let server_sweep_identity () =
   let count k = Json.to_int (Option.get (Json.member k inputs)) in
   Alcotest.(check (list int)) "input builds, hits, entries" [ 2; 2; 2 ]
     [ count "builds"; count "hits"; count "entries" ];
-  let obs = Json.to_int (Option.get (Json.member "cost_observations" stats)) in
-  Alcotest.(check bool) "daemon learns costs" true (obs > 0);
   (* The memmodel totals are present, and stay zero for the
      features-off default preset these sweeps ran under. *)
   let mm = Option.get (Json.member "memmodel" stats) in
@@ -679,10 +636,6 @@ let suite =
       protocol_request_roundtrip;
     Alcotest.test_case "protocol event roundtrip" `Quick
       protocol_event_roundtrip;
-    Alcotest.test_case "cost learning inverts static order" `Quick
-      costs_inversion;
-    Alcotest.test_case "session reseeds by observed cost" `Quick
-      session_cost_learning;
     Alcotest.test_case "pstore roundtrip" `Quick pstore_roundtrip;
     Alcotest.test_case "pstore warm identity across apps" `Slow
       pstore_warm_identity_suite;

@@ -119,83 +119,6 @@ let test_table_arity_check () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch")
     (fun () -> Table.add_row t [ "only one" ])
 
-let test_wsdeque_owner_lifo () =
-  let d = Wsdeque.create () in
-  Alcotest.(check bool) "fresh empty" true (Wsdeque.is_empty d);
-  Alcotest.(check (option int)) "pop empty" None (Wsdeque.pop_bottom d);
-  List.iter (Wsdeque.push_bottom d) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Wsdeque.length d);
-  (* The owner end is a stack: most recently pushed comes back first. *)
-  Alcotest.(check (option int)) "lifo 1" (Some 3) (Wsdeque.pop_bottom d);
-  Alcotest.(check (option int)) "lifo 2" (Some 2) (Wsdeque.pop_bottom d);
-  Alcotest.(check (option int)) "lifo 3" (Some 1) (Wsdeque.pop_bottom d);
-  Alcotest.(check (option int)) "drained" None (Wsdeque.pop_bottom d)
-
-let test_wsdeque_steal_fifo () =
-  let d = Wsdeque.create () in
-  Alcotest.(check (option int)) "steal empty" None (Wsdeque.steal_top d);
-  List.iter (Wsdeque.push_bottom d) [ 1; 2; 3; 4 ];
-  (* Thieves take the oldest element — the opposite end of the owner. *)
-  Alcotest.(check (option int)) "steal 1" (Some 1) (Wsdeque.steal_top d);
-  Alcotest.(check (option int)) "steal 2" (Some 2) (Wsdeque.steal_top d);
-  Alcotest.(check (option int)) "owner still lifo" (Some 4)
-    (Wsdeque.pop_bottom d);
-  Alcotest.(check (option int)) "meet in middle" (Some 3)
-    (Wsdeque.steal_top d);
-  Alcotest.(check bool) "empty again" true (Wsdeque.is_empty d)
-
-let test_wsdeque_growth () =
-  (* Force the ring past its initial capacity, with interleaved pops so
-     top/bottom wrap around, then check nothing was lost or reordered. *)
-  let d = Wsdeque.create ~capacity:2 () in
-  for i = 0 to 199 do
-    Wsdeque.push_bottom d i;
-    if i mod 3 = 0 then ignore (Wsdeque.steal_top d)
-  done;
-  let n = Wsdeque.length d in
-  let drained = List.init n (fun _ -> Option.get (Wsdeque.steal_top d)) in
-  Alcotest.(check bool) "steals ascending" true
-    (List.sort compare drained = drained);
-  Alcotest.(check (option int)) "fully drained" None (Wsdeque.pop_bottom d)
-
-let test_wsdeque_concurrent_drain () =
-  (* One owner popping, three thieves stealing: every element is taken
-     exactly once.  Exercises the mutex under real domain contention. *)
-  let d = Wsdeque.create () in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    Wsdeque.push_bottom d i
-  done;
-  let seen = Array.make n (Atomic.make 0) in
-  for i = 0 to n - 1 do
-    seen.(i) <- Atomic.make 0
-  done;
-  let take pop () =
-    let got = ref 0 in
-    let rec loop () =
-      match pop d with
-      | Some i ->
-        Atomic.incr seen.(i);
-        incr got;
-        loop ()
-      | None -> !got
-    in
-    loop ()
-  in
-  let thieves =
-    List.init 3 (fun _ -> Domain.spawn (take Wsdeque.steal_top))
-  in
-  let own = take Wsdeque.pop_bottom () in
-  let total =
-    List.fold_left (fun acc t -> acc + Domain.join t) own thieves
-  in
-  Alcotest.(check int) "all taken" n total;
-  Array.iteri
-    (fun i c ->
-      if Atomic.get c <> 1 then
-        Alcotest.failf "element %d taken %d times" i (Atomic.get c))
-    seen
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -215,9 +138,4 @@ let suite =
       test_histogram_all_samples_counted;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
-    Alcotest.test_case "wsdeque owner lifo" `Quick test_wsdeque_owner_lifo;
-    Alcotest.test_case "wsdeque steal fifo" `Quick test_wsdeque_steal_fifo;
-    Alcotest.test_case "wsdeque growth" `Quick test_wsdeque_growth;
-    Alcotest.test_case "wsdeque concurrent drain" `Quick
-      test_wsdeque_concurrent_drain;
   ]
