@@ -76,12 +76,8 @@ let src = 0
 let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
 
 let run_spec (s : spec) =
-  reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:23 in
-  let variant = s.sp_variant in
-  let cfg = s.sp_cfg in
-  let inspect = s.sp_inspect in
   let g, expect =
     inputs s inputs_id ~app:name ~scale ~seed (fun () ->
         let g = Gen.kron_like ~scale ~edge_factor:10 ~seed in
@@ -91,13 +87,16 @@ let run_spec (s : spec) =
   let levels0 = Array.make n Cpu.inf in
   levels0.(src) <- 0;
   let threads = 128 in
-  match variant with
+  let p =
+    prepare s ~source:dp_source ~parent:"bfs_rec"
+      ~flat:(flat_source, "bfs_flat")
+  in
+  let dev = p.dev in
+  let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
+  let col = Device.of_int_array dev ~name:"col" g.Csr.col in
+  let levels = Device.of_int_array dev ~name:"levels" levels0 in
+  (match s.sp_variant with
   | Flat ->
-    let p = prepare_flat_spec s ~source:flat_source ~entry:"bfs_flat" in
-    let dev = p.dev in
-    let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
-    let col = Device.of_int_array dev ~name:"col" g.Csr.col in
-    let levels = Device.of_int_array dev ~name:"levels" levels0 in
     let changed = Device.alloc_int dev ~name:"changed" 1 in
     let level = ref 0 in
     let continue = ref true in
@@ -109,35 +108,16 @@ let run_spec (s : spec) =
       Dpc_gpu.Memory.write_int (Device.buf dev changed.Dpc_gpu.Memory.id) 0 0;
       continue := c <> 0;
       incr level
-    done;
-    check_int_arrays ~what:"bfs levels" expect
-      (Device.read_int_array dev levels.Dpc_gpu.Memory.id);
-    inspect_and_report ?inspect dev
+    done
   | Basic ->
-    let p = prepare_spec s ~source:dp_source ~parent:"bfs_rec" in
-    let dev = p.dev in
-    let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
-    let col = Device.of_int_array dev ~name:"col" g.Csr.col in
-    let levels = Device.of_int_array dev ~name:"levels" levels0 in
     let deg = Csr.degree g src in
     Device.launch dev p.entry
       ~grid:1 ~block:(Int.max 32 (Int.min 1024 deg))
-      [ vbuf row_ptr; vbuf col; vbuf levels; V.Vint n; V.Vint src; V.Vint 0 ];
-    check_int_arrays ~what:"bfs levels" expect
-      (Device.read_int_array dev levels.Dpc_gpu.Memory.id);
-    inspect_and_report ?inspect dev
+      [ vbuf row_ptr; vbuf col; vbuf levels; V.Vint n; V.Vint src; V.Vint 0 ]
   | Cons _ ->
-    let p = prepare_spec s ~source:dp_source ~parent:"bfs_rec" in
-    let dev = p.dev in
-    let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
-    let col = Device.of_int_array dev ~name:"col" g.Csr.col in
-    let levels = Device.of_int_array dev ~name:"levels" levels0 in
-    launch_recursive_seed p ~cfg
+    launch_recursive_seed p ~cfg:s.sp_cfg
       ~uniform_args:[ vbuf row_ptr; vbuf col; vbuf levels; V.Vint n; V.Vint 0 ]
-      ~seed_items:[ src ];
-    check_int_arrays ~what:"bfs levels" expect
-      (Device.read_int_array dev levels.Dpc_gpu.Memory.id);
-    inspect_and_report ?inspect dev
-
-let run ?policy ?alloc ?cfg ?scale ?seed ?inspect variant =
-  run_spec (spec ?policy ?alloc ?cfg ?scale ?seed ?inspect variant)
+      ~seed_items:[ src ]);
+  check_int_arrays ~what:"bfs levels" expect
+    (Device.read_int_array dev levels.Dpc_gpu.Memory.id);
+  inspect_and_report ?inspect:s.sp_inspect dev

@@ -120,7 +120,6 @@ let default_scale = 12  (* kron scale: 2^12 = 4096 nodes *)
 let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
 
 let run_spec (s : spec) =
-  reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:17 in
   let variant = s.sp_variant in
@@ -133,9 +132,8 @@ let run_spec (s : spec) =
   in
   let n = g.Csr.n in
   let p =
-    match variant with
-    | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"gc_scan_flat"
-    | _ -> prepare_spec s ~source:dp_source ~parent:"gc_scan"
+    prepare s ~source:dp_source ~parent:"gc_scan"
+      ~flat:(flat_source, "gc_scan_flat")
   in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
@@ -168,6 +166,3 @@ let run_spec (s : spec) =
   if not (Cpu.valid_coloring g colors) then
     fail "graph coloring: invalid coloring produced";
   inspect_and_report ?inspect:s.sp_inspect dev
-
-let run ?policy ?alloc ?cfg ?scale ?seed ?inspect variant =
-  run_spec (spec ?policy ?alloc ?cfg ?scale ?seed ?inspect variant)

@@ -1,16 +1,17 @@
 (** Shared plumbing for the seven benchmark applications.
 
-    Every app exposes
+    Every app exposes one entry point,
 
-    {[ run : ?policy -> ?alloc -> ?cfg -> ?scale -> ?seed -> variant
-         -> Dpc_sim.Metrics.report ]}
+    {[ run_spec : spec -> Dpc_sim.Metrics.report ]}
 
-    where the variants are the paper's comparison points: [Basic]
-    (basic-dp, Fig. 1 template run as written), [Flat] (the no-dp flat
-    kernel), and [Cons g] (the compiler-consolidated code at warp/block/
-    grid granularity).  Each run checks its results against the CPU
-    reference and raises {!Verification_failed} on any mismatch, so a
-    report is also a correctness certificate. *)
+    reached through {!Registry.run_spec} with a {!spec} that
+    [Dpc_engine.Scenario.to_spec] builds.  The variants are the paper's
+    comparison points: [Basic] (basic-dp, Fig. 1 template run as
+    written), [Flat] (the no-dp flat kernel), and [Cons g] (the
+    compiler-consolidated code at warp/block/grid granularity).  Each run
+    checks its results against the CPU reference and raises
+    {!Verification_failed} on any mismatch, so a report is also a
+    correctness certificate. *)
 
 module Pragma = Dpc_kir.Pragma
 module V = Dpc_kir.Value
@@ -129,10 +130,11 @@ let build_inputs = { memo = (fun _ ~app:_ ~key:_ build -> build ()) }
 
 (* --- run specification ---------------------------------------------------- *)
 
-(** Everything an app run needs, as one first-class value (the engine's
-    {!Dpc_engine.Scenario} lowers to this).  [sp_scale] / [sp_seed] are
-    [None] for the app's documented default; app-specific knobs travel in
-    [sp_extras] as string pairs (each app validates its own). *)
+(** Everything an app run needs, as one first-class value: the engine's
+    [Dpc_engine.Scenario.to_spec] builds it, and it is the only way into
+    an app.  [sp_scale] / [sp_seed] are [None] for the app's documented
+    default; app-specific knobs travel in [sp_extras] as string pairs,
+    already checked by [Dpc_engine.Scenario.make]. *)
 type spec = {
   sp_variant : variant;
   sp_policy : Dpc.Config_select.policy option;
@@ -148,50 +150,12 @@ type spec = {
   sp_extras : (string * string) list;
 }
 
-let spec ?policy ?(alloc = Alloc.Pool) ?(cfg = Cfg.k20c) ?scale ?seed
-    ?(scheduler = Dpc_sim.Timing.Processor_sharing) ?interp
-    ?(preparer = no_cache) ?(inputs = build_inputs) ?inspect ?(extras = [])
-    variant =
-  {
-    sp_variant = variant;
-    sp_policy = policy;
-    sp_alloc = alloc;
-    sp_cfg = cfg;
-    sp_scale = scale;
-    sp_seed = seed;
-    sp_scheduler = scheduler;
-    sp_interp = interp;
-    sp_preparer = preparer;
-    sp_inputs = inputs;
-    sp_inspect = inspect;
-    sp_extras = extras;
-  }
-
-(** Lookup helpers for [sp_extras].  Apps reject keys they don't own up
-    front so a typo in a sweep file fails loudly instead of silently
-    running the default. *)
+(** Lookup helpers for [sp_extras].  [Dpc_engine.Scenario.make] has
+    already checked every key and value against the app's [extras_spec]
+    (see {!validate_extras}), so a present [Xint] value parses. *)
 let extra_str s key = List.assoc_opt key s.sp_extras
 
-let extra_int s key =
-  match List.assoc_opt key s.sp_extras with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some i -> Some i
-    | None ->
-      invalid_arg
-        (Printf.sprintf "extra %s=%S: expected an integer" key v))
-
-let reject_unknown_extras ~app ~known s =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k known) then
-        invalid_arg
-          (Printf.sprintf "%s: unknown extra %S%s" app k
-             (match known with
-             | [] -> " (this app takes none)"
-             | ks -> Printf.sprintf " (known: %s)" (String.concat ", " ks))))
-    s.sp_extras
+let extra_int s key = Option.map int_of_string (extra_str s key)
 
 (** [app]'s inputs for a run at [scale] and [seed] through the spec's
     input cache; [extras] are the data-relevant knobs, already resolved to
@@ -239,87 +203,52 @@ let validate_extras ~app ~(known : (string * extra_kind) list) pairs =
                v (String.concat ", " vals)))
     pairs
 
-(* The tier a spec will actually run under (the session default when the
-   spec leaves it open) — resolved at prepare time so the cache key names
-   the tier whose lowering the seeded ckernel table will hold. *)
-let spec_interp_tag (s : spec) =
-  Dpc_sim.Interp.mode_to_string
-    (match s.sp_interp with
-    | Some m -> m
-    | None -> Dpc_sim.Interp.default_mode ())
-
-(* Instantiate per-run state around a (possibly cached) prep: fresh device
-   with the spec's allocator, scheduler and interpreter mode, seeded with
-   the cache's per-domain compiled-kernel table when one is supplied. *)
-let instantiate (s : spec) ((prep : prep), (ck : ckernels option)) : prepared
-    =
+(** Build a device for [s]'s variant: [Basic] runs the annotated program
+    as written (the pragma is inert at runtime); [Cons g] applies the
+    consolidation compiler first; [Flat] runs [flat], the no-dp program's
+    source and entry kernel.  [source] receives the granularity to embed
+    in the pragma text.  Every branch honors the spec's allocator (Basic
+    kernels allocate from the device heap too when they launch with
+    [buffer(default)] semantics), scheduler, interpreter mode and cache
+    hook. *)
+let prepare (s : spec) ~(source : Pragma.granularity -> string) ~parent
+    ~flat:(flat_src, flat_entry) : prepared =
+  let tag, src, parent, policy =
+    match s.sp_variant with
+    | Flat -> ("flat", flat_src, flat_entry, None)
+    | Basic -> ("basic", source Pragma.Grid, parent, None)
+    | Cons g -> ("cons", source g, parent, s.sp_policy)
+  in
+  let build () =
+    let prog = Parser.parse_program src in
+    match s.sp_variant with
+    | Flat | Basic -> { p_prog = prog; p_entry = parent; p_trans = None }
+    | Cons _ ->
+      let r = Transform.apply ?policy ~cfg:s.sp_cfg ~parent prog in
+      { p_prog = r.Transform.program; p_entry = r.Transform.entry;
+        p_trans = Some r }
+  in
+  (* The tier the spec will actually run under (the session default when
+     the spec leaves it open), so the cache key names the tier whose
+     lowering the seeded ckernel table will hold. *)
+  let interp =
+    Dpc_sim.Interp.mode_to_string
+      (Option.value s.sp_interp ~default:(Dpc_sim.Interp.default_mode ()))
+  in
+  let key = prep_key ~tag ~cfg:s.sp_cfg ~policy ~source:src ~parent ~interp in
+  let prep, ckernels =
+    s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build
+  in
+  (* Per-run state around the (possibly cached) prep: a fresh device with
+     the spec's allocator, scheduler and interpreter mode, seeded with the
+     cache's per-domain compiled-kernel table when one is supplied. *)
   {
     dev =
       Device.create ~cfg:s.sp_cfg ~alloc_kind:s.sp_alloc
-        ~scheduler:s.sp_scheduler ?mode:s.sp_interp ?ckernels:ck
-        prep.p_prog;
+        ~scheduler:s.sp_scheduler ?mode:s.sp_interp ?ckernels prep.p_prog;
     entry = prep.p_entry;
     trans = prep.p_trans;
   }
-
-(** Build a device for a DP source: [Basic] runs the annotated program as
-    written (the pragma is inert at runtime); [Cons g] applies the
-    consolidation compiler first.  [source] receives the granularity to
-    embed in the pragma text.  Both branches honor the spec's allocator
-    (Basic kernels allocate from the device heap too when they launch with
-    [buffer(default)] semantics), scheduler, interpreter mode and cache
-    hook. *)
-let prepare_spec (s : spec) ~(source : Pragma.granularity -> string)
-    ~parent : prepared =
-  match s.sp_variant with
-  | Flat -> invalid_arg "Harness.prepare: use prepare_flat for Flat"
-  | Basic ->
-    let src = source Pragma.Grid in
-    let interp = spec_interp_tag s in
-    let key = prep_key ~tag:"basic" ~cfg:s.sp_cfg ~policy:None ~source:src
-        ~parent ~interp
-    in
-    let build () =
-      { p_prog = Parser.parse_program src; p_entry = parent; p_trans = None }
-    in
-    instantiate s
-      (s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build)
-  | Cons g ->
-    let src = source g in
-    let interp = spec_interp_tag s in
-    let key =
-      prep_key ~tag:"cons" ~cfg:s.sp_cfg ~policy:s.sp_policy ~source:src
-        ~parent ~interp
-    in
-    let build () =
-      let prog = Parser.parse_program src in
-      let r = Transform.apply ?policy:s.sp_policy ~cfg:s.sp_cfg ~parent prog in
-      { p_prog = r.Transform.program; p_entry = r.Transform.entry;
-        p_trans = Some r }
-    in
-    instantiate s
-      (s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build)
-
-let prepare_flat_spec (s : spec) ~(source : string) ~entry : prepared =
-  let interp = spec_interp_tag s in
-  let key =
-    prep_key ~tag:"flat" ~cfg:s.sp_cfg ~policy:None ~source ~parent:entry
-      ~interp
-  in
-  let build () =
-    { p_prog = Parser.parse_program source; p_entry = entry; p_trans = None }
-  in
-  instantiate s
-    (s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build)
-
-(* Back-compat wrappers over the spec-driven path. *)
-
-let prepare ?policy ?(alloc = Alloc.Pool) ~cfg
-    ~(source : Pragma.granularity -> string) ~parent variant : prepared =
-  prepare_spec (spec ?policy ~alloc ~cfg variant) ~source ~parent
-
-let prepare_flat ~cfg ~(source : string) ~entry : prepared =
-  prepare_flat_spec (spec ~cfg Flat) ~source ~entry
 
 (** Every lintable program of a DP app, labeled by variant: the annotated
     source as written ([basic-dp]), the consolidation compiler's output at

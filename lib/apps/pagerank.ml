@@ -93,7 +93,6 @@ let default_scale = 6000
 let inputs_id : (Csr.t * float array) Type.Id.t = Type.Id.make ()
 
 let run_spec (s : spec) =
-  reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:13 in
   let variant = s.sp_variant in
@@ -104,9 +103,8 @@ let run_spec (s : spec) =
   in
   let n = g.Csr.n in
   let p =
-    match variant with
-    | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"pr_flat"
-    | _ -> prepare_spec s ~source:dp_source ~parent:"pr_parent"
+    prepare s ~source:dp_source ~parent:"pr_parent"
+      ~flat:(flat_source, "pr_flat")
   in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
@@ -137,6 +135,3 @@ let run_spec (s : spec) =
   check_float_arrays ~what:"pagerank" ~tol:1e-6 expect
     (Device.read_float_array dev final.Dpc_gpu.Memory.id);
   inspect_and_report ?inspect:s.sp_inspect dev
-
-let run ?policy ?alloc ?cfg ?scale ?seed ?inspect variant =
-  run_spec (spec ?policy ?alloc ?cfg ?scale ?seed ?inspect variant)

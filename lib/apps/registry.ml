@@ -1,32 +1,19 @@
-(** The seven benchmarks of the paper's evaluation (Section V), behind a
-    uniform runner interface for the experiment harness.
+(** The seven benchmarks of the paper's evaluation (Section V), one
+    {!entry} each.
 
-    [scale] semantics are app-specific (documented per app): node count
-    for the citeseer-based apps, log2 node count for the kron-based apps,
-    and the shrink divisor for the tree datasets.  Every runner verifies
-    its results against the CPU reference before reporting.
-
-    [run_spec] is the first-class entry point the engine layer drives —
-    [run] is the same code behind the historical optional-argument
-    surface. *)
-
-type runner =
-  ?policy:Dpc.Config_select.policy ->
-  ?alloc:Dpc_alloc.Allocator.kind ->
-  ?cfg:Dpc_gpu.Config.t ->
-  ?scale:int ->
-  ?seed:int ->
-  ?inspect:(Dpc_sim.Device.t -> unit) ->
-  Harness.variant ->
-  Dpc_sim.Metrics.report
+    An app has one entry point, [run_spec], driven by the engine layer
+    ([Dpc_engine.Scenario.to_spec] builds its {!Harness.spec}).  [scale]
+    semantics are app-specific (documented per app): node count for the
+    citeseer-based apps, log2 node count for the kron-based apps, and the
+    shrink divisor for the tree datasets.  Every run verifies its results
+    against the CPU reference before reporting. *)
 
 type entry = {
   name : string;
   dataset : string;
-  run : runner;
   run_spec : Harness.spec -> Dpc_sim.Metrics.report;
-      (** spec-driven entry point; app-specific knobs arrive as extras
-          (each app rejects keys it doesn't own) *)
+      (** the app's only entry point; app-specific knobs arrive as extras,
+          already checked against [extras_spec] *)
   programs :
     ?cfg:Dpc_gpu.Config.t ->
     unit ->
@@ -47,8 +34,6 @@ type entry = {
 
 let sssp =
   { name = Sssp.name; dataset = Sssp.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Sssp.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Sssp.run_spec;
     programs = Sssp.programs;
     tv_units = Sssp.tv_units;
@@ -56,8 +41,6 @@ let sssp =
 
 let spmv =
   { name = Spmv.name; dataset = Spmv.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Spmv.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Spmv.run_spec;
     programs = Spmv.programs;
     tv_units = Spmv.tv_units;
@@ -65,8 +48,6 @@ let spmv =
 
 let pagerank =
   { name = Pagerank.name; dataset = Pagerank.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Pagerank.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Pagerank.run_spec;
     programs = Pagerank.programs;
     tv_units = Pagerank.tv_units;
@@ -74,8 +55,6 @@ let pagerank =
 
 let graph_coloring =
   { name = Graph_coloring.name; dataset = Graph_coloring.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Graph_coloring.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Graph_coloring.run_spec;
     programs = Graph_coloring.programs;
     tv_units = Graph_coloring.tv_units;
@@ -83,8 +62,6 @@ let graph_coloring =
 
 let bfs_rec =
   { name = Bfs_rec.name; dataset = Bfs_rec.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Bfs_rec.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Bfs_rec.run_spec;
     programs = Bfs_rec.programs;
     tv_units = Bfs_rec.tv_units;
@@ -92,8 +69,6 @@ let bfs_rec =
 
 let tree_height =
   { name = Tree_height.name; dataset = Tree_height.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Tree_height.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Tree_height.run_spec;
     programs = Tree_height.programs;
     tv_units = Tree_height.tv_units;
@@ -101,8 +76,6 @@ let tree_height =
 
 let tree_descendants =
   { name = Tree_descendants.name; dataset = Tree_descendants.dataset_name;
-    run = (fun ?policy ?alloc ?cfg ?scale ?seed ?inspect v ->
-        Tree_descendants.run ?policy ?alloc ?cfg ?scale ?seed ?inspect v);
     run_spec = Tree_descendants.run_spec;
     programs = Tree_descendants.programs;
     tv_units = Tree_descendants.tv_units;

@@ -97,7 +97,6 @@ type inputs = { g : Csr.t; vals : float array; x : float array;
 let inputs_id : inputs Type.Id.t = Type.Id.make ()
 
 let run_spec (s : spec) =
-  reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:11 in
   let variant = s.sp_variant in
@@ -110,9 +109,8 @@ let run_spec (s : spec) =
           expect = Cpu.spmv g x })
   in
   let p =
-    match variant with
-    | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"spmv_flat"
-    | _ -> prepare_spec s ~source:dp_source ~parent:"spmv_parent"
+    prepare s ~source:dp_source ~parent:"spmv_parent"
+      ~flat:(flat_source, "spmv_flat")
   in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
@@ -135,6 +133,3 @@ let run_spec (s : spec) =
   check_float_arrays ~what:"spmv y" ~tol:1e-9 expect
     (Device.read_float_array dev y.Dpc_gpu.Memory.id);
   inspect_and_report ?inspect:s.sp_inspect dev
-
-let run ?policy ?alloc ?cfg ?scale ?seed ?inspect variant =
-  run_spec (spec ?policy ?alloc ?cfg ?scale ?seed ?inspect variant)

@@ -103,7 +103,6 @@ let src = 0
 let inputs_id : (Csr.t * int array) Type.Id.t = Type.Id.make ()
 
 let run_spec (s : spec) =
-  reject_unknown_extras ~app:name ~known:[] s;
   let scale = Option.value s.sp_scale ~default:default_scale in
   let seed = Option.value s.sp_seed ~default:7 in
   let variant = s.sp_variant in
@@ -113,9 +112,8 @@ let run_spec (s : spec) =
         (g, Cpu.sssp g ~src))
   in
   let p =
-    match variant with
-    | Flat -> prepare_flat_spec s ~source:flat_source ~entry:"sssp_flat"
-    | _ -> prepare_spec s ~source:dp_source ~parent:"sssp_parent"
+    prepare s ~source:dp_source ~parent:"sssp_parent"
+      ~flat:(flat_source, "sssp_flat")
   in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
@@ -145,6 +143,3 @@ let run_spec (s : spec) =
   check_int_arrays ~what:"sssp distances" expect
     (Device.read_int_array dev dist.Dpc_gpu.Memory.id);
   inspect_and_report ?inspect:s.sp_inspect dev
-
-let run ?policy ?alloc ?cfg ?scale ?seed ?inspect variant =
-  run_spec (spec ?policy ?alloc ?cfg ?scale ?seed ?inspect variant)

@@ -114,8 +114,9 @@ __global__ void %s_flat(int* child_ptr, int* child_list, int* out, int* depth_of
 |}
     spec.kernel spec.base spec.acc_init spec.acc_update
 
-(* The lint surface uses a representative child block size; [run] tunes it
-   to the dataset's fan-out, which only changes a launch constant. *)
+(* The lint surface uses a representative child block size; [run_spec]
+   tunes it to the dataset's fan-out, which only changes a launch
+   constant. *)
 let programs spec ?cfg () =
   dp_programs ?cfg
     ~source:(dp_source spec ~child_block:128)
@@ -132,15 +133,13 @@ let extras_spec : (string * extra_kind) list =
   [ ("max_nodes", Xint); ("dataset", Xenum [ "dataset1"; "dataset2" ]) ]
 
 (* App-specific knobs carried in [Harness.spec] extras: [max_nodes] caps
-   the generated tree's node count; [dataset] picks dataset1/dataset2. *)
+   the generated tree's node count; [dataset] picks dataset1/dataset2.
+   [Dpc_engine.Scenario.make] has already checked both against
+   {!extras_spec}. *)
 let dataset_of_extras hs =
   match Harness.extra_str hs "dataset" with
-  | None | Some "dataset1" -> `Dataset1
   | Some "dataset2" -> `Dataset2
-  | Some other ->
-    invalid_arg
-      (Printf.sprintf "extra dataset=%S: expected dataset1 or dataset2"
-         other)
+  | _ -> `Dataset1
 
 (** The tree knobs spelled as {!Harness.spec} extras. *)
 let extras ?max_nodes ~dataset () =
@@ -158,15 +157,10 @@ let inputs_id : (Tree.t * int * int array) Type.Id.t = Type.Id.make ()
 (** [Harness.spec]'s [sp_scale] is the tree shrink divisor (larger =
     smaller tree, default 4); see {!Dpc_graph.Tree.dataset1}. *)
 let run_spec spec (hs : Harness.spec) =
-  Harness.reject_unknown_extras ~app:spec.app_name
-    ~known:[ "max_nodes"; "dataset" ] hs;
   let shrink = Option.value hs.Harness.sp_scale ~default:4 in
   let seed = Option.value hs.Harness.sp_seed ~default:29 in
   let max_nodes = Harness.extra_int hs "max_nodes" in
   let dataset = dataset_of_extras hs in
-  let variant = hs.Harness.sp_variant in
-  let cfg = hs.Harness.sp_cfg in
-  let inspect = hs.Harness.sp_inspect in
   let tree, child_block, expect =
     Harness.inputs hs inputs_id ~app:spec.app_name ~scale:shrink ~seed
       ~extras:(extras ?max_nodes ~dataset ()) (fun () ->
@@ -192,23 +186,16 @@ let run_spec spec (hs : Harness.spec) =
   in
   let n = tree.Tree.n in
   let threads = 128 in
-  let finish dev (out : Dpc_gpu.Memory.buf) report =
-    let got = Device.read_int_array dev out.Dpc_gpu.Memory.id in
-    (* The host owns the root's combine step in every variant. *)
-    got.(0) <- spec.host_combine got tree 0;
-    check_int_arrays ~what:(spec.app_name ^ " values") expect got;
-    report
+  let p =
+    prepare hs ~source:(dp_source spec ~child_block) ~parent:spec.kernel
+      ~flat:(flat_source spec, spec.kernel ^ "_flat")
   in
-  match variant with
+  let dev = p.dev in
+  let cp = Device.of_int_array dev ~name:"child_ptr" tree.Tree.child_ptr in
+  let cl = Device.of_int_array dev ~name:"child_list" tree.Tree.child_list in
+  let out = Device.alloc_int dev ~name:"out" n in
+  (match hs.Harness.sp_variant with
   | Flat ->
-    let p =
-      prepare_flat_spec hs ~source:(flat_source spec)
-        ~entry:(spec.kernel ^ "_flat")
-    in
-    let dev = p.dev in
-    let cp = Device.of_int_array dev ~name:"child_ptr" tree.Tree.child_ptr in
-    let cl = Device.of_int_array dev ~name:"child_list" tree.Tree.child_list in
-    let out = Device.alloc_int dev ~name:"out" n in
     let d0 = Array.make n (-1) in
     d0.(0) <- 0;
     let depth_of = Device.of_int_array dev ~name:"depth_of" d0 in
@@ -227,36 +214,17 @@ let run_spec spec (hs : Harness.spec) =
     for level = tree.Tree.depth downto 1 do
       Device.launch dev p.entry ~grid:(blocks_for ~threads n) ~block:threads
         [ vbuf cp; vbuf cl; vbuf out; vbuf depth_of; V.Vint level; V.Vint n ]
-    done;
-    finish dev out (inspect_and_report ?inspect dev)
+    done
   | Basic ->
-    let p =
-      prepare_spec hs ~source:(dp_source spec ~child_block)
-        ~parent:spec.kernel
-    in
-    let dev = p.dev in
-    let cp = Device.of_int_array dev ~name:"child_ptr" tree.Tree.child_ptr in
-    let cl = Device.of_int_array dev ~name:"child_list" tree.Tree.child_list in
-    let out = Device.alloc_int dev ~name:"out" n in
     Device.launch dev p.entry ~grid:1 ~block:child_block
-      [ vbuf cp; vbuf cl; vbuf out; V.Vint n; V.Vint 0 ];
-    finish dev out (inspect_and_report ?inspect dev)
+      [ vbuf cp; vbuf cl; vbuf out; V.Vint n; V.Vint 0 ]
   | Cons _ ->
-    let p =
-      prepare_spec hs ~source:(dp_source spec ~child_block)
-        ~parent:spec.kernel
-    in
-    let dev = p.dev in
-    let cp = Device.of_int_array dev ~name:"child_ptr" tree.Tree.child_ptr in
-    let cl = Device.of_int_array dev ~name:"child_list" tree.Tree.child_list in
-    let out = Device.alloc_int dev ~name:"out" n in
-    launch_recursive_seed p ~cfg
+    launch_recursive_seed p ~cfg:hs.Harness.sp_cfg
       ~uniform_args:[ vbuf cp; vbuf cl; vbuf out; V.Vint n ]
-      ~seed_items:[ 0 ];
-    finish dev out (inspect_and_report ?inspect dev)
-
-let run spec ?policy ?alloc ?cfg ?(shrink = 8) ?max_nodes ?(seed = 29)
-    ?(dataset = `Dataset1) ?inspect variant =
-  run_spec spec
-    (Harness.spec ?policy ?alloc ?cfg ~scale:shrink ~seed ?inspect
-       ~extras:(extras ?max_nodes ~dataset ()) variant)
+      ~seed_items:[ 0 ]);
+  let report = inspect_and_report ?inspect:hs.Harness.sp_inspect dev in
+  let got = Device.read_int_array dev out.Dpc_gpu.Memory.id in
+  (* The host owns the root's combine step in every variant. *)
+  got.(0) <- spec.host_combine got tree 0;
+  check_int_arrays ~what:(spec.app_name ^ " values") expect got;
+  report

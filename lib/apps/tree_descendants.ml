@@ -29,13 +29,7 @@ let tv_units ?cfg () = Tree_common.tv_units spec ?cfg ()
 
 let extras_spec = Tree_common.extras_spec
 
-(** Spec-driven entry point: [sp_scale] is the tree shrink divisor
-    (larger = smaller tree, default 4); extras [max_nodes]/[dataset] as in
+(** The app's entry point: [sp_scale] is the tree shrink divisor (larger =
+    smaller tree, default 4); extras [max_nodes]/[dataset] as in
     {!Tree_common.run_spec}. *)
 let run_spec hs = Tree_common.run_spec spec hs
-
-(** [scale] is the tree shrink divisor (larger = smaller tree); see
-    {!Dpc_graph.Tree.dataset1}. *)
-let run ?policy ?alloc ?cfg ?(scale = 4) ?max_nodes ?seed ?dataset ?inspect variant =
-  Tree_common.run spec ?policy ?alloc ?cfg ~shrink:scale ?max_nodes ?seed
-    ?dataset ?inspect variant

@@ -495,7 +495,19 @@ let label t =
 (** Lower to the harness-level run specification.  [preparer] threads the
     engine's compiled-program cache, [inputs] the session's input cache;
     [inspect] the session's profiling hook. *)
-let to_spec ?preparer ?inputs ?inspect t =
-  Harness.spec ?policy:t.policy ~alloc:t.alloc ~cfg:(resolve_cfg t)
-    ?scale:t.scale ?seed:t.seed ~scheduler:t.scheduler ?interp:t.interp
-    ?preparer ?inputs ?inspect ~extras:t.extras t.variant
+let to_spec ?(preparer = Harness.no_cache) ?(inputs = Harness.build_inputs)
+    ?inspect t : Harness.spec =
+  {
+    Harness.sp_variant = t.variant;
+    sp_policy = t.policy;
+    sp_alloc = t.alloc;
+    sp_cfg = resolve_cfg t;
+    sp_scale = t.scale;
+    sp_seed = t.seed;
+    sp_scheduler = t.scheduler;
+    sp_interp = t.interp;
+    sp_preparer = preparer;
+    sp_inputs = inputs;
+    sp_inspect = inspect;
+    sp_extras = t.extras;
+  }

@@ -26,8 +26,6 @@ type t = {
 
 let nchildren t v = t.child_ptr.(v + 1) - t.child_ptr.(v)
 
-let is_leaf t v = nchildren t v = 0
-
 (** Generate a tree breadth-first.  A node at depth < [depth] becomes
     fertile with probability [p_child] (the root always is) and then gets a
     uniform child count in [lo, hi]. *)

@@ -10,7 +10,6 @@ type t = {
 }
 
 val nchildren : t -> int -> int
-val is_leaf : t -> int -> bool
 
 (** Generate breadth-first: a node at depth < [depth] becomes fertile with
     probability [p_child] (the root always is) and gets a uniform child

@@ -85,10 +85,6 @@ let finalize (k : t) =
     finalize_check () k
   end
 
-let param_slots (k : t) =
-  if not (is_finalized k) then invalid "kernel %s: not finalized" k.kname;
-  List.map (fun (p : Ast.param) -> p.pvar.slot) k.params
-
 type kernel = t
 
 (** A program is a set of kernels addressable by name (device-side launches

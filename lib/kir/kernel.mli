@@ -57,10 +57,6 @@ val finalize : t -> unit
 
 val is_finalized : t -> bool
 
-(** Frame slots of the parameters, in declaration order.
-    @raise Invalid_kernel if the kernel is not finalized. *)
-val param_slots : t -> int list
-
 type kernel = t
 
 (** A program is a set of kernels addressable by name (device-side launches

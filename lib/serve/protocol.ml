@@ -37,9 +37,6 @@ type request =
   | Ping of { id : string }
   | Shutdown of { id : string }
 
-let request_id = function
-  | Sweep { id; _ } | Stats { id } | Ping { id } | Shutdown { id } -> id
-
 let request_to_json (r : request) =
   let base verb id rest =
     Json.Obj

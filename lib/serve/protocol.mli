@@ -23,7 +23,6 @@ type request =
   | Ping of { id : string }
   | Shutdown of { id : string }
 
-val request_id : request -> string
 val request_to_json : request -> Json.t
 
 (** [Error] carries the reason the server reports back as an [error]

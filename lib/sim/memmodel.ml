@@ -94,10 +94,6 @@ let cfg t = t.cfg
 
 let l2_tags t = Array.copy t.l2_tags
 
-(** Does this model track shared-memory bank conflicts?  Call sites use
-    this to skip per-lane index collection entirely when off. *)
-let models_shared t = t.banks > 0
-
 (** Reset per-block state (MSHR occupancy).  Every tier calls this when
     a block starts executing, before any access is accounted. *)
 let block_start t =

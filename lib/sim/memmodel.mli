@@ -26,10 +26,6 @@ val cfg : t -> Dpc_gpu.Config.t
     number cached there, or [-1].  For tests and inspection. *)
 val l2_tags : t -> int array
 
-(** Does this model track shared-memory bank conflicts?  Call sites
-    skip per-lane index collection entirely when [false]. *)
-val models_shared : t -> bool
-
 (** Reset per-block state (MSHR occupancy).  Every tier calls this when
     a block starts executing, before any access is accounted. *)
 val block_start : t -> unit

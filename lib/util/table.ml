@@ -41,8 +41,6 @@ let fmt_ratio v = fmt_float ~digits:2 v
 
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 
-let fmt_int = string_of_int
-
 (** Render with unicode-free ASCII borders so output survives any log. *)
 let render t =
   let all = t.headers :: rows t in

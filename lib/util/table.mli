@@ -25,7 +25,6 @@ val fmt_float : ?digits:int -> float -> string
 
 val fmt_ratio : float -> string
 val fmt_pct : float -> string
-val fmt_int : int -> string
 
 (** Render with ASCII borders (survives any log file). *)
 val render : t -> string

@@ -7,6 +7,7 @@ module H = Dpc_apps.Harness
 module M = Dpc_sim.Metrics
 module R = Dpc_apps.Registry
 module Pragma = Dpc_kir.Pragma
+module Scenario = Dpc_engine.Scenario
 
 (* Small scales per app (see each app's scale semantics). *)
 let small_scale = function
@@ -18,8 +19,16 @@ let small_scale = function
   | "TH" | "TD" -> 16  (* shrink divisor *)
   | other -> invalid_arg other
 
+(* Run [e] at its small scale the way every front end does: a scenario
+   (device preset [preset], interpreter tier [interp]), lowered to a
+   spec, through the registry's entry point. *)
+let run ?preset ?interp ?alloc ?policy ?extras ?inspect (e : R.entry) v =
+  Scenario.make ?cfg:preset ?interp ?alloc ?policy ?extras
+    ~scale:(small_scale e.R.name) ~app:e.R.name v
+  |> Scenario.to_spec ?inspect |> e.R.run_spec
+
 let run_app_variant (e : R.entry) v () =
-  let r = e.R.run ~scale:(small_scale e.R.name) v in
+  let r = run e v in
   Alcotest.(check bool) "simulated time positive" true (r.M.cycles > 0.0);
   Alcotest.(check bool) "warp efficiency sane" true
     (r.M.warp_efficiency > 0.0 && r.M.warp_efficiency <= 1.0);
@@ -31,9 +40,8 @@ let run_app_variant (e : R.entry) v () =
   | H.Cons _ -> ()
 
 let consolidation_reduces_launches (e : R.entry) () =
-  let scale = small_scale e.R.name in
-  let basic = e.R.run ~scale H.Basic in
-  let grid = e.R.run ~scale (H.Cons Pragma.Grid) in
+  let basic = run e H.Basic in
+  let grid = run e (H.Cons Pragma.Grid) in
   Alcotest.(check bool)
     (e.R.name ^ ": grid-level launches far fewer kernels")
     true
@@ -48,21 +56,19 @@ let allocator_choice_runs (e : R.entry) () =
   (* Consolidated runs must be correct with every allocator. *)
   List.iter
     (fun kind ->
-      ignore
-        (e.R.run ~scale:(small_scale e.R.name) ~alloc:kind
-           (H.Cons Pragma.Block)))
+      ignore (run ~alloc:kind e (H.Cons Pragma.Block) : M.report))
     Dpc_alloc.Allocator.[ Default; Halloc; Pool ]
 
 let policy_choice_runs (e : R.entry) () =
   List.iter
     (fun policy ->
-      ignore
-        (e.R.run ~scale:(small_scale e.R.name) ~policy (H.Cons Pragma.Grid)))
+      ignore (run ~policy e (H.Cons Pragma.Grid) : M.report))
     Dpc.Config_select.[ Kc 1; Kc 16; One_to_one ]
 
 let basic_alloc_honored () =
-  (* Regression: [Harness.prepare] used to drop [~alloc] on the Basic
-     path, silently running the no-DP baseline on the default allocator. *)
+  (* Regression: [Harness.prepare] used to drop the allocator on the
+     Basic path, silently running the no-DP baseline on the default
+     allocator. *)
   List.iter
     (fun v ->
       let seen = ref "" in
@@ -72,12 +78,29 @@ let basic_alloc_honored () =
             (Dpc_alloc.Allocator.kind (Dpc_sim.Device.allocator dev))
       in
       ignore
-        (R.sssp.R.run ~scale:(small_scale R.sssp.R.name)
-           ~alloc:Dpc_alloc.Allocator.Halloc ~inspect v);
+        (run ~alloc:Dpc_alloc.Allocator.Halloc ~inspect R.sssp v : M.report);
       Alcotest.(check string)
         (H.variant_to_string v ^ " allocator honored")
         "halloc" !seen)
     [ H.Basic; H.Cons Pragma.Grid ]
+
+(* The tree apps' extras reach the dataset: each run completes (so it
+   verified against the CPU reference on the tree the extra picked) and
+   reports differently from the default tree. *)
+let tree_extras_honored (e : R.entry) () =
+  let v = H.Cons Pragma.Block in
+  let default = run e v in
+  List.iter
+    (fun extras ->
+      let r = run ~extras e v in
+      let label =
+        String.concat "," (List.map (fun (k, x) -> k ^ "=" ^ x) extras)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s differs from the default" e.R.name label)
+        true
+        (compare r default <> 0))
+    [ [ ("dataset", "dataset2") ]; [ ("max_nodes", "300") ] ]
 
 let variant_cases (e : R.entry) =
   List.map
@@ -104,4 +127,8 @@ let suite =
         (policy_choice_runs R.tree_descendants);
       Alcotest.test_case "basic variant honors allocator" `Slow
         basic_alloc_honored;
+      Alcotest.test_case "TH extras honored" `Slow
+        (tree_extras_honored R.tree_height);
+      Alcotest.test_case "TD extras honored" `Slow
+        (tree_extras_honored R.tree_descendants);
     ]

@@ -16,41 +16,24 @@ module T = Dpc_sim.Trace
 module Device = Dpc_sim.Device
 module Pragma = Dpc_kir.Pragma
 
-(* Small scales per app (same table as test_apps). *)
-let small_scale = function
-  | "SSSP" -> 700
-  | "SpMV" -> 900
-  | "PageRank" -> 600
-  | "GC" -> 8 (* 2^8 nodes *)
-  | "BFS-Rec" -> 8
-  | "TH" | "TD" -> 16 (* shrink divisor *)
-  | other -> invalid_arg other
-
 type capture = {
   report : M.report;
   grids : T.grid_exec array;
   lowered_kernels : int;  (** kernels that lowered to bytecode *)
 }
 
-let run_mode ?cfg (e : R.entry) v mode : capture =
-  let saved = I.default_mode () in
-  I.set_default_mode mode;
-  Fun.protect
-    ~finally:(fun () -> I.set_default_mode saved)
-    (fun () ->
-      let grids = ref [||] in
-      let lowered = ref 0 in
-      let report =
-        e.R.run ?cfg ~scale:(small_scale e.R.name)
-          ~inspect:(fun dev ->
-            let s = Device.session dev in
-            grids := I.grids s;
-            Hashtbl.iter
-              (fun _ ck -> if Option.is_some ck then incr lowered)
-              s.I.ckernels)
-          v
-      in
-      { report; grids = !grids; lowered_kernels = !lowered })
+let run_mode ?preset (e : R.entry) v mode : capture =
+  let grids = ref [||] in
+  let lowered = ref 0 in
+  let inspect dev =
+    let s = Device.session dev in
+    grids := I.grids s;
+    Hashtbl.iter
+      (fun _ ck -> if Option.is_some ck then incr lowered)
+      s.I.ckernels
+  in
+  let report = Test_apps.run ?preset ~interp:mode ~inspect e v in
+  { report; grids = !grids; lowered_kernels = !lowered }
 
 let check_segment ~tier ctx (a : T.segment) (b : T.segment) =
   let fail what ppa ppb =
@@ -137,10 +120,10 @@ let check_tier ~tier name (ref_ : capture) (cmp : capture) =
         ga cmp.grids.(i))
     ref_.grids
 
-let diff_app_variant ?cfg (e : R.entry) v () =
+let diff_app_variant ?preset (e : R.entry) v () =
   let name = Printf.sprintf "%s/%s" e.R.name (H.variant_to_string v) in
-  let ref_ = run_mode ?cfg e v I.Reference in
-  check_tier ~tier:"bytecode" name ref_ (run_mode ?cfg e v I.Bytecode)
+  let ref_ = run_mode ?preset e v I.Reference in
+  check_tier ~tier:"bytecode" name ref_ (run_mode ?preset e v I.Bytecode)
 
 let variants =
   [ H.Basic; H.Cons Pragma.Warp; H.Cons Pragma.Block; H.Cons Pragma.Grid ]
@@ -162,7 +145,7 @@ let deep_variants = [ H.Basic; H.Cons Pragma.Block ]
 let test_k20c_counters_zero () =
   List.iter
     (fun (e : R.entry) ->
-      let r = e.R.run ~scale:(small_scale e.R.name) H.Basic in
+      let r = Test_apps.run e H.Basic in
       Alcotest.(check int)
         (Printf.sprintf "%s: bank replays on k20c" e.R.name)
         0 r.M.bank_conflict_replays;
@@ -822,7 +805,7 @@ let suite =
         variants)
     R.all
   @ List.concat_map
-      (fun (pname, cfg) ->
+      (fun (pname, _) ->
         List.concat_map
           (fun (e : R.entry) ->
             List.map
@@ -831,7 +814,7 @@ let suite =
                   (Printf.sprintf "%s %s [%s]" e.R.name
                      (H.variant_to_string v) pname)
                   `Slow
-                  (diff_app_variant ~cfg e v))
+                  (diff_app_variant ~preset:pname e v))
               deep_variants)
           R.all)
       deep_presets

@@ -14,6 +14,7 @@ module M = Dpc_sim.Metrics
 module Device = Dpc_sim.Device
 module H = Dpc_apps.Harness
 module R = Dpc_apps.Registry
+module Scenario = Dpc_engine.Scenario
 module Pragma = Dpc_kir.Pragma
 module Table = Dpc_util.Table
 module E = Dpc_experiments
@@ -176,7 +177,10 @@ let profiled =
        events := Device.profile dev;
        num_smx := (Device.config dev).Dpc_gpu.Config.num_smx
      in
-     let report = R.sssp.R.run ~scale:700 ~inspect (H.Cons Pragma.Grid) in
+     let report =
+       Scenario.make ~app:"SSSP" ~scale:700 (H.Cons Pragma.Grid)
+       |> Scenario.to_spec ~inspect |> R.sssp.R.run_spec
+     in
      (report, !events, !num_smx))
 
 let test_event_stream_invariants () =
