@@ -761,9 +761,13 @@ let exec_atomic bp c (w : warp) (code : int array) p m =
         | 3 -> o
         | _ -> if old = Array.unsafe_get ci l then o else old
       in
+      (* [old] came through the bounds check, so [idx >= 0]; an index past
+         the physical array is a buffer not yet written. *)
       (match bf.Mem.data with
-      | Mem.I a -> Array.unsafe_set a idx nv
-      | Mem.F a -> Array.unsafe_set a idx (Float.of_int nv));
+      | Mem.I a when idx < Array.length a -> Array.unsafe_set a idx nv
+      | Mem.F a when idx < Array.length a ->
+        Array.unsafe_set a idx (Float.of_int nv)
+      | _ -> Mem.write_int bf idx nv);
       if dk = 1 then Array.unsafe_set di l old;
       Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
       incr k;
@@ -803,8 +807,10 @@ let exec_atomic bp c (w : warp) (code : int array) p m =
         | _ -> if Float.to_int old = Array.unsafe_get ci l then o else old
       in
       (match bf.Mem.data with
-      | Mem.F a -> Array.unsafe_set a idx nv
-      | Mem.I a -> Array.unsafe_set a idx (Float.to_int nv));
+      | Mem.F a when idx < Array.length a -> Array.unsafe_set a idx nv
+      | Mem.I a when idx < Array.length a ->
+        Array.unsafe_set a idx (Float.to_int nv)
+      | _ -> Mem.write_float bf idx nv);
       if dk = 1 then Array.unsafe_set df l old;
       Array.unsafe_set addrs !k (bf.Mem.base + (idx * Mem.elem_bytes));
       incr k;

@@ -864,8 +864,15 @@ let run t =
       occ_note t;
       (* Settle the block's accounting at the current time. *)
       update_smx t s;
-      if b.clk.remaining <= 1e-6 then begin
-        b.clk.remaining <- 0.0;
+      let c = b.clk in
+      (* Late in a long replay a tiny remainder can take less than half an
+         ulp of [now]: its key lands on [now] again and never advances, so
+         it closes the segment as a spent one does. *)
+      if
+        c.remaining <= 1e-6
+        || (c.rate > 0.0 && t.clk.now +. (c.remaining /. c.rate) <= t.clk.now)
+      then begin
+        c.remaining <- 0.0;
         incr n_seg;
         handle_segment_end t b
       end

@@ -8,6 +8,7 @@ module M = Dpc_sim.Metrics
 module R = Dpc_apps.Registry
 module Pragma = Dpc_kir.Pragma
 module Scenario = Dpc_engine.Scenario
+module Mem = Dpc_gpu.Memory
 
 (* Small scales per app (see each app's scale semantics). *)
 let small_scale = function
@@ -110,6 +111,31 @@ let variant_cases (e : R.entry) =
         `Slow (run_app_variant e v))
     H.all_variants
 
+(* Exact storage counters for TH block-level at scale 32: the logical
+   words of every device buffer against the words that ever got storage.
+   Most consolidation buffers (names [kernel#mSITE@gGRID]) are never
+   written, so they hold no storage. *)
+let untouched_buffers_hold_no_storage () =
+  let bufs = ref [] in
+  let inspect dev =
+    let mem = Dpc_sim.Device.memory dev in
+    bufs := List.init (Mem.buf_count mem) (Mem.get_buf mem)
+  in
+  ignore
+    (Scenario.make ~scale:32 ~app:"TH" (H.Cons Pragma.Block)
+     |> Scenario.to_spec ~inspect |> R.tree_height.R.run_spec
+      : M.report);
+  let resident (b : Mem.buf) =
+    match b.Mem.data with Mem.I a -> Array.length a | Mem.F a -> Array.length a
+  in
+  let sum f = List.fold_left (fun acc b -> acc + f b) 0 in
+  let heap = List.filter (fun b -> String.contains b.Mem.name '#') !bufs in
+  Alcotest.(check int) "logical words" 293_585 (sum Mem.buf_length !bufs);
+  Alcotest.(check int) "resident words" 21_068 (sum resident !bufs);
+  Alcotest.(check int) "device-heap buffers" 286 (List.length heap);
+  Alcotest.(check int) "device-heap buffers with storage" 20
+    (List.length (List.filter (fun b -> resident b > 0) heap))
+
 let suite =
   List.concat_map variant_cases R.all
   @ List.map
@@ -127,6 +153,8 @@ let suite =
         (policy_choice_runs R.tree_descendants);
       Alcotest.test_case "basic variant honors allocator" `Slow
         basic_alloc_honored;
+      Alcotest.test_case "untouched buffers hold no storage" `Quick
+        untouched_buffers_hold_no_storage;
       Alcotest.test_case "TH extras honored" `Slow
         (tree_extras_honored R.tree_height);
       Alcotest.test_case "TD extras honored" `Slow

@@ -181,19 +181,19 @@ type small = {
   lowered : bool;  (** every launched kernel ran on the bytecode tier *)
 }
 
+(* Contents through the host read-back, so a buffer the tiers left without
+   storage compares equal to one holding zeros. *)
 let dump_memory dev =
   let mem = Device.memory dev in
   String.concat "\n"
     (List.init (Mem.buf_count mem) (fun id ->
          let b = Mem.get_buf mem id in
-         match b.Mem.data with
-         | Mem.I a ->
-           b.Mem.name ^ ":"
-           ^ String.concat "," (Array.to_list (Array.map string_of_int a))
-         | Mem.F a ->
-           b.Mem.name ^ ":"
-           ^ String.concat ","
-               (Array.to_list (Array.map (Printf.sprintf "%h") a))))
+         let elems =
+           match b.Mem.data with
+           | Mem.I _ -> Array.map string_of_int (Mem.int_contents b)
+           | Mem.F _ -> Array.map (Printf.sprintf "%h") (Mem.float_contents b)
+         in
+         b.Mem.name ^ ":" ^ String.concat "," (Array.to_list elems)))
 
 let fresh (k : K.t) =
   B.kernel ~name:k.K.kname ~params:k.K.params ~shared:k.K.shared
@@ -264,15 +264,15 @@ let diff_small ?alloc_kind ?callees ?(lowers = true) ?(raises = false) name
   Alcotest.(check string) (ctx ^ ": device memory") walker.memory r.memory;
   walker.outcome
 
-let int_args ints dev =
-  [ V.Vbuf (Device.of_int_array dev ~name:"a" ints).Mem.id;
+let buf_args a dev =
+  [ V.Vbuf (a dev).Mem.id;
     V.Vbuf (Device.alloc_int dev ~name:"out" 64).Mem.id;
     V.Vbuf (Device.alloc_float dev ~name:"outf" 64).Mem.id ]
 
-let float_args floats dev =
-  [ V.Vbuf (Device.of_float_array dev ~name:"a" floats).Mem.id;
-    V.Vbuf (Device.alloc_int dev ~name:"out" 64).Mem.id;
-    V.Vbuf (Device.alloc_float dev ~name:"outf" 64).Mem.id ]
+let int_args ints = buf_args (fun dev -> Device.of_int_array dev ~name:"a" ints)
+
+let float_args floats =
+  buf_args (fun dev -> Device.of_float_array dev ~name:"a" floats)
 
 let atomic_ops =
   [ ("add", `Add); ("min", `Min); ("max", `Max); ("exch", `Exch);
@@ -323,6 +323,8 @@ let atomic_kernel ~float_buf ~int_operand ~op ~old =
     (make_boxed
     @ [ if_then ((tid %: i 3) <>: i 1) (stmt :: record) ])
 
+(* [a] holds host values, or is a zero-filled buffer nothing has written
+   ("untouched"): there the first write-back gives it storage. *)
 let atomic_cases () =
   List.iter
     (fun (oname, op) ->
@@ -330,19 +332,26 @@ let atomic_cases () =
         (fun (bname, float_buf, int_operand) ->
           (* int buffers take int operands only on the native path *)
           List.iter
-            (fun (dname, old) ->
+            (fun (dname, old, untouched) ->
               let name =
-                Printf.sprintf "atomic %s %s %s" oname bname dname
+                Printf.sprintf "atomic %s %s %s%s" oname bname dname
+                  (if untouched then " untouched" else "")
               in
               let k = atomic_kernel ~float_buf ~int_operand ~op ~old in
               let setup =
-                if float_buf then float_args [| 0.5; 1.0; 2.0; 3.0; 4.0 |]
-                else int_args [| 0; 1; 2; 3; 4 |]
+                match (float_buf, untouched) with
+                | false, false -> int_args [| 0; 1; 2; 3; 4 |]
+                | true, false -> float_args [| 0.5; 1.0; 2.0; 3.0; 4.0 |]
+                | false, true ->
+                  buf_args (fun dev -> Device.alloc_int dev ~name:"a" 5)
+                | true, true ->
+                  buf_args (fun dev -> Device.alloc_float dev ~name:"a" 5)
               in
               ignore
                 (diff_small ~lowers:(old <> `Boxed) name k ~grid:2 ~block:48
                    setup))
-            [ ("no-old", `None); ("old", `Unboxed); ("boxed-old", `Boxed) ])
+            [ ("no-old", `None, false); ("old", `Unboxed, false);
+              ("boxed-old", `Boxed, false); ("old", `Unboxed, true) ])
         [ ("int", false, true); ("float", true, false);
           ("float/int-operand", true, true) ])
     atomic_ops

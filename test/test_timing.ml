@@ -456,10 +456,25 @@ let test_golden_scenarios () =
       Alcotest.(check string) key expect (scenario_pin key))
     golden_scenarios
 
+(* A Fig. 6 point whose replay reaches 5.5e9 cycles: there a block's last
+   few instructions take less than half an ulp of the clock, so its
+   completion key lands on the current time again and again.  The replay
+   must close that segment and finish. *)
+let test_late_replay_finishes () =
+  let sc =
+    Scenario.of_string
+      "app=TD,variant=warp-level,policy=208x256,x.max_nodes=40000,\
+       x.dataset=dataset1"
+  in
+  let r = Session.run (Session.create ()) sc in
+  Alcotest.(check (float 0.0)) "cycles" 5_543_395_275.0 r.M.cycles
+
 let suite =
   suite
   @ [
       Alcotest.test_case "golden replay kernels" `Quick test_golden_kernels;
+      Alcotest.test_case "late replay finishes" `Quick
+        test_late_replay_finishes;
       Alcotest.test_case "golden replay scenarios" `Quick
         test_golden_scenarios;
     ]
