@@ -198,7 +198,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     List.iter
       (fun f ->
         match f with
-        | "fig5" -> E.Fig5_allocators.print ~verbose ?scale ~session ()
+        | "fig5" -> E.Fig5_allocators.print ?scale ~session ()
         | "fig6" -> E.Fig6_config.print ~verbose ?scale ~session ()
         | "fig7" -> print_suite_figs (get_suite ()) `Fig7
         | "fig8" -> print_suite_figs (get_suite ()) `Fig8
@@ -213,7 +213,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
           print_suite_figs s `Fig9;
           print_suite_figs s `Fig10;
           print_suite_figs s `Summary;
-          E.Fig5_allocators.print ~verbose ?scale ~session ();
+          E.Fig5_allocators.print ?scale ~session ();
           print_newline ();
           E.Fig6_config.print ~verbose ?scale ~session ()
         | _ -> assert false (* names checked above *))

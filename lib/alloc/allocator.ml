@@ -163,8 +163,10 @@ let alloc ?(contention = 0) t mem ~name ~count =
   (buf, cost)
 
 (** Release a buffer previously returned by [alloc]; returns the cycle
-    cost.  The pool allocator reclaims nothing (bump allocation); its pool
-    is reset wholesale between kernels via {!reset_pool}. *)
+    cost.  The pool allocator reclaims nothing (bump allocation): within
+    a run its bump pointer only grows, and once the pool is exhausted
+    every further allocation falls back to the default heap.  No run
+    calls {!reset_pool}. *)
 let free t (buf : Memory.buf) =
   t.frees <- t.frees + 1;
   let on_heap = Hashtbl.mem t.heap_ids buf.Memory.id in
@@ -181,6 +183,7 @@ let free t (buf : Memory.buf) =
   (* Buffers that came from the default heap pay its release cost. *)
   if on_heap then default_costs.free_cycles else t.costs.free_cycles
 
-(** Reset the bump pointer of the pre-allocated pool (between host
-    launches); no-op for the other allocators. *)
+(** Reset the bump pointer of the pre-allocated pool; no-op for the
+    other allocators.  The simulator never calls it, so a run's pool
+    spans all of its host launches. *)
 let reset_pool t = if t.kind = Pool then t.pool_used <- 0

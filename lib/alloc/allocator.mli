@@ -47,11 +47,14 @@ val alloc :
   Dpc_gpu.Memory.buf * int
 
 (** Release a buffer; returns the cycle cost.  The pool allocator reclaims
-    nothing per-buffer (bump allocation).  Buffers that were actually
-    serviced by the default heap — pool-exhaustion fallbacks and halloc
-    oversize requests — pay the default heap's release cost. *)
+    nothing per-buffer (bump allocation): within a run its bump pointer
+    only grows, and once the pool is exhausted every further allocation
+    falls back to the default heap.  Buffers that were actually serviced
+    by the default heap — pool-exhaustion fallbacks and halloc oversize
+    requests — pay the default heap's release cost. *)
 val free : t -> Dpc_gpu.Memory.buf -> int
 
-(** Reset the pool's bump pointer (between logical phases); no-op for the
-    other allocators. *)
+(** Reset the pool's bump pointer; no-op for the other allocators.  No
+    run calls it: a simulated run's pool spans all of its host
+    launches. *)
 val reset_pool : t -> unit

@@ -63,8 +63,8 @@ __global__ void bfs_flat(int* row_ptr, int* col, int* levels, int* changed, int 
 let programs ?cfg () =
   dp_programs ?cfg ~source:dp_source ~parent:"bfs_rec" ~flat:flat_source ()
 
-let tv_units ?cfg () =
-  dp_tv_units ?cfg ~source:dp_source ~parent:"bfs_rec" ()
+let tv_units () =
+  dp_tv_units ~source:dp_source ~parent:"bfs_rec" ()
 
 let extras_spec : (string * extra_kind) list = []
 

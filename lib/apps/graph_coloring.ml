@@ -108,8 +108,8 @@ __global__ void gc_assign(int* color, int* flag, int* pending, int round, int n)
 let programs ?cfg () =
   dp_programs ?cfg ~source:dp_source ~parent:"gc_scan" ~flat:flat_source ()
 
-let tv_units ?cfg () =
-  dp_tv_units ?cfg ~source:dp_source ~parent:"gc_scan" ()
+let tv_units () =
+  dp_tv_units ~source:dp_source ~parent:"gc_scan" ()
 
 let extras_spec : (string * extra_kind) list = []
 

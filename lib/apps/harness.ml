@@ -255,12 +255,12 @@ let prepare (s : spec) ~(source : Pragma.granularity -> string) ~parent
     each granularity, and — when given — the flat kernel.  This is the
     surface [dpcc --check] sweeps: both the hand-written kernels and
     everything the transform generates from them. *)
-let dp_programs ?policy ?(cfg = Cfg.k20c)
+let dp_programs ?(cfg = Cfg.k20c)
     ~(source : Pragma.granularity -> string) ~parent ?flat () :
     (string * Dpc_kir.Kernel.Program.t) list =
   let cons g =
     let prog = Parser.parse_program (source g) in
-    (Transform.apply ?policy ~cfg ~parent prog).Transform.program
+    (Transform.apply ~cfg ~parent prog).Transform.program
   in
   [
     ("basic-dp", Parser.parse_program (source Pragma.Grid));
@@ -278,13 +278,12 @@ let dp_programs ?policy ?(cfg = Cfg.k20c)
     the transform's result, so {!Dpc_check.Tv} can validate the pair.
     (The program the result holds is a fresh one; the returned original
     is the very program the transform consumed.) *)
-let dp_tv_units ?policy ?(cfg = Cfg.k20c)
-    ~(source : Pragma.granularity -> string) ~parent () :
+let dp_tv_units ~(source : Pragma.granularity -> string) ~parent () :
     (string * string * Dpc_kir.Kernel.Program.t * Transform.result) list =
   List.map
     (fun g ->
       let prog = Parser.parse_program (source g) in
-      let r = Transform.apply ?policy ~cfg ~parent prog in
+      let r = Transform.apply ~cfg:Cfg.k20c ~parent prog in
       (Pragma.granularity_to_string g ^ "-level", parent, prog, r))
     [ Pragma.Warp; Pragma.Block; Pragma.Grid ]
 
@@ -325,7 +324,7 @@ let vbuf (b : Mem.buf) = V.Vbuf b.Mem.id
 let blocks_for ~threads n = Int.max 1 ((n + threads - 1) / threads)
 
 (** Launch the consolidated entry of a recursive app with a seed work
-    buffer (see {!Transform.seed_param_note}). *)
+    buffer (see {!Transform.result}'s [recursive]). *)
 let launch_recursive_seed (p : prepared) ~cfg ~uniform_args ~seed_items =
   match p.trans with
   | Some r when r.Transform.recursive ->

@@ -82,8 +82,8 @@ __global__ void pr_flat(int* row_ptr, int* col, float* pr, float* next, int n) {
 let programs ?cfg () =
   dp_programs ?cfg ~source:dp_source ~parent:"pr_parent" ~flat:flat_source ()
 
-let tv_units ?cfg () =
-  dp_tv_units ?cfg ~source:dp_source ~parent:"pr_parent" ()
+let tv_units () =
+  dp_tv_units ~source:dp_source ~parent:"pr_parent" ()
 
 let extras_spec : (string * extra_kind) list = []
 

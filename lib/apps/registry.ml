@@ -21,7 +21,6 @@ type entry = {
       (** every lintable program of the app, labeled by variant (see
           {!Harness.dp_programs}); the surface [dpcc --check] sweeps *)
   tv_units :
-    ?cfg:Dpc_gpu.Config.t ->
     unit ->
     (string * string * Dpc_kir.Kernel.Program.t * Dpc.Transform.result) list;
       (** per consolidation granularity: variant label, parent kernel,

@@ -124,8 +124,8 @@ let programs spec ?cfg () =
     ~flat:(flat_source spec)
     ()
 
-let tv_units spec ?cfg () =
-  dp_tv_units ?cfg
+let tv_units spec () =
+  dp_tv_units
     ~source:(dp_source spec ~child_block:128)
     ~parent:spec.kernel ()
 

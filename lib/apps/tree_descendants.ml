@@ -25,7 +25,7 @@ let spec : Tree_common.spec =
 
 let programs ?cfg () = Tree_common.programs spec ?cfg ()
 
-let tv_units ?cfg () = Tree_common.tv_units spec ?cfg ()
+let tv_units () = Tree_common.tv_units spec ()
 
 let extras_spec = Tree_common.extras_spec
 

@@ -27,9 +27,12 @@ let () =
            (String.concat "\n" (List.map (Diag.to_string ?file:None) ds)))
     | _ -> None)
 
+(* Every check vets kernels against the K20c's limits. *)
+let cfg = Cfg.k20c
+
 (** All diagnostics for one kernel, sorted.  [prog] enables the launch
     legality checks (callee resolution needs the program). *)
-let check_kernel ?(cfg = Cfg.k20c) ?prog (k : K.t) : Diag.t list =
+let check_kernel ?prog (k : K.t) : Diag.t list =
   if not (K.is_finalized k) then K.finalize k;
   Uniformity.check k
   @ Races.check k
@@ -38,18 +41,16 @@ let check_kernel ?(cfg = Cfg.k20c) ?prog (k : K.t) : Diag.t list =
   |> Diag.sort
 
 (** Finalize and vet every kernel of a program. *)
-let check_program ?(cfg = Cfg.k20c) (prog : K.Program.t) : Diag.t list =
+let check_program (prog : K.Program.t) : Diag.t list =
   K.Program.finalize prog;
-  List.concat_map
-    (fun k -> check_kernel ~cfg ~prog k)
-    (K.Program.kernels prog)
+  List.concat_map (fun k -> check_kernel ~prog k) (K.Program.kernels prog)
   |> Diag.sort
 
 (* ------------------------------------------------------------------ *)
 (* Strict finalize hook                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let strict_hook cfg (k : K.t) =
+let strict_hook (k : K.t) =
   let errors =
     List.filter Diag.is_error
       (Uniformity.check k @ Races.check k
@@ -57,8 +58,7 @@ let strict_hook cfg (k : K.t) =
   in
   if errors <> [] then raise (Check_error (Diag.sort errors))
 
-let install_strict_finalize ?(cfg = Cfg.k20c) () =
-  K.set_finalize_check (strict_hook cfg)
+let install_strict_finalize () = K.set_finalize_check strict_hook
 
 let uninstall_strict_finalize () = K.set_finalize_check (fun _ -> ())
 
@@ -69,9 +69,9 @@ let uninstall_strict_finalize () = K.set_finalize_check (fun _ -> ())
     [Dpc_engine.Session.run_all] does).  Because the hook state is
     per-domain, concurrent [with_strict] scopes on different domains
     save and restore independently. *)
-let with_strict ?cfg f =
+let with_strict f =
   let saved = K.finalize_check () in
-  install_strict_finalize ?cfg ();
+  install_strict_finalize ();
   Fun.protect ~finally:(fun () -> K.set_finalize_check saved) f
 
 (* ------------------------------------------------------------------ *)

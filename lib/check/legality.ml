@@ -70,7 +70,7 @@ let has_return (k : K.t) =
     ~on_expr:(fun _ -> ());
   !f
 
-let check_kernel ?(cfg = Cfg.k20c) (prog : K.Program.t option) (k : K.t) :
+let check_kernel ~(cfg : Cfg.t) (prog : K.Program.t option) (k : K.t) :
     Diag.t list =
   let diags = ref [] in
   let emit ?line ~id ~path fmt =
@@ -216,7 +216,3 @@ let check_kernel ?(cfg = Cfg.k20c) (prog : K.Program.t option) (k : K.t) :
   in
   List.iteri (fun i s -> stmt (Expr_util.top i) s) k.K.body;
   Diag.sort !diags
-
-let check ?cfg (prog : K.Program.t) : Diag.t list =
-  List.concat_map (check_kernel ?cfg (Some prog)) (K.Program.kernels prog)
-  |> Diag.sort

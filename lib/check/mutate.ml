@@ -578,21 +578,19 @@ let tv_clean_grid = tv_case ~gran:P.Grid Fun.id
 (* the synthetic encoding to the actual one.                            *)
 (* ------------------------------------------------------------------ *)
 
-let bc_stream ?(nic = 2) ?(nfc = 1) ?(ntmpi = 2) ?(ntmpf = 1)
-    ?(nint = 4) ?(nflt = 2) ?(nsites = 2) ?(nshared = 1)
-    ?(nnames = 2) ?result code () =
+let bc_stream ?result code () =
   {
     Bc.s_kname = "bc_mutant";
     s_code = Array.of_list code;
-    s_nic = nic;
-    s_nfc = nfc;
-    s_ntmpi = ntmpi;
-    s_ntmpf = ntmpf;
-    s_nint = nint;
-    s_nflt = nflt;
-    s_nsites = nsites;
-    s_nshared = nshared;
-    s_nnames = nnames;
+    s_nic = 2;
+    s_nfc = 1;
+    s_ntmpi = 2;
+    s_ntmpf = 1;
+    s_nint = 4;
+    s_nflt = 2;
+    s_nsites = 2;
+    s_nshared = 1;
+    s_nnames = 2;
     s_result = result;
   }
 
@@ -966,13 +964,13 @@ type outcome = {
           single diagnostic *)
 }
 
-let run ?cfg (m : mutant) : outcome =
+let run (m : mutant) : outcome =
   let diags =
     match m.target with
-    | Lint build -> Check.check_program ?cfg (build ())
+    | Lint build -> Check.check_program (build ())
     | Trans build ->
       let parent, orig, r = build () in
-      Tv.check ?cfg ~parent ~orig r
+      Tv.check ~parent ~orig r
     | Stream build -> Bcverify.check_stream (build ())
   in
   let ok =
@@ -982,6 +980,4 @@ let run ?cfg (m : mutant) : outcome =
   in
   { mutant = m; diags; ok }
 
-let run_all ?cfg () : outcome list = List.map (run ?cfg) all
-
-let all_detected ?cfg () = List.for_all (fun o -> o.ok) (run_all ?cfg ())
+let run_all () : outcome list = List.map run all

@@ -24,12 +24,12 @@ let fail_on_errors diags =
   | [] -> ()
   | errors -> raise (Check.Check_error (Diag.sort errors))
 
-let install ?cfg () =
-  Check.install_strict_finalize ?cfg ();
+let install () =
+  Check.install_strict_finalize ();
   T.set_apply_check (fun ~parent orig r ->
-      fail_on_errors (Tv.check ?cfg ~parent ~orig r));
+      fail_on_errors (Tv.check ~parent ~orig r));
   Fl.set_apply_check (fun ~parent orig r ->
-      fail_on_errors (Tv.check_free_launch ?cfg ~parent ~orig r))
+      fail_on_errors (Tv.check_free_launch ~parent ~orig r))
 
 let uninstall () =
   Check.uninstall_strict_finalize ();
@@ -40,11 +40,11 @@ let uninstall () =
     linter plus both translation-validation hooks — restoring every
     previous hook on the way out (all per-domain; see
     {!Check.with_strict}). *)
-let with_strict ?cfg f =
+let with_strict f =
   let saved_fin = K.finalize_check () in
   let saved_t = T.apply_check () in
   let saved_fl = Fl.apply_check () in
-  install ?cfg ();
+  install ();
   Fun.protect
     ~finally:(fun () ->
       K.set_finalize_check saved_fin;

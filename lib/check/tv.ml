@@ -395,23 +395,23 @@ let check_contract ~(host : K.t) ~(cons : string)
 (* Run the PR 4 linter with the strict-finalize hook masked: TV runs
    from inside that very hook, and the sub-lint must report, not
    raise. *)
-let lint_errors ?cfg (prog : K.Program.t) : Diag.t list =
+let lint_errors (prog : K.Program.t) : Diag.t list =
   let saved = K.finalize_check () in
   K.set_finalize_check (fun _ -> ());
   Fun.protect
     ~finally:(fun () -> K.set_finalize_check saved)
-    (fun () -> List.filter Diag.is_error (Check.check_program ?cfg prog))
+    (fun () -> List.filter Diag.is_error (Check.check_program prog))
 
-let check_lint_preserved ?cfg ~(parent : string) ~(orig : K.Program.t)
+let check_lint_preserved ~(parent : string) ~(orig : K.Program.t)
     (out : K.Program.t) : Diag.t list =
-  if lint_errors ?cfg orig <> [] then []
+  if lint_errors orig <> [] then []
   else
     List.map
       (fun (d : Diag.t) ->
         err ~id:"TV06" ~kernel:d.Diag.kernel
           "transform of lint-clean %s introduced %s: %s" parent d.Diag.id
           d.Diag.message)
-      (lint_errors ?cfg out)
+      (lint_errors out)
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                              *)
@@ -420,7 +420,7 @@ let check_lint_preserved ?cfg ~(parent : string) ~(orig : K.Program.t)
 (** Validate one {!Dpc.Transform.apply} result against its input.
     [parent] and [orig] are the transform's arguments; kernels named by
     [r] are looked up in [r.program]. *)
-let check ?cfg ~(parent : string) ~(orig : K.Program.t) (r : T.result) :
+let check ~(parent : string) ~(orig : K.Program.t) (r : T.result) :
     Diag.t list =
   let out = r.T.program in
   let diags = ref [] in
@@ -488,14 +488,14 @@ let check ?cfg ~(parent : string) ~(orig : K.Program.t) (r : T.result) :
       | Some _ ->
         meta "launch of %s: argument count mismatch" launch.A.callee);
       add (check_footprint ~parent ~out ~nvars);
-      add (check_lint_preserved ?cfg ~parent ~orig out);
+      add (check_lint_preserved ~parent ~orig out);
       Diag.sort !diags)
 
 (** Validate one {!Dpc.Free_launch.apply} result: the kernel set is
     preserved exactly (the parent is rebuilt in place, nothing is added
     or removed), the rewritten parent launches nothing annotated any
     more, and lint-cleanliness survives the inlining. *)
-let check_free_launch ?cfg ~(parent : string) ~(orig : K.Program.t)
+let check_free_launch ~(parent : string) ~(orig : K.Program.t)
     (r : Fl.result) : Diag.t list =
   let out = r.Fl.program in
   let diags = ref [] in
@@ -520,5 +520,5 @@ let check_free_launch ?cfg ~(parent : string) ~(orig : K.Program.t)
           "free launch left an annotated device launch in place (child \
            work would run twice)"
         :: !diags);
-  add (check_lint_preserved ?cfg ~parent ~orig out);
+  add (check_lint_preserved ~parent ~orig out);
   Diag.sort !diags

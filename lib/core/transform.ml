@@ -575,8 +575,9 @@ type result = {
   entry : string;  (** kernel the host launches *)
   recursive : bool;
       (** when true, [entry] is the consolidated kernel itself and the host
-          must seed it with an initial work buffer (see
-          {!val:seed_param_note}) *)
+          must append two int buffers to the uniform arguments: the seed
+          work-item buffer and a one-element counter holding the item
+          count *)
   cons_kernel : string;
   post_kernel : string option;
   granularity : Pragma.granularity;
@@ -586,11 +587,6 @@ type result = {
   threads : int;  (** block size of the consolidated kernel *)
   static_blocks : int option;  (** grid size when the policy is static *)
 }
-
-(** For recursive consolidation the host launches [entry] with the uniform
-    arguments followed by two extra int buffers: the seed work-item buffer
-    and a one-element counter holding the item count. *)
-let seed_param_note = (buf_param, cnt_param)
 
 (* Post-apply validation hook (the same shape as Kernel.finalize_check):
    the checker library installs translation validation here without

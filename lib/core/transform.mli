@@ -25,11 +25,6 @@
 
 exception Unsupported of string
 
-(** Names generated for the consolidated and postwork kernels. *)
-val cons_name : string -> Dpc_kir.Pragma.granularity -> string
-
-val post_kernel_name : string -> Dpc_kir.Pragma.granularity -> string
-
 (** Exposed for {!Free_launch} and tests. *)
 val find_annotated_launch :
   Dpc_kir.Kernel.t -> Dpc_kir.Ast.launch * Dpc_kir.Pragma.t
@@ -53,9 +48,6 @@ type result = {
   threads : int;  (** consolidated kernel block size *)
   static_blocks : int option;  (** grid size when the policy is static *)
 }
-
-(** The names of the two extra parameters of a recursive [entry]. *)
-val seed_param_note : string * string
 
 (** Post-apply validation hook, the same domain-local shape as
     {!Dpc_kir.Kernel.set_finalize_check}: {!apply} calls the installed

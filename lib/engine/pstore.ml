@@ -95,8 +95,6 @@ let create ?verify dir =
     verify_rejects = Atomic.make 0;
   }
 
-let dir t = t.dir
-
 let stats t =
   {
     loads = Atomic.get t.loads;

@@ -47,7 +47,6 @@ val create :
   string ->
   t
 
-val dir : t -> string
 val stats : t -> stats
 
 (** Serialize a prepared program under [key] for interpreter tier [tier]

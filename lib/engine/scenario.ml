@@ -47,100 +47,71 @@ let cfg_preset_of_string s =
       (Printf.sprintf "unknown device preset %S (have: %s)" s
          (String.concat ", " Cfg.preset_names))
 
-(* Every integer field of Cfg.t, by name, with getter and setter — the
-   surface [cfg.FIELD=N] overrides address (bench ablations sweep these).
-   [name]/[clock_mhz] are deliberately not overridable. *)
-let cfg_fields : (string * (Cfg.t -> int) * (Cfg.t -> int -> Cfg.t)) list =
+(* Every overridable integer field of Cfg.t, by name, with its setter —
+   the surface [cfg.FIELD=N] overrides address (bench ablations sweep
+   these).  [name]/[clock_mhz] are deliberately not overridable. *)
+let cfg_fields : (string * (Cfg.t -> int -> Cfg.t)) list =
   [
-    ("num_smx", (fun c -> c.Cfg.num_smx),
-     fun c v -> { c with Cfg.num_smx = v });
-    ("warp_size", (fun c -> c.Cfg.warp_size),
-     fun c v -> { c with Cfg.warp_size = v });
-    ("max_warps_per_smx", (fun c -> c.Cfg.max_warps_per_smx),
-     fun c v -> { c with Cfg.max_warps_per_smx = v });
-    ("max_blocks_per_smx", (fun c -> c.Cfg.max_blocks_per_smx),
-     fun c v -> { c with Cfg.max_blocks_per_smx = v });
-    ("max_threads_per_block", (fun c -> c.Cfg.max_threads_per_block),
+    ("num_smx", fun c v -> { c with Cfg.num_smx = v });
+    ("warp_size", fun c v -> { c with Cfg.warp_size = v });
+    ("max_warps_per_smx", fun c v -> { c with Cfg.max_warps_per_smx = v });
+    ("max_blocks_per_smx", fun c v -> { c with Cfg.max_blocks_per_smx = v });
+    ("max_threads_per_block",
      fun c v -> { c with Cfg.max_threads_per_block = v });
-    ("max_grid_blocks", (fun c -> c.Cfg.max_grid_blocks),
-     fun c v -> { c with Cfg.max_grid_blocks = v });
-    ("issue_rate", (fun c -> c.Cfg.issue_rate),
-     fun c v -> { c with Cfg.issue_rate = v });
-    ("max_concurrent_grids", (fun c -> c.Cfg.max_concurrent_grids),
+    ("max_grid_blocks", fun c v -> { c with Cfg.max_grid_blocks = v });
+    ("issue_rate", fun c v -> { c with Cfg.issue_rate = v });
+    ("max_concurrent_grids",
      fun c v -> { c with Cfg.max_concurrent_grids = v });
-    ("max_nesting_depth", (fun c -> c.Cfg.max_nesting_depth),
-     fun c v -> { c with Cfg.max_nesting_depth = v });
-    ("fixed_pool_capacity", (fun c -> c.Cfg.fixed_pool_capacity),
-     fun c v -> { c with Cfg.fixed_pool_capacity = v });
-    ("host_launch_latency", (fun c -> c.Cfg.host_launch_latency),
-     fun c v -> { c with Cfg.host_launch_latency = v });
-    ("device_launch_latency", (fun c -> c.Cfg.device_launch_latency),
+    ("max_nesting_depth", fun c v -> { c with Cfg.max_nesting_depth = v });
+    ("fixed_pool_capacity", fun c v -> { c with Cfg.fixed_pool_capacity = v });
+    ("host_launch_latency", fun c v -> { c with Cfg.host_launch_latency = v });
+    ("device_launch_latency",
      fun c v -> { c with Cfg.device_launch_latency = v });
-    ("launch_issue_cycles", (fun c -> c.Cfg.launch_issue_cycles),
-     fun c v -> { c with Cfg.launch_issue_cycles = v });
-    ("launch_dram_transactions", (fun c -> c.Cfg.launch_dram_transactions),
+    ("launch_issue_cycles", fun c v -> { c with Cfg.launch_issue_cycles = v });
+    ("launch_dram_transactions",
      fun c v -> { c with Cfg.launch_dram_transactions = v });
-    ("dispatch_interval", (fun c -> c.Cfg.dispatch_interval),
-     fun c v -> { c with Cfg.dispatch_interval = v });
+    ("dispatch_interval", fun c v -> { c with Cfg.dispatch_interval = v });
     ("virtual_dispatch_interval",
-     (fun c -> c.Cfg.virtual_dispatch_interval),
      fun c v -> { c with Cfg.virtual_dispatch_interval = v });
-    ("virtual_pool_penalty", (fun c -> c.Cfg.virtual_pool_penalty),
+    ("virtual_pool_penalty",
      fun c v -> { c with Cfg.virtual_pool_penalty = v });
-    ("virtual_pool_dram", (fun c -> c.Cfg.virtual_pool_dram),
-     fun c v -> { c with Cfg.virtual_pool_dram = v });
-    ("sync_swap_cycles", (fun c -> c.Cfg.sync_swap_cycles),
-     fun c v -> { c with Cfg.sync_swap_cycles = v });
-    ("sync_swap_dram", (fun c -> c.Cfg.sync_swap_dram),
-     fun c v -> { c with Cfg.sync_swap_dram = v });
-    ("block_start_cycles", (fun c -> c.Cfg.block_start_cycles),
-     fun c v -> { c with Cfg.block_start_cycles = v });
-    ("alu_cycles", (fun c -> c.Cfg.alu_cycles),
-     fun c v -> { c with Cfg.alu_cycles = v });
-    ("mem_issue_cycles", (fun c -> c.Cfg.mem_issue_cycles),
-     fun c v -> { c with Cfg.mem_issue_cycles = v });
-    ("dram_transaction_cycles", (fun c -> c.Cfg.dram_transaction_cycles),
+    ("virtual_pool_dram", fun c v -> { c with Cfg.virtual_pool_dram = v });
+    ("sync_swap_cycles", fun c v -> { c with Cfg.sync_swap_cycles = v });
+    ("sync_swap_dram", fun c v -> { c with Cfg.sync_swap_dram = v });
+    ("block_start_cycles", fun c v -> { c with Cfg.block_start_cycles = v });
+    ("mem_issue_cycles", fun c v -> { c with Cfg.mem_issue_cycles = v });
+    ("dram_transaction_cycles",
      fun c v -> { c with Cfg.dram_transaction_cycles = v });
-    ("l2_hit_cycles", (fun c -> c.Cfg.l2_hit_cycles),
-     fun c v -> { c with Cfg.l2_hit_cycles = v });
-    ("atomic_cycles", (fun c -> c.Cfg.atomic_cycles),
-     fun c v -> { c with Cfg.atomic_cycles = v });
-    ("mem_segment_bytes", (fun c -> c.Cfg.mem_segment_bytes),
-     fun c v -> { c with Cfg.mem_segment_bytes = v });
-    ("l2_segments", (fun c -> c.Cfg.l2_segments),
-     fun c v -> { c with Cfg.l2_segments = v });
-    ("shared_banks", (fun c -> c.Cfg.shared_banks),
-     fun c v -> { c with Cfg.shared_banks = v });
-    ("bank_replay_cycles", (fun c -> c.Cfg.bank_replay_cycles),
-     fun c v -> { c with Cfg.bank_replay_cycles = v });
-    ("mshr_per_warp", (fun c -> c.Cfg.mshr_per_warp),
-     fun c v -> { c with Cfg.mshr_per_warp = v });
-    ("mshr_retire_per_access", (fun c -> c.Cfg.mshr_retire_per_access),
+    ("l2_hit_cycles", fun c v -> { c with Cfg.l2_hit_cycles = v });
+    ("atomic_cycles", fun c v -> { c with Cfg.atomic_cycles = v });
+    ("mem_segment_bytes", fun c v -> { c with Cfg.mem_segment_bytes = v });
+    ("l2_segments", fun c v -> { c with Cfg.l2_segments = v });
+    ("shared_banks", fun c v -> { c with Cfg.shared_banks = v });
+    ("bank_replay_cycles", fun c v -> { c with Cfg.bank_replay_cycles = v });
+    ("mshr_per_warp", fun c v -> { c with Cfg.mshr_per_warp = v });
+    ("mshr_retire_per_access",
      fun c v -> { c with Cfg.mshr_retire_per_access = v });
-    ("mshr_stall_cycles", (fun c -> c.Cfg.mshr_stall_cycles),
-     fun c v -> { c with Cfg.mshr_stall_cycles = v });
-    ("issue_per_warp", (fun c -> c.Cfg.issue_per_warp),
-     fun c v -> { c with Cfg.issue_per_warp = v });
+    ("mshr_stall_cycles", fun c v -> { c with Cfg.mshr_stall_cycles = v });
+    ("issue_per_warp", fun c v -> { c with Cfg.issue_per_warp = v });
   ]
 
+let cfg_field_names = List.map fst cfg_fields
+
 let cfg_field name =
-  match
-    List.find_opt (fun (n, _, _) -> n = name) cfg_fields
-  with
-  | Some f -> f
+  match List.assoc_opt name cfg_fields with
+  | Some set -> set
   | None ->
     invalid_arg
       (Printf.sprintf "unknown device-config field %S (have: %s)" name
-         (String.concat ", " (List.map (fun (n, _, _) -> n) cfg_fields)))
+         (String.concat ", " cfg_field_names))
 
-(** The scenario's device config: preset with overrides applied, tagged
-    with an override-bearing name so reports stay self-describing. *)
+(** The scenario's device config: preset with overrides applied.  The
+    preset's [name] is kept, so a report names the preset it ran on. *)
 let resolve_cfg t =
   let base = cfg_preset_of_string t.cfg_preset in
   List.fold_left
     (fun c (name, v) ->
-      let _, _, set = cfg_field name in
-      set c v)
+      cfg_field name c v)
     base t.cfg_overrides
 
 (* --- small codecs ---------------------------------------------------------- *)
@@ -190,7 +161,14 @@ let make ?policy ?(alloc = Alloc.Pool) ?(cfg = "k20c") ?(cfg_overrides = [])
   let entry = Registry.find app in
   let cfg = String.lowercase_ascii cfg in
   ignore (cfg_preset_of_string cfg : Cfg.t);
-  List.iter (fun (n, _) -> ignore (cfg_field n)) cfg_overrides;
+  (* A policy the codecs cannot read back (KC_0, a zero dimension) is
+     refused here, so every scenario [make] returns round-trips. *)
+  Option.iter
+    (fun p -> ignore (Cs.policy_of_string (Cs.policy_to_key p) : Cs.policy))
+    policy;
+  List.iter
+    (fun (n, _) -> ignore (cfg_field n : Cfg.t -> int -> Cfg.t))
+    cfg_overrides;
   Harness.validate_extras ~app:entry.Registry.name
     ~known:entry.Registry.extras_spec extras;
   {
@@ -241,9 +219,8 @@ let int_value ~key v =
     @raise Invalid_argument on unknown keys or bad values. *)
 let of_string s =
   let app = ref None and variant = ref None and policy = ref None in
-  let alloc = ref Alloc.Pool and cfg = ref "k20c" in
+  let alloc = ref None and cfg = ref None and scheduler = ref None in
   let cfg_overrides = ref [] and scale = ref None and seed = ref None in
-  let scheduler = ref Dpc_sim.Timing.Processor_sharing in
   let interp = ref None and extras = ref [] in
   String.split_on_char ',' s
   |> List.iter (fun item ->
@@ -262,11 +239,11 @@ let of_string s =
              | "app" -> app := Some v
              | "variant" -> variant := Some (Harness.variant_of_string v)
              | "policy" -> policy := Some (Cs.policy_of_string v)
-             | "alloc" -> alloc := alloc_of_string v
-             | "cfg" -> cfg := v
+             | "alloc" -> alloc := Some (alloc_of_string v)
+             | "cfg" -> cfg := Some v
              | "scale" -> scale := Some (int_value ~key v)
              | "seed" -> seed := Some (int_value ~key v)
-             | "sched" -> scheduler := scheduler_of_string v
+             | "sched" -> scheduler := Some (scheduler_of_string v)
              | "interp" -> interp := Some (interp_of_string v)
              | _ ->
                if String.length key > 4 && String.sub key 0 4 = "cfg."
@@ -293,9 +270,9 @@ let of_string s =
     | Some v -> v
     | None -> invalid_arg "scenario: missing variant=V"
   in
-  make ?policy:!policy ~alloc:!alloc ~cfg:!cfg
+  make ?policy:!policy ?alloc:!alloc ?cfg:!cfg
     ~cfg_overrides:!cfg_overrides ?scale:!scale ?seed:!seed
-    ~scheduler:!scheduler ?interp:!interp ~extras:!extras ~app variant
+    ?scheduler:!scheduler ?interp:!interp ~extras:!extras ~app variant
 
 (* --- JSON codec ------------------------------------------------------------ *)
 
@@ -361,17 +338,11 @@ let of_json (j : Json.t) =
   in
   make
     ?policy:(Option.map Cs.policy_of_string (str "policy"))
-    ~alloc:
-      (match str "alloc" with
-      | Some a -> alloc_of_string a
-      | None -> Alloc.Pool)
-    ~cfg:(Option.value (str "cfg") ~default:"k20c")
+    ?alloc:(Option.map alloc_of_string (str "alloc"))
+    ?cfg:(str "cfg")
     ~cfg_overrides:(pairs "cfg_overrides" (fun _ v -> Json.to_int v))
     ?scale:(int "scale") ?seed:(int "seed")
-    ~scheduler:
-      (match str "sched" with
-      | Some s -> scheduler_of_string s
-      | None -> Dpc_sim.Timing.Processor_sharing)
+    ?scheduler:(Option.map scheduler_of_string (str "sched"))
     ?interp:(Option.map interp_of_string (str "interp"))
     ~extras:
       (pairs "extras" (fun n v ->

@@ -10,7 +10,7 @@
     with [None] fields omitted, so structural equality coincides with
     string equality — {!key} and {!hash} are derived from it. *)
 
-type t = {
+type t = private {
   app : string;  (** canonical registry name *)
   variant : Dpc_apps.Harness.variant;
   policy : Dpc.Config_select.policy option;
@@ -26,10 +26,14 @@ type t = {
   extras : (string * string) list;  (** app-specific knobs, sorted *)
 }
 
-(** Smart constructor: canonicalizes the app name via the registry,
-    lowercases and vets the config preset, vets override field names, and
-    sorts override/extra lists.
-    @raise Invalid_argument on unknown apps, presets or fields. *)
+(** The one constructor: canonicalizes the app name via the registry,
+    lowercases and vets the config preset, vets the policy and override
+    field names, checks the extras against the app's [extras_spec], and
+    sorts override/extra lists.  Its defaults ([alloc] [Pool], [cfg]
+    ["k20c"], [scheduler] processor sharing) are the only copy: the
+    codecs pass an absent key through as an absent argument.
+    @raise Invalid_argument on unknown apps, presets or fields, a policy
+    the codecs cannot read back, or bad extras. *)
 val make :
   ?policy:Dpc.Config_select.policy ->
   ?alloc:Dpc_alloc.Allocator.kind ->
@@ -43,6 +47,10 @@ val make :
   app:string ->
   Dpc_apps.Harness.variant ->
   t
+
+(** The [cfg.FIELD] names an override may address, in declaration
+    order; any other name is refused by {!make} with this list. *)
+val cfg_field_names : string list
 
 (** Device config: preset with overrides applied. *)
 val resolve_cfg : t -> Dpc_gpu.Config.t
@@ -65,12 +73,7 @@ val of_json : Dpc_prof.Json.t -> t
     ({!of_json}) or canonical strings ({!of_string}). *)
 val sweep_of_json : Dpc_prof.Json.t -> t list
 
-val alloc_to_string : Dpc_alloc.Allocator.kind -> string
-val alloc_of_string : string -> Dpc_alloc.Allocator.kind
 val scheduler_to_string : Dpc_sim.Timing.scheduler -> string
-val scheduler_of_string : string -> Dpc_sim.Timing.scheduler
-val interp_to_string : Dpc_sim.Interp.mode -> string
-val interp_of_string : string -> Dpc_sim.Interp.mode
 
 (** {2 Cost model} *)
 
@@ -83,11 +86,6 @@ val interp_of_string : string -> Dpc_sim.Interp.mode
     longest-first by this value; estimates steer scheduling only and
     never affect results. *)
 val cost_estimate : t -> float
-
-(** The config factor of {!cost_estimate}: 1.0 for the flat [k20c]
-    model, more when the resolved config enables bank-conflict or MSHR
-    accounting (which cost interpreter wall per memory instruction). *)
-val cfg_weight : t -> float
 
 (** {2 Identity} *)
 

@@ -87,7 +87,6 @@ let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
     inspect;
   }
 
-let jobs t = Pool.jobs t.pool
 let sched t = Pool.sched t.pool
 let last_steals _ = 0
 

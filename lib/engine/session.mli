@@ -41,8 +41,6 @@ val create :
   unit ->
   t
 
-val jobs : t -> int
-
 val sched : t -> Dpc_util.Pool.sched
 
 (** Always [0]: no task is ever stolen, since both pool schedulers claim

@@ -12,21 +12,18 @@
     Every table is identical for any job count and pool scheduler of the
     session. *)
 
-(** A1–A6, in order.  A1/A2/A3/A5 run on [session]; A4 and A6 build
-    their own devices and run serially. *)
-val tables : Dpc_engine.Session.t -> Dpc_util.Table.t list
-
 (** A4 alone (no session: hand-written programs on a [Device]). *)
 val buffer_sizing : unit -> Dpc_util.Table.t
 
 (** A6 alone (no session: hand-written programs on a [Device]). *)
 val free_launch : unit -> Dpc_util.Table.t
 
-(** Print A1–A6, then A7: the figs 7-10 suite collected on [session]
-    under the [k20c], [k20c-deep] and [milo832] presets, a table of each
-    app's fastest consolidated variant per preset, and one line per app
-    whose winner differs from [k20c]'s.  Each table is followed by a
-    blank line.
+(** Print A1–A6 (A1/A2/A3/A5 run on [session]; A4 and A6 build their
+    own devices and run serially), then A7: the figs 7-10 suite
+    collected on [session] under the [k20c], [k20c-deep] and [milo832]
+    presets, a table of each app's fastest consolidated variant per
+    preset, and one line per app whose winner differs from [k20c]'s.
+    Each table is followed by a blank line.
     @raise Failure if [k20c] accrues bank-conflict replays or MSHR
     stalls, if a deep preset accrues neither, or if no winner moves. *)
 val print : Dpc_engine.Session.t -> unit

@@ -82,15 +82,10 @@ let sweep_schema_version = "dpc-sweep-v1"
 
 (** One tagged engine outcome: the full scenario (object and canonical
     key plus hash, so consumers can join runs across sweeps), and either
-    the metrics report or the failure message.
-
-    [timings:true] adds the outcome's measured wall clock as an
-    [elapsed_s] member — the stable per-scenario duration field the
-    serve daemon's latency stats and the cost-learning consumers read.
-    It is off by default because wall clocks vary run to run, and the
-    default export must stay byte-identical across identical runs (the
-    CI exact-diff guards depend on it). *)
-let outcome_json ?(timings = false) (o : Dpc_engine.Session.outcome) =
+    the metrics report or the failure message.  No wall clock: identical
+    runs must export byte-identical records (the CI exact-diff guards
+    depend on it). *)
+let outcome_json (o : Dpc_engine.Session.outcome) =
   let sc = o.Dpc_engine.Session.scenario in
   Json.Obj
     ([
@@ -98,25 +93,21 @@ let outcome_json ?(timings = false) (o : Dpc_engine.Session.outcome) =
        ("key", Json.String (Dpc_engine.Scenario.key sc));
        ("hash", Json.String (Dpc_engine.Scenario.hash sc));
      ]
-    @ (if timings then
-         [ ("elapsed_s", Json.Float o.Dpc_engine.Session.elapsed_s) ]
-       else [])
     @
     match o.Dpc_engine.Session.result with
     | Ok r -> [ ("report", M.to_json r) ]
     | Error e -> [ ("error", Json.String (Printexc.to_string e)) ])
 
 (** Snapshot of a scenario sweep ([--scenario]/[--sweep] runs): one
-    entry per outcome, in submission order.  Without [timings] the
-    export carries no timestamps or environment data (like
-    {!suite_json}), so identical sweeps produce byte-identical files;
-    [timings:true] adds each outcome's [elapsed_s]. *)
-let sweep_json ?(source = "bin/experiments") ?timings outcomes =
+    entry per outcome, in submission order.  Like {!suite_json} it
+    carries no timestamps or environment data, so identical sweeps
+    produce byte-identical files. *)
+let sweep_json outcomes =
   Json.Obj
     [
       ("schema", Json.String sweep_schema_version);
-      ("source", Json.String source);
-      ("runs", Json.List (List.map (outcome_json ?timings) outcomes));
+      ("source", Json.String "bin/experiments");
+      ("runs", Json.List (List.map outcome_json outcomes));
     ]
 
 let write_file path json =

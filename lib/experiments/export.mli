@@ -8,16 +8,11 @@
     - [dpc-sweep-v1] ({!sweep_json}): one record per scenario outcome,
       in submission order; the same records the serve daemon streams.
 
-    Default exports carry no timestamps or environment data, so
-    identical runs produce byte-identical files (the CI exact-diff
-    guards depend on this); [timings:true] opts into per-outcome
-    [elapsed_s] wall clocks. *)
+    Exports carry no timestamps or environment data, so identical runs
+    produce byte-identical files (the CI exact-diff guards depend on
+    this). *)
 
 val schema_version : string
-val sweep_schema_version : string
-
-val table_json : Dpc_util.Table.t -> Dpc_prof.Json.t
-val row_json : Suite.row -> Dpc_prof.Json.t
 
 (** The full suite snapshot.  [scale] records the problem-size override
     the suite ran with (absent = every app's default); [tables] are the
@@ -26,19 +21,12 @@ val suite_json :
   ?scale:int -> Suite.t -> tables:Dpc_util.Table.t list -> Dpc_prof.Json.t
 
 (** One tagged engine outcome: the full scenario (object, canonical key,
-    hash) and either the metrics report or the failure message.
-    [timings] (default [false]) adds the measured [elapsed_s]. *)
-val outcome_json :
-  ?timings:bool -> Dpc_engine.Session.outcome -> Dpc_prof.Json.t
+    hash) and either the metrics report or the failure message. *)
+val outcome_json : Dpc_engine.Session.outcome -> Dpc_prof.Json.t
 
-(** Sweep snapshot wrapping {!outcome_json} records.  [source] tags the
-    producer (default ["bin/experiments"]; the daemon client writes
-    ["dpc-client"]). *)
-val sweep_json :
-  ?source:string ->
-  ?timings:bool ->
-  Dpc_engine.Session.outcome list ->
-  Dpc_prof.Json.t
+(** Sweep snapshot wrapping {!outcome_json} records, with [source] tag
+    ["bin/experiments"] (the daemon client writes ["dpc-client"]). *)
+val sweep_json : Dpc_engine.Session.outcome list -> Dpc_prof.Json.t
 
 (** Pretty-print a JSON document to [path]. *)
 val write_file : string -> Dpc_prof.Json.t -> unit

@@ -34,29 +34,21 @@ let tasks =
        (fun g -> List.map (fun a -> Cell (g, a)) allocators)
        granularities
 
-let scenario ?scale ~cfg task =
+let scenario ?scale task =
   match task with
-  | Basic_ref -> Scenario.make ~cfg ?scale ~app:"SSSP" H.Basic
-  | Flat_ref -> Scenario.make ~cfg ?scale ~app:"SSSP" H.Flat
-  | Cell (g, a) -> Scenario.make ~alloc:a ~cfg ?scale ~app:"SSSP" (H.Cons g)
+  | Basic_ref -> Scenario.make ?scale ~app:"SSSP" H.Basic
+  | Flat_ref -> Scenario.make ?scale ~app:"SSSP" H.Flat
+  | Cell (g, a) -> Scenario.make ~alloc:a ?scale ~app:"SSSP" (H.Cons g)
 
 (** The figure as a declarative scenario list.  Every cell differs from
     its siblings only in allocator (or granularity), so a caching session
     builds each consolidated program once and reuses it across the
     allocator sweep. *)
-let scenarios ?scale ?(cfg = "k20c") () =
-  List.map (scenario ?scale ~cfg) tasks
+let scenarios ?scale () = List.map (scenario ?scale) tasks
 
-let run ?(verbose = true) ?scale ?(cfg = "k20c") ?(jobs = 1) ?session () :
-    result =
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~jobs ~verbose ()
-  in
+let run ?scale ~session () : result =
   let reports =
-    List.map Session.report
-      (Session.run_all session (scenarios ?scale ~cfg ()))
+    List.map Session.report (Session.run_all session (scenarios ?scale ()))
   in
   let tagged = List.combine tasks reports in
   let report_of t = List.assoc t tagged in
@@ -95,5 +87,4 @@ let to_table (r : result) =
       Table.fmt_ratio r.flat_speedup; Table.fmt_ratio r.flat_speedup ];
   t
 
-let print ?verbose ?scale ?cfg ?jobs ?session () =
-  Table.print (to_table (run ?verbose ?scale ?cfg ?jobs ?session ()))
+let print ?scale ~session () = Table.print (to_table (run ?scale ~session ()))

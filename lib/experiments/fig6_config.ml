@@ -60,12 +60,12 @@ type task =
    exhaustive sweep's worst configs (huge 1-1 grids full of per-block
    buffers) inside memory; it and the dataset choice travel as app
    extras. *)
-let scenario ?policy ?scale ~cfg ~dataset variant =
-  Scenario.make ?policy ~cfg ?scale ~app:"TD"
+let scenario ?policy ?scale ~dataset variant =
+  Scenario.make ?policy ?scale ~app:"TD"
     ~extras:(Dpc_apps.Tree_common.extras ~max_nodes:40_000 ~dataset ())
     variant
 
-let run_dataset ?(verbose = true) ?scale ~cfg ~session ~dataset () :
+let run_dataset ~verbose ?scale ~session ~dataset () :
     dataset_result =
   let dname = match dataset with `Dataset1 -> "dataset1" | `Dataset2 -> "dataset2" in
   let log fmt =
@@ -81,13 +81,13 @@ let run_dataset ?(verbose = true) ?scale ~cfg ~session ~dataset () :
     | Exhaustive -> assert false
   in
   let scenario_of = function
-    | T_basic -> scenario ?scale ~cfg ~dataset H.Basic
+    | T_basic -> scenario ?scale ~dataset H.Basic
     | T_point (g, point) ->
-      scenario ~policy:(policy_of point) ?scale ~cfg ~dataset (H.Cons g)
+      scenario ~policy:(policy_of point) ?scale ~dataset (H.Cons g)
     | T_cand (g, (b, t)) ->
-      scenario ~policy:(Cs.Explicit (b, t)) ?scale ~cfg ~dataset (H.Cons g)
+      scenario ~policy:(Cs.Explicit (b, t)) ?scale ~dataset (H.Cons g)
   in
-  let cfg_t = Scenario.resolve_cfg (scenario ?scale ~cfg ~dataset H.Basic) in
+  let cfg_t = Scenario.resolve_cfg (scenario ?scale ~dataset H.Basic) in
   let tasks =
     T_basic
     :: List.concat_map
@@ -155,19 +155,13 @@ let run_dataset ?(verbose = true) ?scale ~cfg ~session ~dataset () :
 
 type result = dataset_result list
 
-let run ?(verbose = true) ?scale ?(cfg = "k20c") ?(jobs = 1) ?session () :
-    result =
-  (* One session for both datasets: the policy points and candidate
-     configurations build identical programs on either dataset, so the
-     second dataset's sweep runs entirely out of the compiled cache. *)
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~jobs ~verbose ()
-  in
+(* One session for both datasets: the policy points and candidate
+   configurations build identical programs on either dataset, so the
+   second dataset's sweep runs entirely out of the compiled cache. *)
+let run ~verbose ?scale ~session () : result =
   [
-    run_dataset ~verbose ?scale ~cfg ~session ~dataset:`Dataset1 ();
-    run_dataset ~verbose ?scale ~cfg ~session ~dataset:`Dataset2 ();
+    run_dataset ~verbose ?scale ~session ~dataset:`Dataset1 ();
+    run_dataset ~verbose ?scale ~session ~dataset:`Dataset2 ();
   ]
 
 let to_tables (r : result) =
@@ -213,8 +207,8 @@ let default_vs_exhaustive (r : result) =
     r
   |> Dpc_util.Stats.mean
 
-let print ?verbose ?scale ?cfg ?jobs ?session () =
-  let r = run ?verbose ?scale ?cfg ?jobs ?session () in
+let print ~verbose ?scale ~session () =
+  let r = run ~verbose ?scale ~session () in
   List.iter Table.print (to_tables r);
   Printf.printf
     "Default KC policy achieves %.1f%% of the exhaustive-search optimum \

@@ -104,14 +104,6 @@ let fig10 (s : Suite.t) =
     s;
   t
 
-(** Collect the shared suite — fanning its 35 independent simulations
-    over [jobs] domains — and render every figure that reads it, in
-    presentation order.  The returned tables are identical for any
-    [jobs]. *)
-let collect_and_render ?verbose ?scale ?cfg ?jobs () =
-  let s = Suite.collect ?verbose ?scale ?cfg ?jobs () in
-  (s, [ fig7 s; fig8 s; fig9 s; fig10 s ])
-
 (** Section V.C text: average speedups of each consolidation granularity
     over basic-dp and over no-dp. *)
 let summary (s : Suite.t) =

@@ -47,7 +47,6 @@ type t = {
           executing on an SMX; penalizes configurations made of many tiny
           blocks (e.g. 1-1 mapping) *)
   (* --- instruction cost model --- *)
-  alu_cycles : int;  (** simple arithmetic / control instruction *)
   mem_issue_cycles : int;  (** issue cost of a load/store *)
   dram_transaction_cycles : int;  (** amortized cost per 128B DRAM transaction *)
   l2_hit_cycles : int;  (** cost per 128B segment served by L2 *)
@@ -100,7 +99,6 @@ let k20c =
     sync_swap_cycles = 1_200;
     sync_swap_dram = 24;
     block_start_cycles = 200;
-    alu_cycles = 1;
     mem_issue_cycles = 2;
     dram_transaction_cycles = 16;
     l2_hit_cycles = 4;

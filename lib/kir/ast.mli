@@ -135,8 +135,6 @@ val collect_vars : param list -> stmt list -> var list list
     execute block-uniformly. *)
 val has_syncthreads_block : stmt list -> bool
 
-val has_syncthreads : stmt -> bool
-
 (** Must a statement be executed block-uniformly (all warps in lockstep at
     the statement level)?  True for [Syncthreads] and [Grid_barrier] and
     for control flow containing them; the interpreter checks that the

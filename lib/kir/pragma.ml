@@ -31,8 +31,6 @@ type t = {
   line : int;  (** source line of the directive; 0 when built in memory *)
 }
 
-let default_total_size = 500 * 1024 * 1024  (* 500 MB, Section IV.E *)
-
 (** [const] in the paper's perBufferSize prediction
     [totalThread * totalBuffVar * const]: estimated work items per thread. *)
 let default_items_per_thread = 4

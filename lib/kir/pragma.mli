@@ -31,9 +31,6 @@ type t = {
   line : int;  (** source line of the directive; 0 when built in memory *)
 }
 
-(** 500 MB, Section IV.E. *)
-val default_total_size : int
-
 (** [const] in the paper's perBufferSize prediction
     [totalThread * totalBuffVar * const]: estimated work items per thread. *)
 val default_items_per_thread : int
@@ -52,7 +49,6 @@ val make :
   t
 
 val granularity_to_string : granularity -> string
-val buffer_alloc_to_string : buffer_alloc -> string
 
 (** Render back to directive syntax (used by the printer round-trip). *)
 val to_string : t -> string

@@ -19,8 +19,6 @@ type hooks = {
 (** Hooks that rewrite nothing: a pure deep copy. *)
 val no_hooks : hooks
 
-val rw_expr : hooks -> Ast.expr -> Ast.expr
-val rw_stmt : hooks -> Ast.stmt -> Ast.stmt list
 val rw_block : hooks -> Ast.stmt list -> Ast.stmt list
 
 (** Substitute special registers throughout a block (deep copy). *)

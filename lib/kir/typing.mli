@@ -47,18 +47,6 @@ type t = {
 
 val slot_ty_to_string : slot_ty -> string
 
-(** Lattice joins (least upper bounds). *)
-val join : slot_ty -> slot_ty -> slot_ty
-
-val join_sh : sh_ty -> sh_ty -> sh_ty
-
-val of_ety : ety -> slot_ty
-
-(** Static type a [Var] occurrence of a slot evaluates to. *)
-val ety_of_slot : slot_ty -> ety
-
-val of_param_ty : Ast.ty -> slot_ty
-
 (** Run the forward fixpoint over a finalized body.  [nslots] must cover
     every resolved slot; unresolved occurrences set [ok = false]. *)
 val infer :

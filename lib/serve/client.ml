@@ -132,11 +132,11 @@ let sweep ?timeout_s ?(on_event = fun (_ : Protocol.event) -> ()) t scenarios :
 (** Re-assemble a [dpc-sweep-v1] snapshot from a sweep's streamed
     records; identical to {!Dpc_experiments.Export.sweep_json} output
     for the same scenarios, modulo the [source] tag. *)
-let sweep_snapshot ?(source = "dpc-client") (r : sweep_result) =
+let sweep_snapshot (r : sweep_result) =
   Json.Obj
     [
       ("schema", Json.String "dpc-sweep-v1");
-      ("source", Json.String source);
+      ("source", Json.String "dpc-client");
       ("runs", Json.List r.outcomes);
     ]
 
@@ -169,10 +169,11 @@ let shutdown t : (unit, string) result =
   | Ok (Protocol.Bye b) when b.id = id -> Ok ()
   | other -> expecting "bye" other
 
-(** Block until the daemon answers a ping, retrying [every] seconds (for
-    [attempts] tries) while the socket does not accept connections yet.
-    For scripts that just started a daemon in the background. *)
-let wait_ready ?(attempts = 100) ?(every = 0.05) path =
+(** Block until the daemon answers a ping, retrying every 50 ms (for
+    100 tries) while the socket does not accept connections yet.  For
+    scripts that just started a daemon in the background. *)
+let wait_ready path =
+  let attempts = 100 and every = 0.05 in
   let rec go n =
     match with_connection path ping with
     | Ok () -> true

@@ -36,11 +36,10 @@ val sweep :
   Dpc_engine.Scenario.t list ->
   (sweep_result, string) result
 
-(** Re-assemble a [dpc-sweep-v1] snapshot (default [source] tag:
-    ["dpc-client"]) from a sweep's streamed records; record-wise
-    byte-identical to {!Dpc_experiments.Export.sweep_json} for the same
-    scenarios. *)
-val sweep_snapshot : ?source:string -> sweep_result -> Json.t
+(** Re-assemble a [dpc-sweep-v1] snapshot ([source] tag ["dpc-client"])
+    from a sweep's streamed records; record-wise byte-identical to
+    {!Dpc_experiments.Export.sweep_json} for the same scenarios. *)
+val sweep_snapshot : sweep_result -> Json.t
 
 val stats : t -> (Json.t, string) result
 
@@ -49,6 +48,6 @@ val ping : t -> (unit, string) result
 (** Ask the daemon to drain and exit; returns once acknowledged. *)
 val shutdown : t -> (unit, string) result
 
-(** Block until the daemon at [path] answers a ping, retrying [every]
-    seconds up to [attempts] times; [false] when it never came up. *)
-val wait_ready : ?attempts:int -> ?every:float -> string -> bool
+(** Block until the daemon at [path] answers a ping, retrying every
+    50 ms up to 100 times; [false] when it never came up. *)
+val wait_ready : string -> bool

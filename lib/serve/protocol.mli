@@ -11,8 +11,6 @@
 
 module Json = Dpc_prof.Json
 
-val version : string
-
 type request =
   | Sweep of {
       id : string;
@@ -24,10 +22,6 @@ type request =
   | Shutdown of { id : string }
 
 val request_to_json : request -> Json.t
-
-(** [Error] carries the reason the server reports back as an [error]
-    event. *)
-val request_of_json : Json.t -> (request, string) result
 
 val request_of_string : string -> (request, string) result
 
@@ -53,7 +47,6 @@ type event =
   | Bye of { id : string }  (** shutdown acknowledged; daemon draining *)
 
 val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
 val event_of_string : string -> (event, string) result
 
 (** One message as its wire frame: compact JSON plus ['\n']. *)

@@ -170,8 +170,6 @@ let create (cfg : config) =
     mshr_stalls = 0;
   }
 
-let session t = t.session
-
 (** Ask the loop to drain and exit; safe from a signal handler. *)
 let request_stop t = Atomic.set t.stop_flag true
 

@@ -39,12 +39,6 @@ type t
     @raise Unix.Unix_error when the socket cannot be bound. *)
 val create : config -> t
 
-(** The shared warm session (for embedding tests and stats). *)
-val session : t -> Dpc_engine.Session.t
-
-(** The [stats]-verb payload, computable at any time. *)
-val stats_json : t -> Dpc_prof.Json.t
-
 (** Ask the loop to drain and exit; safe from a signal handler or
     another domain. *)
 val request_stop : t -> unit

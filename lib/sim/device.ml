@@ -23,12 +23,11 @@ type t = {
   mutable cached_report : Metrics.report option;
 }
 
-let create ?(cfg = Cfg.k20c) ?(alloc_kind = Alloc.Pool) ?pool_bytes
-    ?(scheduler = Timing.Processor_sharing) ?grid_budget ?mode ?ckernels
-    prog =
-  let alloc = Alloc.create ?pool_bytes alloc_kind in
+let create ?(cfg = Cfg.k20c) ?(alloc_kind = Alloc.Pool)
+    ?(scheduler = Timing.Processor_sharing) ?mode ?ckernels prog =
+  let alloc = Alloc.create alloc_kind in
   {
-    session = Interp.create_session ?grid_budget ?mode ?ckernels ~cfg ~alloc prog;
+    session = Interp.create_session ?mode ?ckernels ~cfg ~alloc prog;
     scheduler;
     cached_report = None;
   }
@@ -59,10 +58,6 @@ let buf t id = Mem.get_buf t.session.Interp.mem id
 let launch t kernel ~grid ~block args =
   t.cached_report <- None;
   ignore (Interp.host_launch t.session ~kernel ~grid ~block args)
-
-(** Reset the pre-allocated pool's bump pointer between logical phases
-    (no-op for the default and halloc allocators). *)
-let reset_pool t = Alloc.reset_pool t.session.Interp.alloc
 
 (* --- metrics -------------------------------------------------------------- *)
 

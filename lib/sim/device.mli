@@ -17,9 +17,7 @@ type t
 val create :
   ?cfg:Dpc_gpu.Config.t ->
   ?alloc_kind:Dpc_alloc.Allocator.kind ->
-  ?pool_bytes:int ->
   ?scheduler:Timing.scheduler ->
-  ?grid_budget:int ->
   ?mode:Interp.mode ->
   ?ckernels:(string, Bytecode.ckernel option) Hashtbl.t ->
   Dpc_kir.Kernel.Program.t ->
@@ -47,10 +45,6 @@ val read_float_array : t -> int -> float array
 (** Synchronous host-side kernel launch (1-D grid of 1-D blocks). *)
 val launch :
   t -> string -> grid:int -> block:int -> Dpc_kir.Value.t list -> unit
-
-(** Reset the pre-allocated pool's bump pointer between logical phases
-    (no-op for the default and halloc allocators). *)
-val reset_pool : t -> unit
 
 (** Full run report: functional counters plus the timing replay.  Cached
     until the next launch. *)

@@ -44,6 +44,10 @@ exception Sim_error = Runtime.Sim_error
 
 let err = R.err
 
+(* Runaway-recursion guard: the launch that would be a session's
+   [grid_budget]-th grid raises instead. *)
+let grid_budget = 150_000
+
 type pending_launch = Runtime.pending_launch = {
   pl_callee : string;
   pl_grid : int;
@@ -93,7 +97,6 @@ type session = {
   mm : Memmodel.t;  (** memory-hierarchy model: the single accounting path *)
   mutable alloc_cycles : int;
   mutable max_depth : int;
-  mutable grid_budget : int;  (** runaway-recursion guard *)
   fifo : pending_launch Queue.t;
       (** global breadth-order queue of launches awaiting execution *)
   mode : mode;
@@ -721,8 +724,7 @@ and exec_grid s ~callee ~grid_dim ~block_dim ~(args : V.t list) ~parent
     err "launch of %s: %d arguments for %d parameters" callee
       (List.length args)
       (List.length kernel.K.params);
-  s.grid_budget <- s.grid_budget - 1;
-  if s.grid_budget <= 0 then
+  if Vec.length s.grids + 1 >= grid_budget then
     err "grid budget exhausted (runaway launch recursion?)";
   let gid = Vec.length s.grids in
   let grid : Trace.grid_exec =
@@ -766,7 +768,7 @@ and exec_grid s ~callee ~grid_dim ~block_dim ~(args : V.t list) ~parent
   grid.Trace.blocks <- blocks;
   gid
 
-let create_session ?(grid_budget = 150_000) ?mode ?ckernels ~cfg ~alloc prog =
+let create_session ?mode ?ckernels ~cfg ~alloc prog =
   K.Program.finalize prog;
   let mode = match mode with Some m -> m | None -> !default_mode_ref in
   let ckernels =
@@ -783,7 +785,6 @@ let create_session ?(grid_budget = 150_000) ?mode ?ckernels ~cfg ~alloc prog =
       mm = Memmodel.create cfg;
       alloc_cycles = 0;
       max_depth = 0;
-      grid_budget;
       fifo = Queue.create ();
       mode;
       ckernels;

@@ -53,7 +53,6 @@ type session = {
   mm : Memmodel.t;  (** memory-hierarchy model: the single accounting path *)
   mutable alloc_cycles : int;
   mutable max_depth : int;
-  mutable grid_budget : int;
   fifo : pending_launch Queue.t;
   mode : mode;
   ckernels : (string, Bytecode.ckernel option) Hashtbl.t;
@@ -63,17 +62,15 @@ type session = {
 }
 
 (** [create_session ~cfg ~alloc prog] finalizes [prog] and prepares an
-    execution session.  [grid_budget] bounds the total number of grids a
-    session may execute (a runaway-recursion guard; exceeded raises
-    {!Sim_error}).  [ckernels] supplies the lowering-cache table to use
-    instead of a fresh empty one: the engine's cross-run kernel cache
-    hands the same table (and the same finalized program) to successive
-    sessions in one domain so each kernel lowers at most once per
-    domain.  Lowered programs own mutable scratch, so a given table must
-    never be shared by sessions running concurrently in different
-    domains. *)
+    execution session.  A session executes fewer than 150 000 grids (a
+    runaway-recursion guard; the 150 000th launch raises {!Sim_error}).
+    [ckernels] supplies the lowering-cache table to use instead of a
+    fresh empty one: the engine's cross-run kernel cache hands the same
+    table (and the same finalized program) to successive sessions in one
+    domain so each kernel lowers at most once per domain.  Lowered
+    programs own mutable scratch, so a given table must never be shared
+    by sessions running concurrently in different domains. *)
 val create_session :
-  ?grid_budget:int ->
   ?mode:mode ->
   ?ckernels:(string, Bytecode.ckernel option) Hashtbl.t ->
   cfg:Dpc_gpu.Config.t ->

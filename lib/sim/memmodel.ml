@@ -90,8 +90,6 @@ let create (cfg : Cfg.t) =
     gen = 0;
   }
 
-let cfg t = t.cfg
-
 let l2_tags t = Array.copy t.l2_tags
 
 (** Reset per-block state (MSHR occupancy).  Every tier calls this when

@@ -20,8 +20,6 @@ type t
     domain — blocks execute sequentially against it. *)
 val create : Dpc_gpu.Config.t -> t
 
-val cfg : t -> Dpc_gpu.Config.t
-
 (** A copy of the direct-mapped L2 tag store: slot [i] holds the segment
     number cached there, or [-1].  For tests and inspection. *)
 val l2_tags : t -> int array

@@ -22,8 +22,6 @@ type report = {
   total_grids : int;
 }
 
-let speedup ~baseline r = baseline.cycles /. r.cycles
-
 let to_rows r =
   [
     ("cycles", Printf.sprintf "%.0f" r.cycles);

@@ -26,8 +26,6 @@ type report = {
   total_grids : int;
 }
 
-val speedup : baseline:report -> report -> float
-
 (** Human-readable [(label, value)] rows, in presentation order. *)
 val to_rows : report -> (string * string) list
 

@@ -41,15 +41,11 @@ let bucketize ~width ~(total : float) (samples : (float * int) list) :
 let bars = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
 
 (** Render a one-line-per-level chart: [height] rows of [width] columns,
-    plus a time axis.  [capacity] is the warp count that fills the top
-    row (defaults to the device's total warp capacity). *)
-let render ?(width = 72) ?(height = 8) ?capacity (cfg : Cfg.t)
+    plus a time axis.  The device's total warp capacity fills the top
+    row. *)
+let render ?(width = 72) ?(height = 8) (cfg : Cfg.t)
     ~(total_cycles : float) (samples : (float * int) list) : string =
-  let capacity =
-    match capacity with
-    | Some c -> Float.of_int c
-    | None -> Float.of_int (cfg.Cfg.num_smx * cfg.Cfg.max_warps_per_smx)
-  in
+  let capacity = Float.of_int (cfg.Cfg.num_smx * cfg.Cfg.max_warps_per_smx) in
   let buckets = bucketize ~width ~total:total_cycles samples in
   let buf = Buffer.create ((width + 8) * (height + 2)) in
   for row = height downto 1 do
@@ -93,11 +89,11 @@ let render ?(width = 72) ?(height = 8) ?capacity (cfg : Cfg.t)
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(** Run the timing replay for a device's recorded session and render its
-    utilization timeline. *)
-let of_session ?width ?height ?scheduler (s : Interp.session) : string =
+(** Run the timing replay (processor-sharing scheduler) for a device's
+    recorded session and render its utilization timeline. *)
+let of_session ?width ?height (s : Interp.session) : string =
   let t =
-    Timing.create ?scheduler ~record_timeline:true s.Interp.cfg
+    Timing.create ~record_timeline:true s.Interp.cfg
       (Interp.grids s) (Interp.roots s)
   in
   let result = Timing.run t in

@@ -12,22 +12,16 @@ val bucketize :
   width:int -> total:float -> (float * int) list -> float array
 
 (** Render a one-line-per-level chart: [height] rows of [width] columns,
-    plus a time axis.  [capacity] is the warp count that fills the top
-    row (defaults to the device's total warp capacity). *)
+    plus a time axis.  The device's total warp capacity fills the top
+    row. *)
 val render :
   ?width:int ->
   ?height:int ->
-  ?capacity:int ->
   Dpc_gpu.Config.t ->
   total_cycles:float ->
   (float * int) list ->
   string
 
-(** Run the timing replay for a device's recorded session and render its
-    utilization timeline. *)
-val of_session :
-  ?width:int ->
-  ?height:int ->
-  ?scheduler:Timing.scheduler ->
-  Interp.session ->
-  string
+(** Run the timing replay (processor-sharing scheduler) for a device's
+    recorded session and render its utilization timeline. *)
+val of_session : ?width:int -> ?height:int -> Interp.session -> string

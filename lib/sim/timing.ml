@@ -244,7 +244,6 @@ type t = {
   scheduler : scheduler;
   record_timeline : bool;
   sink : Ev.sink option;  (** per-run profiling sink; no global state *)
-  trace_log : bool;  (** [DPC_TIMING_TRACE] set: log grid lifecycle *)
   debug_log : bool;  (** [DPC_TIMING_DEBUG] set: log event counts *)
   grids : grid_state array;
   smxs : smx_state array;
@@ -264,7 +263,6 @@ type t = {
   place_queue : block_run Queue.t;
   (* host roots *)
   mutable roots_left : int list;
-  mutable current_root : int;
   (* metrics *)
   mutable device_warps : int;
   mutable busy_smxs : int;  (** SMXs with at least one resident block *)
@@ -272,7 +270,6 @@ type t = {
   mutable virtualized : int;
   mutable max_pending : int;
   mutable swapped_syncs : int;
-  mutable completed_grids : int;
   mutable samples : (float * int) list;  (** (time, resident warps), reversed *)
 }
 
@@ -361,7 +358,6 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     scheduler;
     record_timeline;
     sink;
-    trace_log = Sys.getenv_opt "DPC_TIMING_TRACE" <> None;
     debug_log = Sys.getenv_opt "DPC_TIMING_DEBUG" <> None;
     grids = Array.map mk_grid grids;
     smxs =
@@ -391,14 +387,12 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     pending_count = 0;
     place_queue = Queue.create ();
     roots_left = roots;
-    current_root = -1;
     device_warps = 0;
     busy_smxs = 0;
     extra_dram = 0;
     virtualized = 0;
     max_pending = 0;
     swapped_syncs = 0;
-    completed_grids = 0;
     samples = [];
   }
 
@@ -616,10 +610,6 @@ let rec try_dispatch t =
     else begin
       let gid = Queue.pop t.ready_queue in
       let g = t.grids.(gid) in
-      if t.trace_log then
-        Printf.eprintf "[%10.0f] dispatch g%d (%s %dx%d)\n" t.clk.now gid
-          g.trace.Trace.kernel (Array.length g.blocks)
-          g.trace.Trace.block_dim;
       g.dispatched <- true;
       t.pending_count <- t.pending_count - 1;
       t.active_grids <- t.active_grids + 1;
@@ -720,10 +710,6 @@ and check_grid_complete t (g : grid_state) =
     && g.children_out = 0
   then begin
     g.completed <- true;
-    if t.trace_log then
-      Printf.eprintf "[%10.0f] complete g%d (%s)\n" t.clk.now g.trace.Trace.gid
-        g.trace.Trace.kernel;
-    t.completed_grids <- t.completed_grids + 1;
     if t.sink <> None then begin
       let totals = Trace.totals_of_grid g.trace in
       emit t g
@@ -758,7 +744,6 @@ and check_grid_complete t (g : grid_state) =
       match t.roots_left with
       | next :: rest ->
         t.roots_left <- rest;
-        t.current_root <- next;
         launch_grid t next ~latency:t.cfg.Cfg.host_launch_latency
       | [] -> ()));
     try_dispatch t
@@ -841,7 +826,6 @@ let run t =
   | [] -> ()
   | first :: rest ->
     t.roots_left <- rest;
-    t.current_root <- first;
     launch_grid t first ~latency:t.cfg.Cfg.host_launch_latency);
   let q = t.events in
   let nsmx = Array.length t.smxs in
@@ -890,8 +874,6 @@ let run t =
       end
       else begin
         let gid = id - nsmx - 1 in
-        if t.trace_log then
-          Printf.eprintf "[%10.0f] ready g%d\n" t.clk.now gid;
         incr n_ready;
         Queue.push gid t.ready_queue;
         try_dispatch t

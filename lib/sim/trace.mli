@@ -73,9 +73,6 @@ type seg_builder = {
   segs : segment Dpc_util.Vec.t;
 }
 
-(** The all-zero [Seg_done] segment ({!Dpc_util.Vec} dummy element). *)
-val dummy_segment : segment
-
 val seg_builder : unit -> seg_builder
 
 (** Close the current segment with the given terminator and start a fresh

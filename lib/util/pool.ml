@@ -32,7 +32,6 @@ let create ?(sched = Shared) ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   { jobs; sched }
 
-let jobs t = t.jobs
 let sched t = t.sched
 
 let default_jobs () = Int.max 1 (Domain.recommended_domain_count () - 1)
@@ -121,4 +120,4 @@ let parallel_map (type a b) ?cost t (f : a -> b) (xs : a list) : b list =
     List.init n (fun i ->
         match results.(i) with Some v -> v | None -> assert false)
 
-let parallel_iter ?cost t f xs = ignore (parallel_map ?cost t f xs)
+let parallel_iter t f xs = ignore (parallel_map t f xs)

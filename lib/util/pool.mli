@@ -46,9 +46,6 @@ val sched_of_string : string -> sched
     dispatch scheduler (default {!Shared}). *)
 val create : ?sched:sched -> jobs:int -> unit -> t
 
-(** Concurrency bound the pool was created with. *)
-val jobs : t -> int
-
 val sched : t -> sched
 
 (** [Domain.recommended_domain_count () - 1], clamped to at least 1:
@@ -78,4 +75,4 @@ val parallel_map : ?cost:('a -> float) -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [parallel_iter t f xs] is [parallel_map] for side-effecting tasks;
     same ordering and exception guarantees. *)
-val parallel_iter : ?cost:('a -> float) -> t -> ('a -> unit) -> 'a list -> unit
+val parallel_iter : t -> ('a -> unit) -> 'a list -> unit

@@ -9,8 +9,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 step (Steele, Lea, Flood 2014). *)
 let next_int64 t =
   let open Int64 in

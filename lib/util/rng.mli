@@ -9,12 +9,6 @@ type t
     [seed]. *)
 val create : int -> t
 
-(** Independent copy: advancing one does not affect the other. *)
-val copy : t -> t
-
-(** 62 uniformly random non-negative bits. *)
-val bits : t -> int
-
 (** [int t n] is uniform in [\[0, n)].  Requires [n > 0]. *)
 val int : t -> int -> int
 

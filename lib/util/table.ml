@@ -32,12 +32,10 @@ let title t = t.title
 
 let headers t = t.headers
 
-let fmt_float ?(digits = 2) v =
+let fmt_ratio v =
   if Float.is_nan v then "-"
   else if Float.abs v >= 1000.0 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.*f" digits v
-
-let fmt_ratio v = fmt_float ~digits:2 v
+  else Printf.sprintf "%.2f" v
 
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 

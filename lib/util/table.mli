@@ -20,9 +20,9 @@ val rows : t -> string list list
 val title : t -> string
 val headers : t -> string list
 
-(** Formatting helpers used across the experiment tables. *)
-val fmt_float : ?digits:int -> float -> string
-
+(** Formatting helpers used across the experiment tables: a ratio to two
+    decimals ([-] for NaN, no decimals from 1000 up), a fraction as a
+    percentage. *)
 val fmt_ratio : float -> string
 val fmt_pct : float -> string
 

@@ -6,8 +6,6 @@ let create ~dummy = { data = Array.make 8 dummy; len = 0; dummy }
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let clear t = t.len <- 0
 
 let ensure_capacity t n =
@@ -46,21 +44,7 @@ let iter f t =
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_array t = Array.sub t.data 0 t.len
-
-let to_list t = Array.to_list (to_array t)
 
 let of_array ~dummy arr =
   let t = create ~dummy in

@@ -7,7 +7,6 @@ type 'a t
 
 val create : dummy:'a -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** Remove all elements (capacity is retained). *)
 val clear : 'a t -> unit
@@ -25,8 +24,5 @@ val set : 'a t -> int -> 'a -> unit
 val pop : 'a t -> 'a
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
-val to_list : 'a t -> 'a list
 val of_array : dummy:'a -> 'a array -> 'a t

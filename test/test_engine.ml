@@ -66,6 +66,56 @@ let codec_roundtrip_rich () =
   Alcotest.check scenario_t "of_json/to_json" sc
     (Scenario.of_json (Scenario.to_json sc))
 
+(* Any scenario [make] accepts survives both codecs, the JSON one also
+   through its text form: every app x variant, policy, allocator, preset,
+   config override, scale and seed, scheduler, interpreter tier, and
+   extras drawn from the app's own [extras_spec]. *)
+let scenario_gen =
+  let open QCheck.Gen in
+  let policy =
+    oneof
+      [
+        map (fun k -> Dpc.Config_select.Kc k) (int_range 1 64);
+        return Dpc.Config_select.One_to_one;
+        map2
+          (fun b t -> Dpc.Config_select.Explicit (b, t))
+          (int_range 1 65535) (int_range 1 1024);
+      ]
+  in
+  let extra (key, kind) =
+    opt
+      (match kind with
+      | H.Xint -> map (fun i -> (key, string_of_int i)) int
+      | H.Xenum tokens -> map (fun tok -> (key, tok)) (oneofl tokens))
+  in
+  let* (e : R.entry) = oneofl R.all in
+  let* variant = oneofl H.all_variants in
+  let* policy = opt policy in
+  let* alloc = oneofl Dpc_alloc.Allocator.[ Default; Halloc; Pool ] in
+  let* cfg = oneofl Dpc_gpu.Config.preset_names in
+  let* cfg_overrides =
+    list_size (int_bound 4) (pair (oneofl Scenario.cfg_field_names) int)
+  in
+  let* scale = opt int in
+  let* seed = opt int in
+  let* scheduler = oneofl Dpc_sim.Timing.[ Processor_sharing; Fcfs ] in
+  let* interp = opt (oneofl Dpc_sim.Interp.[ Bytecode; Reference ]) in
+  let* extras = flatten_l (List.map extra e.R.extras_spec) in
+  return
+    (Scenario.make ?policy ~alloc ~cfg ~cfg_overrides ?scale ?seed
+       ~scheduler ?interp ~extras:(List.filter_map Fun.id extras)
+       ~app:e.R.name variant)
+
+let prop_codecs_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"scenario codecs round-trip"
+    (QCheck.make ~print:Scenario.to_string scenario_gen)
+    (fun sc ->
+      Scenario.equal sc (Scenario.of_string (Scenario.to_string sc))
+      && Scenario.equal sc (Scenario.of_json (Scenario.to_json sc))
+      && Scenario.equal sc
+           (Scenario.of_json
+              (Json.parse (Json.to_string (Scenario.to_json sc)))))
+
 (* [make] canonicalizes: app casing, override/extra order — so structural
    equality coincides with key equality. *)
 let canonical_identity () =
@@ -94,6 +144,12 @@ let rejects () =
       Scenario.make ~app:"SSSP" ~cfg:"gtx480" H.Basic);
   inv "unknown cfg field" (fun () ->
       Scenario.make ~app:"SSSP" ~cfg_overrides:[ ("nope", 1) ] H.Basic);
+  inv "KC_0 policy" (fun () ->
+      Scenario.make ~app:"SSSP" ~policy:(Dpc.Config_select.Kc 0)
+        (H.Cons Pragma.Grid));
+  inv "zero-block policy" (fun () ->
+      Scenario.make ~app:"SSSP" ~policy:(Dpc.Config_select.Explicit (0, 32))
+        (H.Cons Pragma.Grid));
   inv "unknown key" (fun () ->
       Scenario.of_string "app=SSSP,variant=no-dp,bogus=1");
   inv "bad alloc" (fun () ->
@@ -224,12 +280,13 @@ let fresh_sessions_identical () =
 let run_all_outcomes () =
   let ok1 = Scenario.make ~app:"SSSP" ~scale:300 ~seed:1 (H.Cons Pragma.Grid) in
   let ok2 = Scenario.make ~app:"SSSP" ~scale:300 ~seed:2 (H.Cons Pragma.Grid) in
-  (* Bogus extras are now refused eagerly at [make] (see [extras_lint]),
-     so the runtime failure here is an explicit policy with a zero block
-     dim: constructible, but the device math rejects it mid-run. *)
+  (* Bad extras and policies are refused eagerly at [make] (see
+     [extras_lint] and [rejects]), so the runtime failure here is a block
+     limit below the app's launch: constructible, but the device rejects
+     the launch mid-run. *)
   let bad =
     Scenario.make ~app:"SSSP" ~scale:300
-      ~policy:(Dpc.Config_select.Explicit (1, 0))
+      ~cfg_overrides:[ ("max_threads_per_block", 64) ]
       (H.Cons Pragma.Grid)
   in
   let s = Session.create () in
@@ -240,7 +297,7 @@ let run_all_outcomes () =
     (match o_bad.Session.result with
     | Error (Dpc_sim.Runtime.Sim_error _) -> ()
     | Error e -> Alcotest.failf "unexpected error %s" (Printexc.to_string e)
-    | Ok _ -> Alcotest.fail "zero-thread policy accepted");
+    | Ok _ -> Alcotest.fail "launch past the block limit accepted");
     Alcotest.check scenario_t "outcome tags scenario" bad
       o_bad.Session.scenario
   | _ -> Alcotest.fail "outcome arity"
@@ -417,11 +474,11 @@ let tiny_scale = function
 let app_names = List.map (fun (e : R.entry) -> e.R.name) R.all
 
 (* The evaluation suite's shape: every app at every variant, k20c. *)
-let suite_pass ?(scale = small_scale) ?(cfg = "k20c") () =
+let suite_pass ?(scale = small_scale) ?(cfg = "k20c") ?alloc () =
   List.concat_map
     (fun app ->
       List.map
-        (fun v -> Scenario.make ~cfg ~scale:(scale app) ~app v)
+        (fun v -> Scenario.make ~cfg ?alloc ~scale:(scale app) ~app v)
         H.all_variants)
     app_names
 
@@ -431,10 +488,7 @@ let sweep_grid () =
   List.concat_map
     (fun alloc ->
       List.concat_map
-        (fun cfg ->
-          List.map
-            (fun (sc : Scenario.t) -> { sc with Scenario.alloc })
-            (suite_pass ~scale:tiny_scale ~cfg ()))
+        (fun cfg -> suite_pass ~scale:tiny_scale ~cfg ~alloc ())
         [ "k20c"; "milo832" ])
     Dpc_alloc.Allocator.[ Default; Halloc; Pool ]
 
@@ -522,12 +576,97 @@ let input_cache_bounded () =
   Alcotest.(check bool) "at most one entry per app" true
     (st.Input_cache.entries <= 7)
 
+(* --- every config field has a reader ---------------------------------- *)
+
+(* Small scenarios, each with a base config whose report the rows below
+   can move: DP launches and pending-pool overflow (SSSP basic-dp on
+   [test-device], pool capacity 16), consolidated launches (SSSP
+   grid-level), parent syncs and nesting (TH basic-dp), shared-memory
+   banks and MSHRs (SpMV on [milo832]). *)
+let reader_scenario name cfg_overrides =
+  match name with
+  | "sssp-basic" ->
+    Scenario.make ~cfg:"test-device" ~cfg_overrides ~scale:200 ~app:"SSSP"
+      H.Basic
+  | "sssp-grid" ->
+    Scenario.make ~cfg:"test-device" ~cfg_overrides ~scale:200 ~app:"SSSP"
+      (H.Cons Pragma.Grid)
+  | "th-basic" ->
+    Scenario.make ~cfg:"test-device" ~cfg_overrides ~scale:64 ~app:"TH"
+      H.Basic
+  | "spmv-milo" ->
+    Scenario.make ~cfg:"milo832" ~cfg_overrides ~scale:200 ~app:"SpMV"
+      (H.Cons Pragma.Warp)
+  | other -> invalid_arg other
+
+(* (field, scenario, a value other than the preset's). *)
+let field_readers =
+  [
+    ("num_smx", "sssp-grid", 1);
+    ("warp_size", "sssp-grid", 16);
+    ("max_warps_per_smx", "sssp-grid", 4);
+    ("max_blocks_per_smx", "sssp-grid", 2);
+    ("max_threads_per_block", "sssp-grid", 64);
+    ("max_grid_blocks", "sssp-grid", 4);
+    ("issue_rate", "sssp-grid", 1);
+    ("max_concurrent_grids", "sssp-basic", 2);
+    ("max_nesting_depth", "th-basic", 1);
+    ("fixed_pool_capacity", "sssp-basic", 2);
+    ("host_launch_latency", "sssp-grid", 100);
+    ("device_launch_latency", "sssp-grid", 100);
+    ("launch_issue_cycles", "sssp-grid", 10);
+    ("launch_dram_transactions", "sssp-grid", 0);
+    ("dispatch_interval", "sssp-basic", 10);
+    ("virtual_dispatch_interval", "sssp-basic", 10);
+    (* The default penalty hides behind the virtualized dispatch backlog;
+       a large one outlasts it. *)
+    ("virtual_pool_penalty", "sssp-basic", 100_000);
+    ("virtual_pool_dram", "sssp-basic", 0);
+    ("sync_swap_cycles", "th-basic", 10);
+    ("sync_swap_dram", "th-basic", 0);
+    ("block_start_cycles", "sssp-grid", 10);
+    ("mem_issue_cycles", "sssp-grid", 7);
+    ("dram_transaction_cycles", "sssp-grid", 3);
+    ("l2_hit_cycles", "sssp-grid", 9);
+    ("atomic_cycles", "sssp-grid", 3);
+    ("mem_segment_bytes", "sssp-grid", 32);
+    ("l2_segments", "sssp-grid", 4);
+    ("shared_banks", "spmv-milo", 16);
+    ("bank_replay_cycles", "spmv-milo", 7);
+    ("mshr_per_warp", "spmv-milo", 4);
+    ("mshr_retire_per_access", "spmv-milo", 2);
+    ("mshr_stall_cycles", "spmv-milo", 9);
+    ("issue_per_warp", "sssp-grid", 2);
+  ]
+
+(* A field that no phase reads is a setting nothing turns on: for every
+   overridable field, one other value must change the report, or make
+   the run raise where the base run completes.  The table covers
+   [cfg_field_names] exactly, so a new field needs a row. *)
+let cfg_fields_have_readers () =
+  Alcotest.(check (list string))
+    "one row per overridable field"
+    (List.sort compare Scenario.cfg_field_names)
+    (List.sort compare (List.map (fun (f, _, _) -> f) field_readers));
+  let s = Session.create () in
+  List.iter
+    (fun (field, name, v) ->
+      let base = report_str (Session.run s (reader_scenario name [])) in
+      match Session.run s (reader_scenario name [ (field, v) ]) with
+      | r ->
+        if report_str r = base then
+          Alcotest.failf "cfg.%s=%d leaves the %s report unchanged" field v
+            name
+      | exception _ -> ())
+    field_readers
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip apps x variants" `Quick
       codec_roundtrip_matrix;
     Alcotest.test_case "codec roundtrip all fields" `Quick
       codec_roundtrip_rich;
+    QCheck_alcotest.to_alcotest prop_codecs_roundtrip;
     Alcotest.test_case "canonical identity" `Quick canonical_identity;
     Alcotest.test_case "cost follows default tier" `Quick
       cost_follows_default_tier;
@@ -553,4 +692,6 @@ let suite =
       input_cache_sweep_counts;
     Alcotest.test_case "input cache identical" `Quick input_cache_identical;
     Alcotest.test_case "input cache bounded" `Quick input_cache_bounded;
+    Alcotest.test_case "every config field has a reader" `Quick
+      cfg_fields_have_readers;
   ]
