@@ -96,31 +96,41 @@ let run_check_file ~strict ~json_out path =
     json_out;
   if lint_failed ~strict diags then 1 else 0
 
-(* Lint every registered app at every lintable variant (the annotated
-   source as written, the consolidation output at each granularity, and
-   the flat kernels), translation-validate every consolidation
-   transform, and statically verify every bytecode stream the programs
-   lower to. *)
+(* Build every registered app at every variant (the annotated source as
+   written, the consolidation output at each granularity, and the flat
+   kernels) through the apps' own build path; lint each program,
+   translation-validate every consolidation transform, and statically
+   verify every bytecode stream the programs lower to. *)
 let run_check_apps ~strict ~json_out =
-  let entries = Dpc_apps.Registry.all in
-  let lint_units =
+  let module H = Dpc_apps.Harness in
+  let module R = Dpc_apps.Registry in
+  let entries = R.all in
+  let built =
     List.concat_map
-      (fun (e : Dpc_apps.Registry.entry) ->
+      (fun (e : R.entry) ->
         List.map
-          (fun (variant, prog) ->
-            (Printf.sprintf "%s/%s" e.Dpc_apps.Registry.name variant, prog))
-          (e.Dpc_apps.Registry.programs ()))
+          (fun v ->
+            ( e,
+              H.variant_to_string v,
+              H.build e.R.family ~cfg:Dpc_gpu.Config.k20c v ))
+          H.[ Basic; Cons Warp; Cons Block; Cons Grid; Flat ])
       entries
   in
+  let lint_units =
+    List.map
+      (fun ((e : R.entry), variant, (_, prep)) ->
+        (e.R.name ^ "/" ^ variant, prep.H.p_prog))
+      built
+  in
   let tv_units =
-    List.concat_map
-      (fun (e : Dpc_apps.Registry.entry) ->
-        List.map
-          (fun (variant, parent, orig, r) ->
-            ( Printf.sprintf "%s/tv/%s" e.Dpc_apps.Registry.name variant,
-              Dpc_check.Tv.check ~parent ~orig r ))
-          (e.Dpc_apps.Registry.tv_units ()))
-      entries
+    List.filter_map
+      (fun ((e : R.entry), variant, (orig, prep)) ->
+        Option.map
+          (fun r ->
+            ( e.R.name ^ "/tv/" ^ variant,
+              Dpc_check.Tv.check ~parent:e.R.family.H.parent ~orig r ))
+          prep.H.p_trans)
+      built
   in
   let bc_units =
     List.map

@@ -78,10 +78,11 @@ let timeout =
 let strict =
   Arg.(value & flag & info [ "strict"; "strict-check" ]
        ~doc:"Run every served scenario under the full strict verifier: \
-             the finalize linter, transform translation validation and \
-             prepare-time bytecode stream verification.  A diagnostic \
-             failure becomes that scenario's structured error outcome; \
-             the daemon keeps serving.")
+             each program the daemon builds is linted, its consolidation \
+             translation-validated and its bytecode streams verified \
+             before it runs.  A diagnostic failure becomes that \
+             scenario's structured error outcome; the daemon keeps \
+             serving.")
 
 let quiet =
   Arg.(value & flag & info [ "q"; "quiet" ]

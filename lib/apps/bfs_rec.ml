@@ -60,11 +60,9 @@ __global__ void bfs_flat(int* row_ptr, int* col, int* levels, int* changed, int 
 }
 |}
 
-let programs ?cfg () =
-  dp_programs ?cfg ~source:dp_source ~parent:"bfs_rec" ~flat:flat_source ()
-
-let tv_units () =
-  dp_tv_units ~source:dp_source ~parent:"bfs_rec" ()
+(** The app's programs: see {!Harness.family}. *)
+let family =
+  { source = dp_source; parent = "bfs_rec"; flat = (flat_source, "bfs_flat") }
 
 let extras_spec : (string * extra_kind) list = []
 
@@ -87,10 +85,7 @@ let run_spec (s : spec) =
   let levels0 = Array.make n Cpu.inf in
   levels0.(src) <- 0;
   let threads = 128 in
-  let p =
-    prepare s ~source:dp_source ~parent:"bfs_rec"
-      ~flat:(flat_source, "bfs_flat")
-  in
+  let p = prepare s family in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in

@@ -105,11 +105,10 @@ __global__ void gc_assign(int* color, int* flag, int* pending, int round, int n)
 }
 |}
 
-let programs ?cfg () =
-  dp_programs ?cfg ~source:dp_source ~parent:"gc_scan" ~flat:flat_source ()
-
-let tv_units () =
-  dp_tv_units ~source:dp_source ~parent:"gc_scan" ()
+(** The app's programs: see {!Harness.family}. *)
+let family =
+  { source = dp_source; parent = "gc_scan";
+    flat = (flat_source, "gc_scan_flat") }
 
 let extras_spec : (string * extra_kind) list = []
 
@@ -131,10 +130,7 @@ let run_spec (s : spec) =
         (g, Array.init g.Csr.n (fun _ -> Dpc_util.Rng.int rng 1_000_000)))
   in
   let n = g.Csr.n in
-  let p =
-    prepare s ~source:dp_source ~parent:"gc_scan"
-      ~flat:(flat_source, "gc_scan_flat")
-  in
+  let p = prepare s family in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in

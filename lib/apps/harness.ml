@@ -144,6 +144,8 @@ type spec = {
   sp_seed : int option;
   sp_scheduler : Dpc_sim.Timing.scheduler;
   sp_interp : Dpc_sim.Interp.mode option;
+  sp_strict : bool;
+      (** vet every freshly built program with {!Dpc_check.Strict.vet} *)
   sp_preparer : preparer;
   sp_inputs : input_cache;
   sp_inspect : (Device.t -> unit) option;
@@ -203,41 +205,66 @@ let validate_extras ~app ~(known : (string * extra_kind) list) pairs =
                v (String.concat ", " vals)))
     pairs
 
-(** Build a device for [s]'s variant: [Basic] runs the annotated program
-    as written (the pragma is inert at runtime); [Cons g] applies the
-    consolidation compiler first; [Flat] runs [flat], the no-dp program's
-    source and entry kernel.  [source] receives the granularity to embed
-    in the pragma text.  Every branch honors the spec's allocator (Basic
-    kernels allocate from the device heap too when they launch with
-    [buffer(default)] semantics), scheduler, interpreter mode and cache
-    hook. *)
-let prepare (s : spec) ~(source : Pragma.granularity -> string) ~parent
-    ~flat:(flat_src, flat_entry) : prepared =
-  let tag, src, parent, policy =
-    match s.sp_variant with
-    | Flat -> ("flat", flat_src, flat_entry, None)
-    | Basic -> ("basic", source Pragma.Grid, parent, None)
-    | Cons g -> ("cons", source g, parent, s.sp_policy)
-  in
-  let build () =
-    let prog = Parser.parse_program src in
-    match s.sp_variant with
-    | Flat | Basic -> { p_prog = prog; p_entry = parent; p_trans = None }
-    | Cons _ ->
-      let r = Transform.apply ?policy ~cfg:s.sp_cfg ~parent prog in
+(** One app's programs, stated once: the annotated MiniCU source with
+    the granularity to embed in its pragma, the parent kernel holding
+    the annotated launch, and the no-dp program's source and entry
+    kernel. *)
+type family = {
+  source : Pragma.granularity -> string;
+  parent : string;
+  flat : string * string;
+}
+
+(* The cache tag, source text, entry kernel and policy of [variant]'s
+   program: [Basic] runs the annotated source as written (the pragma is
+   inert at runtime, so its granularity is immaterial), [Cons g]
+   consolidates it, and [Flat] runs the flat program. *)
+let origin fam ?policy = function
+  | Flat -> ("flat", fst fam.flat, snd fam.flat, None)
+  | Basic -> ("basic", fam.source Pragma.Grid, fam.parent, None)
+  | Cons g -> ("cons", fam.source g, fam.parent, policy)
+
+(** Build [variant]'s program from [fam]: the parsed source, and the
+    prep to run — for [Cons g] the consolidation compiler's output under
+    [policy] (default: the granularity's), otherwise the parsed source
+    itself, not yet finalized. *)
+let build fam ~cfg ?policy variant : Dpc_kir.Kernel.Program.t * prep =
+  let _, src, entry, policy = origin fam ?policy variant in
+  let prog = Parser.parse_program src in
+  match variant with
+  | Flat | Basic -> (prog, { p_prog = prog; p_entry = entry; p_trans = None })
+  | Cons _ ->
+    let r = Transform.apply ?policy ~cfg ~parent:entry prog in
+    ( prog,
       { p_prog = r.Transform.program; p_entry = r.Transform.entry;
-        p_trans = Some r }
-  in
+        p_trans = Some r } )
+
+(** Build a device for [s]'s variant of [fam] ({!build}).  Every variant
+    honors the spec's allocator (Basic kernels allocate from the device
+    heap too when they launch with [buffer(default)] semantics),
+    scheduler, interpreter mode and cache hook; under a strict spec each
+    fresh build is vetted ({!Dpc_check.Strict.vet}) before the cache
+    sees it. *)
+let prepare (s : spec) fam : prepared =
+  let tag, src, parent, policy = origin fam ?policy:s.sp_policy s.sp_variant in
   (* The tier the spec will actually run under (the session default when
      the spec leaves it open), so the cache key names the tier whose
      lowering the seeded ckernel table will hold. *)
-  let interp =
-    Dpc_sim.Interp.mode_to_string
-      (Option.value s.sp_interp ~default:(Dpc_sim.Interp.default_mode ()))
+  let tier =
+    Option.value s.sp_interp ~default:(Dpc_sim.Interp.default_mode ())
   in
+  let fresh () =
+    let orig, prep = build fam ~cfg:s.sp_cfg ?policy s.sp_variant in
+    if s.sp_strict then
+      Dpc_check.Strict.vet ~tier
+        ?tv:(Option.map (fun r -> (fam.parent, orig, r)) prep.p_trans)
+        prep.p_prog;
+    prep
+  in
+  let interp = Dpc_sim.Interp.mode_to_string tier in
   let key = prep_key ~tag ~cfg:s.sp_cfg ~policy ~source:src ~parent ~interp in
   let prep, ckernels =
-    s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build
+    s.sp_preparer ~key ~interp ~cfgkey:(cfg_digest s.sp_cfg) ~build:fresh
   in
   (* Per-run state around the (possibly cached) prep: a fresh device with
      the spec's allocator, scheduler and interpreter mode, seeded with the
@@ -249,43 +276,6 @@ let prepare (s : spec) ~(source : Pragma.granularity -> string) ~parent
     entry = prep.p_entry;
     trans = prep.p_trans;
   }
-
-(** Every lintable program of a DP app, labeled by variant: the annotated
-    source as written ([basic-dp]), the consolidation compiler's output at
-    each granularity, and — when given — the flat kernel.  This is the
-    surface [dpcc --check] sweeps: both the hand-written kernels and
-    everything the transform generates from them. *)
-let dp_programs ?(cfg = Cfg.k20c)
-    ~(source : Pragma.granularity -> string) ~parent ?flat () :
-    (string * Dpc_kir.Kernel.Program.t) list =
-  let cons g =
-    let prog = Parser.parse_program (source g) in
-    (Transform.apply ~cfg ~parent prog).Transform.program
-  in
-  [
-    ("basic-dp", Parser.parse_program (source Pragma.Grid));
-    ("warp-level", cons Pragma.Warp);
-    ("block-level", cons Pragma.Block);
-    ("grid-level", cons Pragma.Grid);
-  ]
-  @
-  match flat with
-  | Some src -> [ ("no-dp", Parser.parse_program src) ]
-  | None -> []
-
-(** The translation-validation surface of a DP app: for each
-    consolidation granularity, the original annotated program next to
-    the transform's result, so {!Dpc_check.Tv} can validate the pair.
-    (The program the result holds is a fresh one; the returned original
-    is the very program the transform consumed.) *)
-let dp_tv_units ~(source : Pragma.granularity -> string) ~parent () :
-    (string * string * Dpc_kir.Kernel.Program.t * Transform.result) list =
-  List.map
-    (fun g ->
-      let prog = Parser.parse_program (source g) in
-      let r = Transform.apply ~cfg:Cfg.k20c ~parent prog in
-      (Pragma.granularity_to_string g ^ "-level", parent, prog, r))
-    [ Pragma.Warp; Pragma.Block; Pragma.Grid ]
 
 (* --- verification helpers ------------------------------------------------ *)
 

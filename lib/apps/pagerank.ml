@@ -79,11 +79,9 @@ __global__ void pr_flat(int* row_ptr, int* col, float* pr, float* next, int n) {
 }
 |}
 
-let programs ?cfg () =
-  dp_programs ?cfg ~source:dp_source ~parent:"pr_parent" ~flat:flat_source ()
-
-let tv_units () =
-  dp_tv_units ~source:dp_source ~parent:"pr_parent" ()
+(** The app's programs: see {!Harness.family}. *)
+let family =
+  { source = dp_source; parent = "pr_parent"; flat = (flat_source, "pr_flat") }
 
 let extras_spec : (string * extra_kind) list = []
 
@@ -102,10 +100,7 @@ let run_spec (s : spec) =
         (g, Cpu.pagerank g ~iters:iterations ~d:damping))
   in
   let n = g.Csr.n in
-  let p =
-    prepare s ~source:dp_source ~parent:"pr_parent"
-      ~flat:(flat_source, "pr_flat")
-  in
+  let p = prepare s family in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in

@@ -78,12 +78,10 @@ __global__ void spmv_flat(int* row_ptr, int* col, float* vals, float* x, float* 
 }
 |}
 
-let programs ?cfg () =
-  dp_programs ?cfg ~source:dp_source ~parent:"spmv_parent" ~flat:flat_source
-    ()
-
-let tv_units () =
-  dp_tv_units ~source:dp_source ~parent:"spmv_parent" ()
+(** The app's programs: see {!Harness.family}. *)
+let family =
+  { source = dp_source; parent = "spmv_parent";
+    flat = (flat_source, "spmv_flat") }
 
 let extras_spec : (string * extra_kind) list = []
 
@@ -108,10 +106,7 @@ let run_spec (s : spec) =
         { g; vals = Array.map Float.of_int g.Csr.weights; x;
           expect = Cpu.spmv g x })
   in
-  let p =
-    prepare s ~source:dp_source ~parent:"spmv_parent"
-      ~flat:(flat_source, "spmv_flat")
-  in
+  let p = prepare s family in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in

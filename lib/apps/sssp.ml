@@ -86,12 +86,10 @@ __global__ void sssp_flat(int* row_ptr, int* col, int* w, int* dist, int* change
 |}
     inf
 
-let programs ?cfg () =
-  dp_programs ?cfg ~source:dp_source ~parent:"sssp_parent" ~flat:flat_source
-    ()
-
-let tv_units () =
-  dp_tv_units ~source:dp_source ~parent:"sssp_parent" ()
+(** The app's programs: see {!Harness.family}. *)
+let family =
+  { source = dp_source; parent = "sssp_parent";
+    flat = (flat_source, "sssp_flat") }
 
 let extras_spec : (string * extra_kind) list = []
 
@@ -111,10 +109,7 @@ let run_spec (s : spec) =
         let g = Gen.citeseer_like ~n:scale ~seed in
         (g, Cpu.sssp g ~src))
   in
-  let p =
-    prepare s ~source:dp_source ~parent:"sssp_parent"
-      ~flat:(flat_source, "sssp_flat")
-  in
+  let p = prepare s family in
   let dev = p.dev in
   let row_ptr = Device.of_int_array dev ~name:"row_ptr" g.Csr.row_ptr in
   let col = Device.of_int_array dev ~name:"col" g.Csr.col in

@@ -114,20 +114,12 @@ __global__ void %s_flat(int* child_ptr, int* child_list, int* out, int* depth_of
 |}
     spec.kernel spec.base spec.acc_init spec.acc_update
 
-(* The lint surface uses a representative child block size; [run_spec]
-   tunes it to the dataset's fan-out, which only changes a launch
-   constant. *)
-let programs spec ?cfg () =
-  dp_programs ?cfg
-    ~source:(dp_source spec ~child_block:128)
-    ~parent:spec.kernel
-    ~flat:(flat_source spec)
-    ()
-
-let tv_units spec () =
-  dp_tv_units
-    ~source:(dp_source spec ~child_block:128)
-    ~parent:spec.kernel ()
+(** The app's programs with child blocks of [child_block] threads: the
+    registry states them at a representative 128, and [run_spec] tunes
+    it to the dataset's fan-out, which only changes a launch constant. *)
+let family spec ~child_block =
+  { source = dp_source spec ~child_block; parent = spec.kernel;
+    flat = (flat_source spec, spec.kernel ^ "_flat") }
 
 let extras_spec : (string * extra_kind) list =
   [ ("max_nodes", Xint); ("dataset", Xenum [ "dataset1"; "dataset2" ]) ]
@@ -186,10 +178,7 @@ let run_spec spec (hs : Harness.spec) =
   in
   let n = tree.Tree.n in
   let threads = 128 in
-  let p =
-    prepare hs ~source:(dp_source spec ~child_block) ~parent:spec.kernel
-      ~flat:(flat_source spec, spec.kernel ^ "_flat")
-  in
+  let p = prepare hs (family spec ~child_block) in
   let dev = p.dev in
   let cp = Device.of_int_array dev ~name:"child_ptr" tree.Tree.child_ptr in
   let cl = Device.of_int_array dev ~name:"child_list" tree.Tree.child_list in

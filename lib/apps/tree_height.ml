@@ -23,9 +23,7 @@ let spec : Tree_common.spec =
         !best);
   }
 
-let programs ?cfg () = Tree_common.programs spec ?cfg ()
-
-let tv_units () = Tree_common.tv_units spec ()
+let family = Tree_common.family spec ~child_block:128
 
 let extras_spec = Tree_common.extras_spec
 

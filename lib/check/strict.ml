@@ -1,59 +1,37 @@
-(** Strict-mode composition (Dpc_check v2).
+(** Strict mode: vet a freshly built program before anything can run it.
 
-    PR 4's strict mode vetted every kernel at finalize time
-    ({!Check.install_strict_finalize}).  v2 adds two more domain-local
-    hooks to the same scope:
-
-    - {!Dpc.Transform.set_apply_check} / {!Dpc.Free_launch.set_apply_check}
-      run translation validation ({!Tv}) over every original/transformed
-      program pair the moment a transform produces it;
-    - the {!Bcverify} pass is exposed here for the engine to run over
-      freshly lowered (or disk-loaded) bytecode streams.
-
-    All hooks are per-domain, exactly like the finalize hook: a parallel
-    executor installs them inside each worker task (see
-    [Dpc_engine.Session]).  Error-severity findings raise
-    {!Check.Check_error}. *)
+    An app builds each variant's program at one place
+    ([Dpc_apps.Harness.prepare]); under a strict spec that build calls
+    {!vet} on the result, so a program that fails any check never
+    reaches the cache or the interpreter.  Error-severity findings raise
+    {!Check.Check_error}; warnings pass. *)
 
 module K = Dpc_kir.Kernel
-module T = Dpc.Transform
-module Fl = Dpc.Free_launch
 
 let fail_on_errors diags =
   match List.filter Diag.is_error diags with
   | [] -> ()
   | errors -> raise (Check.Check_error (Diag.sort errors))
 
-let install () =
-  Check.install_strict_finalize ();
-  T.set_apply_check (fun ~parent orig r ->
-      fail_on_errors (Tv.check ~parent ~orig r));
-  Fl.set_apply_check (fun ~parent orig r ->
-      fail_on_errors (Tv.check_free_launch ~parent ~orig r))
+(** Vet [prog], stopping at the first failing check:
 
-let uninstall () =
-  Check.uninstall_strict_finalize ();
-  T.set_apply_check (fun ~parent:_ _ _ -> ());
-  Fl.set_apply_check (fun ~parent:_ _ _ -> ())
+    + the kernel-local lint ({!Check.local_checks}: uniformity, races,
+      bounds — launch legality is left to [dpcc --check]) on each kernel,
+      in {!K.Program.finalize} order, finalizing it first;
+    + when [prog] is a consolidation, [tv = (parent, orig, r)] with
+      [prog == r.program]: translation validation ({!Tv.check}) of [r]
+      against the program [orig] the transform consumed;
+    + when [tier] is the bytecode tier, the bytecode verifier
+      ({!Bcverify.check}) over every stream [prog] lowers to.
 
-(** Run [f] with the full v2 strict scope installed — the finalize
-    linter plus both translation-validation hooks — restoring every
-    previous hook on the way out (all per-domain; see
-    {!Check.with_strict}). *)
-let with_strict f =
-  let saved_fin = K.finalize_check () in
-  let saved_t = T.apply_check () in
-  let saved_fl = Fl.apply_check () in
-  install ();
-  Fun.protect
-    ~finally:(fun () ->
-      K.set_finalize_check saved_fin;
-      T.set_apply_check saved_t;
-      Fl.set_apply_check saved_fl)
-    f
-
-(** Statically verify every bytecode stream of every kernel of [prog]
-    ({!Bcverify}); raises {!Check.Check_error} on findings.  Used by the
-    engine at prepare time under strict mode. *)
-let verify_bytecode (prog : K.Program.t) =
-  fail_on_errors (Bcverify.check prog)
+    @raise Check.Check_error with the first failing check's errors. *)
+let vet ?tv ~(tier : Dpc_sim.Interp.mode) (prog : K.Program.t) =
+  K.Program.iter
+    (fun k ->
+      K.finalize k;
+      fail_on_errors (Check.local_checks k))
+    prog;
+  Option.iter
+    (fun (parent, orig, r) -> fail_on_errors (Tv.check ~parent ~orig r))
+    tv;
+  if tier = Dpc_sim.Interp.Bytecode then fail_on_errors (Bcverify.check prog)

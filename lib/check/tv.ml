@@ -1,12 +1,11 @@
-(** Translation validation for the consolidation transforms (TV01–TV07).
+(** Translation validation for the consolidation transform (TV01–TV07).
 
     {!Dpc.Transform.apply} rewrites a parent/child kernel pair into the
-    consolidated program; {!Dpc.Free_launch.apply} inlines the child at
-    the launch site.  Both are trusted today only through end-to-end
-    differential runs.  This pass re-checks each produced
-    original/transformed pair {e structurally}: it does not re-derive
-    the generated code, it verifies the properties that make the rewrite
-    a workload-preserving transformation.
+    consolidated program.  Differential runs check it end to end; this
+    pass re-checks each produced original/transformed pair
+    {e structurally}: it does not re-derive the generated code, it
+    verifies the properties that make the rewrite a workload-preserving
+    transformation.
 
     Catalog (all [Error] severity):
 
@@ -45,7 +44,6 @@ module V = Dpc_kir.Value
 module Pragma = Dpc_kir.Pragma
 module Pp = Dpc_kir.Pp
 module T = Dpc.Transform
-module Fl = Dpc.Free_launch
 
 let err ~id ~kernel fmt =
   Printf.ksprintf
@@ -392,15 +390,9 @@ let check_contract ~(host : K.t) ~(cons : string)
 (* TV06: lint-clean preservation                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Run the PR 4 linter with the strict-finalize hook masked: TV runs
-   from inside that very hook, and the sub-lint must report, not
-   raise. *)
+(* The error-severity findings of the full linter. *)
 let lint_errors (prog : K.Program.t) : Diag.t list =
-  let saved = K.finalize_check () in
-  K.set_finalize_check (fun _ -> ());
-  Fun.protect
-    ~finally:(fun () -> K.set_finalize_check saved)
-    (fun () -> List.filter Diag.is_error (Check.check_program prog))
+  List.filter Diag.is_error (Check.check_program prog)
 
 let check_lint_preserved ~(parent : string) ~(orig : K.Program.t)
     (out : K.Program.t) : Diag.t list =
@@ -490,35 +482,3 @@ let check ~(parent : string) ~(orig : K.Program.t) (r : T.result) :
       add (check_footprint ~parent ~out ~nvars);
       add (check_lint_preserved ~parent ~orig out);
       Diag.sort !diags)
-
-(** Validate one {!Dpc.Free_launch.apply} result: the kernel set is
-    preserved exactly (the parent is rebuilt in place, nothing is added
-    or removed), the rewritten parent launches nothing annotated any
-    more, and lint-cleanliness survives the inlining. *)
-let check_free_launch ~(parent : string) ~(orig : K.Program.t)
-    (r : Fl.result) : Diag.t list =
-  let out = r.Fl.program in
-  let diags = ref [] in
-  let add ds = diags := ds @ !diags in
-  add (check_kernel_set ~parent ~orig ~out ~fresh:[] ~rebuilt:[ parent ]);
-  if not (K.Program.mem out r.Fl.entry) then
-    diags :=
-      err ~id:"TV07" ~kernel:parent
-        "entry kernel %s does not exist in the transformed program"
-        r.Fl.entry
-      :: !diags;
-  (match K.Program.find_opt out parent with
-  | None -> ()
-  | Some p' ->
-    if
-      List.exists
-        (fun (l : A.launch) -> l.A.pragma <> None)
-        (A.collect_launches p'.K.body)
-    then
-      diags :=
-        err ~id:"TV02" ~kernel:parent
-          "free launch left an annotated device launch in place (child \
-           work would run twice)"
-        :: !diags);
-  add (check_lint_preserved ~parent ~orig out);
-  Diag.sort !diags

@@ -33,14 +33,6 @@ type result = {
   entry : string;
 }
 
-(* Post-apply validation hook; see Transform.set_apply_check. *)
-let apply_check_key : (parent:string -> K.Program.t -> result -> unit) Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> fun ~parent:_ _ _ -> ())
-
-let apply_check () = Domain.DLS.get apply_check_key
-let set_apply_check f = Domain.DLS.set apply_check_key f
-
 (* Inline the child kernel body at the launch site: bind the child's
    parameters to the (copied) launch arguments, then wrap the body in a
    sequential loop over the child's logical thread ids.  The child must be
@@ -137,6 +129,4 @@ let apply ~(parent : string) (prog : K.Program.t) : result =
             p.K.params)
        ~shared:p.K.shared body');
   K.Program.finalize out;
-  let r = { program = out; entry = parent } in
-  apply_check () ~parent prog r;
-  r
+  { program = out; entry = parent }

@@ -18,10 +18,3 @@ type result = {
 (** @raise Unsupported for recursive kernels, multi-block or
     dynamically-sized children, or children that use [__syncthreads]. *)
 val apply : parent:string -> Dpc_kir.Kernel.Program.t -> result
-
-(** Post-apply validation hook; same shape as
-    {!Transform.set_apply_check}.  Default: no-op. *)
-val apply_check : unit -> parent:string -> Dpc_kir.Kernel.Program.t -> result -> unit
-
-val set_apply_check :
-  (parent:string -> Dpc_kir.Kernel.Program.t -> result -> unit) -> unit

@@ -588,17 +588,6 @@ type result = {
   static_blocks : int option;  (** grid size when the policy is static *)
 }
 
-(* Post-apply validation hook (the same shape as Kernel.finalize_check):
-   the checker library installs translation validation here without
-   creating a dependency cycle.  Called with the *original* program and
-   the freshly built result; raising aborts the transformation. *)
-let apply_check_key : (parent:string -> K.Program.t -> result -> unit) Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> fun ~parent:_ _ _ -> ())
-
-let apply_check () = Domain.DLS.get apply_check_key
-let set_apply_check f = Domain.DLS.set apply_check_key f
-
 let copy_kernel (k : K.t) : K.t =
   K.make ~name:k.K.kname ~line:k.K.line
     ~params:
@@ -658,23 +647,19 @@ let apply ?policy ~(cfg : Cfg.t) ~(parent : string) (prog : K.Program.t) :
   in
   let finish ~entry ~post_kernel =
     K.Program.finalize out;
-    let r =
-      {
-        program = out;
-        entry;
-        recursive;
-        cons_kernel = cons;
-        post_kernel;
-        granularity = gran;
-        buffer_alloc = pragma.Pragma.buffer;
-        nvars = site.nvars;
-        policy;
-        threads;
-        static_blocks;
-      }
-    in
-    apply_check () ~parent prog r;
-    r
+    {
+      program = out;
+      entry;
+      recursive;
+      cons_kernel = cons;
+      post_kernel;
+      granularity = gran;
+      buffer_alloc = pragma.Pragma.buffer;
+      nvars = site.nvars;
+      policy;
+      threads;
+      static_blocks;
+    }
   in
   if not recursive then begin
     let prefix, postwork = split_postwork p.K.body in

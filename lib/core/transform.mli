@@ -49,17 +49,6 @@ type result = {
   static_blocks : int option;  (** grid size when the policy is static *)
 }
 
-(** Post-apply validation hook, the same domain-local shape as
-    {!Dpc_kir.Kernel.set_finalize_check}: {!apply} calls the installed
-    function with the original program and the finished result just
-    before returning it.  The checker library installs translation
-    validation here; raising aborts the transformation.  Default:
-    no-op. *)
-val apply_check : unit -> parent:string -> Dpc_kir.Kernel.Program.t -> result -> unit
-
-val set_apply_check :
-  (parent:string -> Dpc_kir.Kernel.Program.t -> result -> unit) -> unit
-
 (** Host-side launch configuration for a recursive [entry] seeded with
     [items] work items. *)
 val launch_config : Dpc_gpu.Config.t -> result -> items:int -> int * int

@@ -22,9 +22,9 @@
     the program merely unmarshalled), and a fresh build is written back
     atomically so the next cold process starts warm.  Disk contents are
     an accelerator only: any stale, truncated or corrupt file degrades
-    to an ordinary miss.  Note that a disk-loaded program was vetted by
-    the strict finalize hook of the process that {e built} it; loading
-    does not re-run finalize-time checks.
+    to an ordinary miss.  Every disk load also passes the store's
+    [verify] function before use ([Session.verify_prep] re-lints the
+    program and, for the bytecode tier, verifies its bytecode).
 
     Hit/miss counters are cache-level atomics; a "hit" means a run
     skipped the parse/transform/finalize pipeline by finding the

@@ -467,7 +467,7 @@ let label t =
     engine's compiled-program cache, [inputs] the session's input cache;
     [inspect] the session's profiling hook. *)
 let to_spec ?(preparer = Harness.no_cache) ?(inputs = Harness.build_inputs)
-    ?inspect t : Harness.spec =
+    ?inspect ?(strict = false) t : Harness.spec =
   {
     Harness.sp_variant = t.variant;
     sp_policy = t.policy;
@@ -477,6 +477,7 @@ let to_spec ?(preparer = Harness.no_cache) ?(inputs = Harness.build_inputs)
     sp_seed = t.seed;
     sp_scheduler = t.scheduler;
     sp_interp = t.interp;
+    sp_strict = strict;
     sp_preparer = preparer;
     sp_inputs = inputs;
     sp_inspect = inspect;

@@ -104,10 +104,13 @@ val label : t -> string
 
 (** Lower to the harness-level run specification.  [preparer] threads the
     engine's compiled-program cache, [inputs] the session's input cache
-    (default: build every time); [inspect] a profiling hook. *)
+    (default: build every time); [inspect] a profiling hook; [strict]
+    (default [false]) vets every program the run builds fresh
+    ({!Dpc_check.Strict.vet}). *)
 val to_spec :
   ?preparer:Dpc_apps.Harness.preparer ->
   ?inputs:Dpc_apps.Harness.input_cache ->
   ?inspect:(Dpc_sim.Device.t -> unit) ->
+  ?strict:bool ->
   t ->
   Dpc_apps.Harness.spec

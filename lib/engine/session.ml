@@ -59,15 +59,13 @@ type t = {
 (** [create ()] builds a session.  [jobs] bounds batch parallelism
     (default 1: serial) and [sched] picks the pool's dispatch scheduler
     (default [Shared]); [cache:false] disables program and input reuse
-    (every run builds fresh — the baseline the cache benchmark compares
-    against);
+    (every run builds fresh);
     [persist] backs the cache with the on-disk store rooted at that
     directory (created when absent; ignored with [cache:false]);
     [inspect] runs after each scenario's launches with its device (for
-    profiling capture); [strict_check] installs the static verifier's
-    strict finalize hook around every run — including, per worker domain,
-    around each task of a batch — so every program a batch builds is
-    vetted. *)
+    profiling capture); [strict_check] runs every scenario with a strict
+    spec, so each program the session builds is vetted
+    ({!Dpc_check.Strict.vet}) before it is cached or run. *)
 let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
     ?(verbose = false) ?inspect ?(strict_check = false) () =
   {
@@ -107,50 +105,24 @@ let input_stats t =
 let changed_inputs t =
   match t.inputs with Some c -> Input_cache.changed c | None -> []
 
-(* Under strict mode every prepared program additionally gets its
-   bytecode streams statically verified at prepare time (fresh builds
-   and cache loads alike); a cache-less strict session still verifies
-   through the pass-through preparer. *)
-let preparer_of t : Dpc_apps.Harness.preparer option =
-  let base =
-    match t.cache with
-    | Some c -> Some (Kcache.preparer c)
-    | None -> if t.strict_check then Some Dpc_apps.Harness.no_cache else None
-  in
-  match base with
-  | Some base when t.strict_check ->
-    Some
-      (fun ~key ~interp ~cfgkey ~build ->
-        let ((p, _) as r) = base ~key ~interp ~cfgkey ~build in
-        if interp = "bytecode" then
-          Dpc_check.Strict.verify_bytecode p.Dpc_apps.Harness.p_prog;
-        r)
-  | _ -> base
-
+(* Every in-memory cache entry was built, and under [strict_check]
+   vetted, by this session; disk loads pass [verify_prep]. *)
 let run_one t (sc : Scenario.t) =
   let entry = Registry.find sc.Scenario.app in
-  let preparer = preparer_of t in
+  let preparer = Option.map Kcache.preparer t.cache in
   let inspect = Option.map (fun f -> f sc) t.inspect in
   let inputs = Option.map Input_cache.hook t.inputs in
-  let spec = Scenario.to_spec ?preparer ?inputs ?inspect sc in
+  let spec =
+    Scenario.to_spec ?preparer ?inputs ?inspect ~strict:t.strict_check sc
+  in
   entry.Registry.run_spec spec
-
-(* The strict hooks (finalize linter + transform translation validation)
-   are domain-local, so they must be (re)installed in whichever domain
-   actually builds the program: around the whole call for a single run,
-   around each task for a batch (tasks execute on pool worker domains
-   the submitting domain's hooks never reach). *)
-let wrap_strict t f =
-  if t.strict_check then Dpc_check.Strict.with_strict f else f ()
 
 (** Execute one scenario, capturing its error and wall clock.  This is
     the unit both {!run_all} and the serve daemon's streaming executor
     are built on. *)
 let run_outcome t (sc : Scenario.t) : outcome =
   let t0 = Unix.gettimeofday () in
-  let result =
-    try Ok (wrap_strict t (fun () -> run_one t sc)) with e -> Error e
-  in
+  let result = try Ok (run_one t sc) with e -> Error e in
   { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
 
 (** Execute one scenario; exceptions propagate. *)

@@ -27,9 +27,10 @@ type t
     backs the cache with the on-disk store rooted at that directory
     (created when absent; ignored with [cache:false]); [verbose] prints a line per finished scenario
     (writes are serialized across worker domains); [inspect] runs after
-    each scenario's launches with its device; [strict_check] installs
-    the static verifier's domain-local strict finalize hook around each
-    run, inside the worker domain that executes it. *)
+    each scenario's launches with its device; [strict_check] vets every
+    program the session builds ({!Dpc_check.Strict.vet}) before it is
+    cached or run, so a failing check is that scenario's
+    {!Dpc_check.Check.Check_error}. *)
 val create :
   ?jobs:int ->
   ?sched:Dpc_util.Pool.sched ->

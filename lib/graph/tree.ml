@@ -79,14 +79,14 @@ let generate ~depth ~lo ~hi ~p_child ~seed ?(max_nodes = 150_000) () : t =
   { n; child_ptr; child_list; depth_of; depth = max_depth }
 
 (** dataset1 shape (128-256 children, half fertile, depth 5), with
-    branching divided by [shrink] (default 16: 8-16 children). *)
-let dataset1 ?(shrink = 16) ?max_nodes ~seed () =
+    branching divided by [shrink] (e.g. 16: 8-16 children). *)
+let dataset1 ~shrink ?max_nodes ~seed () =
   generate ~depth:5 ~lo:(Int.max 1 (128 / shrink)) ~hi:(Int.max 2 (256 / shrink))
     ~p_child:0.5 ~seed ?max_nodes ()
 
 (** dataset2 shape (32-128 children, all fertile, depth 5), with branching
-    divided by [shrink] (default 16: 2-8 children). *)
-let dataset2 ?(shrink = 16) ?max_nodes ~seed () =
+    divided by [shrink] (e.g. 16: 2-8 children). *)
+let dataset2 ~shrink ?max_nodes ~seed () =
   generate ~depth:5 ~lo:(Int.max 1 (32 / shrink)) ~hi:(Int.max 2 (128 / shrink))
     ~p_child:1.0 ~seed ?max_nodes ()
 

@@ -26,12 +26,12 @@ val generate :
   t
 
 (** dataset1 shape (128-256 children, half of candidates fertile, depth 5)
-    with branching divided by [shrink]. *)
-val dataset1 : ?shrink:int -> ?max_nodes:int -> seed:int -> unit -> t
+    with branching divided by [shrink] (e.g. 16: 8-16 children). *)
+val dataset1 : shrink:int -> ?max_nodes:int -> seed:int -> unit -> t
 
 (** dataset2 shape (32-128 children, all fertile, depth 5) with branching
-    divided by [shrink]. *)
-val dataset2 : ?shrink:int -> ?max_nodes:int -> seed:int -> unit -> t
+    divided by [shrink] (e.g. 16: 2-8 children). *)
+val dataset2 : shrink:int -> ?max_nodes:int -> seed:int -> unit -> t
 
 (** CPU references: height of every subtree (leaves 0) and proper
     descendant counts. *)

@@ -33,25 +33,6 @@ let make ~name ?(params = []) ?(shared = []) ?(line = 0) body =
   { kname = name; params; shared; body; line; nslots = -1; nsites = -1;
     typing = None }
 
-(** Hook run on every kernel at the end of {!finalize}.  [Dpc_check]
-    installs its strict verifier here so that every finalized kernel is
-    statically vetted before it can reach the interpreter; the default is
-    a no-op.  The hook may raise to reject the kernel.
-
-    The hook is {e domain-local} (domain-local storage, not a shared
-    ref): installing it affects only the calling domain, so concurrent
-    batches on different domains can install, save and restore their
-    hooks without racing on shared mutable state.  The flip side is that
-    an executor fanning work out to other domains must install the hook
-    {e inside each worker} — installing it in the submitting domain
-    before spawning vets nothing the workers finalize
-    ([Dpc_engine.Session] wraps each batch task accordingly). *)
-let finalize_check_key : (t -> unit) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> fun _ -> ())
-
-let finalize_check () = Domain.DLS.get finalize_check_key
-let set_finalize_check f = Domain.DLS.set finalize_check_key f
-
 (** Resolve variable slots and number allocation sites.  Idempotent, and
     a no-op on an already-finalized kernel: finalization is the only
     mutation a kernel ever sees, so skipping it keeps finalized programs
@@ -81,8 +62,7 @@ let finalize (k : t) =
     k.typing <-
       Some
         (Typing.infer ~params:k.params ~shared:k.shared ~nslots:k.nslots
-           k.body);
-    finalize_check () k
+           k.body)
   end
 
 type kernel = t
@@ -112,5 +92,7 @@ module Program = struct
     Hashtbl.fold (fun _ k acc -> k :: acc) p.kernels []
     |> List.sort (fun a b -> String.compare a.kname b.kname)
 
-  let finalize p = Hashtbl.iter (fun _ k -> finalize k) p.kernels
+  let iter f p = Hashtbl.iter (fun _ k -> f k) p.kernels
+
+  let finalize p = iter finalize p
 end

@@ -34,25 +34,11 @@ val make :
   Ast.stmt list ->
   t
 
-(** Hook run on every kernel at the end of {!finalize}.  [Dpc_check]
-    installs its strict verifier here so that every finalized kernel is
-    statically vetted before it can reach the interpreter; the default is
-    a no-op.  The hook may raise to reject the kernel.
-
-    The hook is {e domain-local}: {!set_finalize_check} affects only the
-    calling domain.  Executors that fan work out to other domains must
-    install it inside each worker — installing it before spawning vets
-    nothing the workers finalize. *)
-val finalize_check : unit -> t -> unit
-
-val set_finalize_check : (t -> unit) -> unit
-
 (** Resolve variable slots and number allocation sites.  Idempotent and a
     no-op on an already-finalized kernel, so finalized programs are
     immutable from then on and safe to share read-only across sessions
     and domains (the engine's compiled-kernel cache relies on this).
-    Must be called (via {!Program.finalize}) before interpretation.  Runs
-    {!finalize_check} last (on the first call only). *)
+    Must be called (via {!Program.finalize}) before interpretation. *)
 val finalize : t -> unit
 
 val is_finalized : t -> bool
@@ -77,6 +63,10 @@ module Program : sig
 
   (** All kernels, sorted by name. *)
   val kernels : t -> kernel list
+
+  (** Every kernel, in the (unspecified but fixed) order {!finalize}
+      visits them. *)
+  val iter : (kernel -> unit) -> t -> unit
 
   val finalize : t -> unit
 end

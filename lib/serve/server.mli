@@ -16,7 +16,9 @@ type config = {
       (** cap (and default) for per-request wall-clock budgets;
           [0.] = none.  Budgets are enforced between scenarios: a
           scenario is never preempted mid-simulation. *)
-  strict_check : bool;  (** install the static verifier's strict hook *)
+  strict_check : bool;
+      (** vet every program the session builds (see
+          {!Dpc_engine.Session.create}) *)
   verbose : bool;  (** log connections/requests to stderr *)
 }
 

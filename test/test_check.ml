@@ -1,8 +1,8 @@
 (* Tests for the static kernel verifier (Dpc_check): the uniformity,
-   race, bounds and legality analyses, the mutation harness, the strict
-   finalize hook, source locations threaded from MiniCU, and the
-   regression suite pinning the analyses' false-positive envelope on the
-   registered apps. *)
+   race, bounds and legality analyses, the mutation harness, strict
+   vetting of built programs, source locations threaded from MiniCU, and
+   the regression suite pinning the analyses' false-positive envelope on
+   the registered apps. *)
 
 module A = Dpc_kir.Ast
 module K = Dpc_kir.Kernel
@@ -13,6 +13,9 @@ module U = Dpc_check.Uniformity
 module Bounds = Dpc_check.Bounds
 module Eu = Dpc_check.Expr_util
 module Mutate = Dpc_check.Mutate
+module Strict = Dpc_check.Strict
+module H = Dpc_apps.Harness
+module R = Dpc_apps.Registry
 open Dpc_kir.Build
 
 let ids ds = List.map (fun (d : Diag.t) -> d.Diag.id) ds
@@ -282,27 +285,87 @@ let test_kernel_line_threaded () =
     Alcotest.(check int) "kernel line" 4 d.Diag.line
   | _ -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
-(* --- strict finalize hook -------------------------------------------------- *)
+(* --- strict vetting -------------------------------------------------------- *)
 
-let test_strict_finalize_hook () =
-  let bad () =
-    kernel ~name:"strict_bad" ~params:[ p "n" ]
-      [ if_then (tid <: v "n") [ sync ] ]
+let program ks =
+  let prog = K.Program.create () in
+  List.iter (K.Program.add prog) ks;
+  prog
+
+(* The kernel-local lint: a barrier under a thread-dependent branch is
+   an error (BD01); a possible use before definition is only a warning,
+   which strict vetting lets through. *)
+let test_strict_vet_lint () =
+  let vet k = Strict.vet ~tier:Dpc_sim.Interp.Bytecode (program [ k ]) in
+  (match
+     vet
+       (kernel ~name:"strict_bad" ~params:[ p "n" ]
+          [ if_then (tid <: v "n") [ sync ] ])
+   with
+  | exception Check.Check_error ds ->
+    Alcotest.(check bool) "BD01 reported" true (has_id "BD01" ds)
+  | () -> Alcotest.fail "divergent barrier passed strict vetting");
+  vet
+    (kernel ~name:"strict_warn" ~params:[ p "n" ]
+       [ if_then (tid <: v "n") [ set "t" (i 1) ]; set "u" (v "t") ])
+
+(* Translation validation: a faithful consolidation passes, and the same
+   result with a corrupted entry kernel raises TV07. *)
+let test_strict_vet_tv () =
+  let orig = Mutate.tv_prog P.Block in
+  let r =
+    Dpc.Transform.apply ~cfg:Dpc_gpu.Config.k20c ~parent:Mutate.tv_parent orig
   in
-  (* Default: finalize accepts the kernel (no hook installed). *)
-  K.finalize (bad ());
-  Check.with_strict (fun () ->
-      Alcotest.(check bool) "strict finalize rejects" true
-        (try
-           K.finalize (bad ());
-           false
-         with Check.Check_error ds -> has_id "BD01" ds);
-      (* warnings do not raise in strict finalize *)
-      K.finalize
-        (kernel ~name:"strict_warn" ~params:[ p "n" ]
-           [ if_then (tid <: v "n") [ set "t" (i 1) ]; set "u" (v "t") ]));
-  (* Hook restored: bad kernels finalize again. *)
-  K.finalize (bad ())
+  let vet r =
+    Strict.vet ~tier:Dpc_sim.Interp.Bytecode
+      ~tv:(Mutate.tv_parent, orig, r)
+      r.Dpc.Transform.program
+  in
+  vet r;
+  match vet { r with Dpc.Transform.entry = "tv_no_such_kernel" } with
+  | exception Check.Check_error ds ->
+    Alcotest.(check bool) "TV07 reported" true (has_id "TV07" ds)
+  | () -> Alcotest.fail "corrupted transform passed strict vetting"
+
+(* A strict spec vets the program inside the build the preparer calls:
+   a family whose kernel has a divergent barrier is refused by
+   [Harness.prepare] itself, before the preparer caches it and before
+   any device exists to launch it.  The same family prepares under a
+   plain spec. *)
+let test_strict_prepare_rejects () =
+  let src =
+    "__global__ void bad(int n) {\n\
+    \  if (threadIdx.x < n) {\n\
+    \    __syncthreads();\n\
+    \  }\n\
+     }\n"
+  in
+  let fam =
+    { H.source = (fun _ -> src); parent = "bad"; flat = (src, "bad") }
+  in
+  let cached = ref 0 in
+  let preparer ~key:_ ~interp:_ ~cfgkey:_ ~build =
+    let p = build () in
+    incr cached;
+    (p, None)
+  in
+  let spec ~strict v =
+    Dpc_engine.Scenario.to_spec ~preparer ~strict
+      (Dpc_engine.Scenario.make ~app:"SSSP" v)
+  in
+  List.iter
+    (fun v ->
+      let label = H.variant_to_string v in
+      (match H.prepare (spec ~strict:true v) fam with
+      | exception Check.Check_error ds ->
+        Alcotest.(check bool) (label ^ ": BD01 reported") true
+          (has_id "BD01" ds)
+      | _ -> Alcotest.failf "%s: bad family passed a strict prepare" label);
+      Alcotest.(check int) (label ^ ": nothing cached") 0 !cached;
+      ignore (H.prepare (spec ~strict:false v) fam : H.prepared);
+      Alcotest.(check int) (label ^ ": plain prepare caches") 1 !cached;
+      cached := 0)
+    [ H.Basic; H.Flat ]
 
 (* --- mutation harness ------------------------------------------------------ *)
 
@@ -339,49 +402,53 @@ let test_mutants_cover_all_analyses () =
 
 (* --- the apps stay clean (false-positive regression) ----------------------- *)
 
+(* Every registered app at every variant, built through its family as
+   [dpcc --check] sweeps it: the entry, the variant's label, the parsed
+   original and the prep. *)
+let app_builds () =
+  List.concat_map
+    (fun (e : R.entry) ->
+      List.map
+        (fun v ->
+          let orig, prep = H.build e.R.family ~cfg:Dpc_gpu.Config.k20c v in
+          (e, H.variant_to_string v, orig, prep))
+        H.all_variants)
+    R.all
+
+let check_silent label ds =
+  Alcotest.(check (list string)) label []
+    (List.map (Diag.to_string ?file:None) ds)
+
 let test_apps_lint_clean () =
   List.iter
-    (fun (e : Dpc_apps.Registry.entry) ->
-      List.iter
-        (fun (variant, prog) ->
-          let ds = Check.check_program prog in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s" e.Dpc_apps.Registry.name variant)
-            []
-            (List.map (Diag.to_string ?file:None) ds))
-        (e.Dpc_apps.Registry.programs ()))
-    Dpc_apps.Registry.all
+    (fun ((e : R.entry), variant, _, prep) ->
+      check_silent
+        (Printf.sprintf "%s/%s" e.R.name variant)
+        (Check.check_program prep.H.p_prog))
+    (app_builds ())
 
 (* Translation validation accepts every real consolidation of every
    registered app at every granularity (false-positive envelope for Tv). *)
 let test_tv_apps_clean () =
   List.iter
-    (fun (e : Dpc_apps.Registry.entry) ->
-      List.iter
-        (fun (variant, parent, orig, r) ->
-          let ds = Dpc_check.Tv.check ~parent ~orig r in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s/tv/%s" e.Dpc_apps.Registry.name variant)
-            []
-            (List.map (Diag.to_string ?file:None) ds))
-        (e.Dpc_apps.Registry.tv_units ()))
-    Dpc_apps.Registry.all
+    (fun ((e : R.entry), variant, orig, prep) ->
+      Option.iter
+        (fun r ->
+          check_silent
+            (Printf.sprintf "%s/tv/%s" e.R.name variant)
+            (Dpc_check.Tv.check ~parent:e.R.family.H.parent ~orig r))
+        prep.H.p_trans)
+    (app_builds ())
 
 (* The bytecode verifier accepts every stream the real lowering produces
    for every app variant (false-positive envelope for Bcverify). *)
 let test_bcverify_apps_clean () =
   List.iter
-    (fun (e : Dpc_apps.Registry.entry) ->
-      List.iter
-        (fun (variant, prog) ->
-          let ds = Dpc_check.Bcverify.check prog in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s/bytecode" e.Dpc_apps.Registry.name
-               variant)
-            []
-            (List.map (Diag.to_string ?file:None) ds))
-        (e.Dpc_apps.Registry.programs ()))
-    Dpc_apps.Registry.all
+    (fun ((e : R.entry), variant, _, prep) ->
+      check_silent
+        (Printf.sprintf "%s/%s/bytecode" e.R.name variant)
+        (Dpc_check.Bcverify.check prep.H.p_prog))
+    (app_builds ())
 
 (* Direct bytecode-verifier units: a truncated FUSE quad (the exact
    corruption a torn .prep body would induce), an unknown opcode, and a
@@ -416,36 +483,6 @@ let test_bcverify_direct () =
     (List.map
        (Diag.to_string ?file:None)
        (check [ 7; 1; 0; 0; 0; 1; 2; 8; 0; 1; 3; 12; 0; 2; 18; 1 ]))
-
-(* Strict mode routes Transform.apply through the translation-validation
-   hook: a faithful transform passes silently, and a corrupted result fed
-   to the installed hook raises Check_error. *)
-let test_strict_transform_hook () =
-  Dpc_check.Strict.with_strict (fun () ->
-      ignore
-        (Dpc.Transform.apply ~cfg:Dpc_gpu.Config.k20c
-           ~parent:Mutate.tv_parent
-           (Mutate.tv_prog P.Block)
-          : Dpc.Transform.result));
-  Dpc_check.Strict.with_strict (fun () ->
-      let orig = Mutate.tv_prog P.Block in
-      let r =
-        Dpc.Transform.apply ~cfg:Dpc_gpu.Config.k20c ~parent:Mutate.tv_parent
-          orig
-      in
-      let bad = { r with Dpc.Transform.entry = "tv_no_such_kernel" } in
-      let hook = Dpc.Transform.apply_check () in
-      match hook ~parent:Mutate.tv_parent orig bad with
-      | exception Check.Check_error ds ->
-        Alcotest.(check bool) "TV07 reported" true (has_id "TV07" ds)
-      | () -> Alcotest.fail "corrupted transform accepted under strict");
-  (* Hooks restored: outside with_strict the default hook is a no-op. *)
-  let orig = Mutate.tv_prog P.Block in
-  let r =
-    Dpc.Transform.apply ~cfg:Dpc_gpu.Config.k20c ~parent:Mutate.tv_parent orig
-  in
-  let bad = { r with Dpc.Transform.entry = "tv_no_such_kernel" } in
-  (Dpc.Transform.apply_check ()) ~parent:Mutate.tv_parent orig bad
 
 (* --- JSON report ----------------------------------------------------------- *)
 
@@ -490,7 +527,10 @@ let suite =
     Alcotest.test_case "use before def" `Quick test_use_before_def;
     Alcotest.test_case "legality pragma line" `Quick test_legality_from_source;
     Alcotest.test_case "kernel line threaded" `Quick test_kernel_line_threaded;
-    Alcotest.test_case "strict finalize hook" `Quick test_strict_finalize_hook;
+    Alcotest.test_case "strict vet lint" `Quick test_strict_vet_lint;
+    Alcotest.test_case "strict vet tv" `Quick test_strict_vet_tv;
+    Alcotest.test_case "strict prepare rejects" `Quick
+      test_strict_prepare_rejects;
     Alcotest.test_case "mutants all detected" `Quick test_mutants_all_detected;
     Alcotest.test_case "mutants cover analyses" `Quick
       test_mutants_cover_all_analyses;
@@ -498,7 +538,5 @@ let suite =
     Alcotest.test_case "apps tv clean" `Quick test_tv_apps_clean;
     Alcotest.test_case "apps bytecode clean" `Quick test_bcverify_apps_clean;
     Alcotest.test_case "bytecode verifier direct" `Quick test_bcverify_direct;
-    Alcotest.test_case "strict transform hook" `Quick
-      test_strict_transform_hook;
     Alcotest.test_case "report json" `Quick test_report_json_roundtrip;
   ]

@@ -791,15 +791,16 @@ let apps_lower () =
       List.iter
         (fun (e : R.entry) ->
           List.iter
-            (fun (variant, prog) ->
+            (fun v ->
+              let _, prep = H.build e.R.family ~cfg v in
               List.iter
                 (fun (k : K.t) ->
                   K.finalize k;
                   if Bc.streams_of_kernel k = None then
                     Alcotest.failf "%s/%s/%s [%s]: does not lower" e.R.name
-                      variant k.K.kname pname)
-                (K.Program.kernels prog))
-            (e.R.programs ~cfg ()))
+                      (H.variant_to_string v) k.K.kname pname)
+                (K.Program.kernels prep.H.p_prog))
+            H.all_variants)
         R.all)
     (("k20c", Dpc_gpu.Config.k20c) :: deep_presets)
 

@@ -368,50 +368,9 @@ let steal_sweep_matches_serial () =
   Alcotest.(check string) "session reports its scheduler" "steal"
     (Dpc_util.Pool.sched_to_string (Session.sched steal))
 
-(* strict_check with jobs > 1: the strict finalize hook is domain-local,
-   so it must be (and is) installed around each task inside the worker
-   domains — a program built by a worker is vetted there.  The [inspect]
-   hook runs inside the task, in the worker, so finalizing a broken
-   kernel from it stands in for a worker-built bad program (every
-   registry app is lint-clean).  Afterwards the submitting domain's hook
-   must be back to the default. *)
-let strict_check_parallel_workers () =
-  let bad () =
-    let open Dpc_kir.Build in
-    kernel ~name:"strict_bad" ~params:[ p "n" ]
-      [ if_then (tid <: v "n") [ sync ] ]
-  in
-  let inspect (sc : Scenario.t) _dev =
-    if sc.Scenario.seed = Some 2 then Dpc_kir.Kernel.finalize (bad ())
-  in
-  let seeds = [ 1; 2; 3; 4 ] in
-  let scs =
-    List.map
-      (fun seed ->
-        Scenario.make ~app:"SSSP" ~scale:300 ~seed (H.Cons Pragma.Grid))
-      seeds
-  in
-  let s = Session.create ~strict_check:true ~jobs:2 ~inspect () in
-  let outcomes = Session.run_all s scs in
-  List.iter2
-    (fun seed (o : Session.outcome) ->
-      match o.Session.result with
-      | Ok _ ->
-        if seed = 2 then
-          Alcotest.fail "bad kernel passed strict finalize in a worker"
-      | Error (Dpc_check.Check.Check_error _) ->
-        Alcotest.(check int) "only seed 2 flagged" 2 seed
-      | Error e ->
-        Alcotest.failf "seed %d: unexpected error %s" seed
-          (Printexc.to_string e))
-    seeds outcomes;
-  (* The hook is per-task: after run_all the submitting domain is back to
-     the permissive default, so the same kernel finalizes fine. *)
-  Dpc_kir.Kernel.finalize (bad ())
-
 (* A spec that leaves the tier open is priced as the session default
-   tier, so a sweep mixing default-tier and explicit-tier specs seeds its
-   stealing deques by what each spec will actually run. *)
+   tier, so a sweep mixing default-tier and explicit-tier specs is
+   ordered by what each spec will actually run. *)
 let cost_follows_default_tier () =
   let explicit m = Scenario.make ~interp:m ~app:"SSSP" H.Basic in
   let open_tier = Scenario.make ~app:"SSSP" H.Basic in
@@ -481,6 +440,23 @@ let suite_pass ?(scale = small_scale) ?(cfg = "k20c") ?alloc () =
         (fun v -> Scenario.make ~cfg ?alloc ~scale:(scale app) ~app v)
         H.all_variants)
     app_names
+
+(* A strict session vets each program where it is built, in whichever
+   worker domain builds it.  Every app variant passes, so a strict
+   two-domain batch over the whole evaluation matrix reports exactly
+   what a plain session does. *)
+let strict_session_matches_plain () =
+  let scs = suite_pass () in
+  let reports strict_check =
+    List.map
+      (fun o -> report_str (Session.report o))
+      (Session.run_all (Session.create ~strict_check ~jobs:2 ()) scs)
+  in
+  List.iter2
+    (fun sc (strict, plain) ->
+      Alcotest.(check string) (Scenario.label sc) plain strict)
+    scs
+    (List.combine (reports true) (reports false))
 
 (* The sweep grid's shape: app x variant x allocator x preset, 210 runs
    that share one dataset per app. *)
@@ -684,8 +660,8 @@ let suite =
       parallel_sweep_matches_serial;
     Alcotest.test_case "steal sweep matches serial" `Quick
       steal_sweep_matches_serial;
-    Alcotest.test_case "strict check inside workers" `Quick
-      strict_check_parallel_workers;
+    Alcotest.test_case "strict session matches plain" `Quick
+      strict_session_matches_plain;
     Alcotest.test_case "input cache suite counts" `Quick
       input_cache_suite_counts;
     Alcotest.test_case "input cache sweep counts" `Quick
