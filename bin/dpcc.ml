@@ -4,7 +4,12 @@
    Input: MiniCU source with a #pragma dp annotated device-side launch.
    Output: MiniCU source with the consolidated parent, the consolidated
    child kernel, and (for grid-level postwork) the consolidated postwork
-   kernel. *)
+   kernel.
+
+   Other modes: --check lints a file (or, without one, every registered
+   app at every variant), --mutants runs the verifier's mutation harness,
+   and --help-pragma prints the directive reference.  dpcc runs no
+   simulation: profiling a run is bin/experiments' --trace. *)
 
 open Cmdliner
 
@@ -14,7 +19,7 @@ let pragma_help =
   #pragma dp consldt(warp|block|grid)          consolidation granularity  [required]
              buffer(default|halloc|custom
                     [, perBufferSize: <int|var>]
-                    [, totalSize: <int>])      buffer allocator and sizing [optional]
+                    [, totalSize: <int>])      buffer kind and sizing     [optional]
              work(v1, v2, ...)                 variables to buffer        [required]
              threads(<int>)                    consolidated block size    [optional]
              blocks(<int>)                     consolidated grid size     [optional]
@@ -23,6 +28,12 @@ Place the directive on the line before the device-side launch it applies to:
 
   #pragma dp consldt(block) buffer(custom, perBufferSize: 256) work(curr)
   launch child<<<1, 64>>>(arr, curr);
+
+perBufferSize sizes each consolidation buffer.  The buffer kind and
+totalSize are parsed and linted (LC08: one buffer must fit in totalSize)
+but do not choose the allocator: a simulated run takes its allocator
+from the scenario's alloc= key (default, halloc or pre-alloc; see
+experiments --scenario), and the pre-allocated pool is always 500 MB.
 |}
 
 let read_file path =
@@ -30,44 +41,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-(* --- profiling mode ------------------------------------------------------ *)
-
-(* Run one scenario on the simulated device through the engine, print
-   its report and per-kernel profile, and optionally export the Chrome
-   trace.  This is the simulator-side counterpart of the compile path:
-   the paper's evaluation workflow (nvprof over a benchmark binary)
-   compressed into one command. *)
-let run_profiled ~scenario ~profile_out =
-  let events = ref [||] in
-  let num_smx = ref 0 in
-  let inspect _scenario dev =
-    events := Dpc_sim.Device.profile dev;
-    num_smx := (Dpc_sim.Device.config dev).Dpc_gpu.Config.num_smx
-  in
-  let session = Dpc_engine.Session.create ~inspect () in
-  let report = Dpc_engine.Session.run session scenario in
-  Dpc_sim.Metrics.print
-    ~title:
-      (Printf.sprintf "%s / %s" scenario.Dpc_engine.Scenario.app
-         (Dpc_apps.Harness.variant_to_string
-            scenario.Dpc_engine.Scenario.variant))
-    report;
-  print_newline ();
-  Dpc_util.Table.print
-    (Dpc_prof.Profile.table (Dpc_prof.Profile.of_events !events));
-  (match profile_out with
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          (Dpc_prof.Chrome_trace.to_string ~num_smx:!num_smx !events));
-    Printf.eprintf "dpcc: Chrome trace (%d events) -> %s\n"
-      (Array.length !events) path
-  | None -> ());
-  0
 
 (* --- static checking mode ------------------------------------------------ *)
 
@@ -213,11 +186,8 @@ let run_mutants () =
     (List.length outcomes);
   if !failures = 0 then 0 else 1
 
-let run input parent policy output help_pragma app variant scale scenario
-    interp profile_out check strict check_json mutants =
-  (match interp with
-  | Some m -> Dpc_sim.Interp.set_default_mode m
-  | None -> ());
+let run input parent policy output help_pragma check strict check_json mutants
+    =
   if help_pragma then begin
     print_string pragma_help;
     0
@@ -246,45 +216,11 @@ let run input parent policy output help_pragma app variant scale scenario
         1)
   end
   else
-    match (scenario, app, input) with
-    | Some _, Some _, _ ->
-      prerr_endline "dpcc: --scenario and --app are mutually exclusive";
-      2
-    | Some s, None, _ -> (
-      (* Full scenario profiling: everything (variant, scale, seed,
-         device config, policy, ...) comes from the scenario string. *)
-      try
-        run_profiled ~scenario:(Dpc_engine.Scenario.of_string s) ~profile_out
-      with
-      | Failure msg | Invalid_argument msg ->
-        Printf.eprintf "dpcc: %s\n" msg;
-        1
-      | Dpc_apps.Harness.Verification_failed msg ->
-        Printf.eprintf "dpcc: verification failed: %s\n" msg;
-        1)
-    | None, Some app, _ -> (
-      try
-        let scenario =
-          Dpc_engine.Scenario.make ~app ?scale
-            (Dpc_apps.Harness.variant_of_string variant)
-        in
-        run_profiled ~scenario ~profile_out
-      with
-      | Failure msg | Invalid_argument msg ->
-        Printf.eprintf "dpcc: %s\n" msg;
-        1
-      | Dpc_apps.Harness.Verification_failed msg ->
-        Printf.eprintf "dpcc: verification failed: %s\n" msg;
-        1)
-    | None, None, _ when profile_out <> None ->
-      prerr_endline
-        "dpcc: --profile needs --app or --scenario (profiling runs a \
-         registered benchmark on the simulated device)";
-      2
-    | None, None, None ->
+    match input with
+    | None ->
       prerr_endline "dpcc: missing input file (see --help)";
       2
-    | None, None, Some path -> (
+    | Some path -> (
       try
         let src = read_file path in
         let prog = Dpc_minicu.Parser.parse_program src in
@@ -369,48 +305,6 @@ let help_pragma =
   Arg.(value & flag & info [ "help-pragma" ]
        ~doc:"Print the #pragma dp clause reference (Table I) and exit.")
 
-let app_arg =
-  Arg.(value & opt (some string) None & info [ "app" ] ~docv:"NAME"
-       ~doc:"Profiling mode: run the registered benchmark $(docv) (SSSP, \
-             SpMV, PageRank, GC, BFS-Rec, TH, TD) on the simulated \
-             device instead of compiling, and print its report and \
-             per-kernel profile.")
-
-let variant_arg =
-  Arg.(value & opt string "basic-dp" & info [ "variant" ] ~docv:"V"
-       ~doc:"App variant in profiling mode: basic-dp, no-dp, warp-level, \
-             block-level, or grid-level.")
-
-let scale_arg =
-  Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N"
-       ~doc:"Problem-size override in profiling mode (interpreted per \
-             app, as in bin/experiments).")
-
-let scenario_arg =
-  Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"KEY=V,..."
-       ~doc:"Profiling mode from a first-class scenario string (as in \
-             $(b,experiments --scenario)): e.g. \
-             $(b,app=SSSP,variant=grid-level,scale=700,cfg.num_smx=26).  \
-             Mutually exclusive with --app.")
-
-let interp_arg =
-  let backend =
-    Arg.enum
-      [ ("bytecode", Dpc_sim.Interp.Bytecode);
-        ("ref", Dpc_sim.Interp.Reference) ]
-  in
-  Arg.(value & opt (some backend) None & info [ "interp" ] ~docv:"BACKEND"
-       ~doc:"Interpreter back end for profiling runs: bytecode|ref — \
-             $(b,bytecode) (fused linear bytecode dispatch, the default) \
-             or $(b,ref) (reference AST walker).  Both produce \
-             byte-identical reports; overrides $(b,DPC_INTERP).")
-
-let profile_arg =
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE"
-       ~doc:"Write a Chrome trace-event JSON of the profiled run to \
-             $(docv) (open in Perfetto or chrome://tracing).  Requires \
-             --app or --scenario.")
-
 let check_arg =
   Arg.(value & flag & info [ "check" ]
        ~doc:"Static-verification mode: lint kernels instead of compiling. \
@@ -439,8 +333,6 @@ let cmd =
     (Cmd.info "dpcc" ~doc)
     Term.(
       const run $ input $ parent $ policy $ output $ help_pragma
-      $ app_arg $ variant_arg $ scale_arg $ scenario_arg $ interp_arg
-      $ profile_arg $ check_arg $ strict_arg $ check_json_arg
-      $ mutants_arg)
+      $ check_arg $ strict_arg $ check_json_arg $ mutants_arg)
 
 let () = exit (Cmd.eval' cmd)

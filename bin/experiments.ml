@@ -21,9 +21,13 @@
                    reports plus the rendered tables; see EXPERIMENTS.md);
                    scenario mode: the dpc-sweep-v1 outcome list
      --trace DIR   write a Chrome trace-event file and a per-kernel
-                   profile for every suite run into DIR
-   Both describe the figs 7-10 suite: with figures that do not read it
-   (fig5, fig6, ablations alone) they are refused with exit code 2.
+                   profile, <app>-<variant>.trace.json and .profile.json,
+                   for every suite run or every scenario into DIR
+   With figures, both describe the figs 7-10 suite and are refused (exit
+   code 2) when no requested figure reads it (fig5, fig6, ablations
+   alone).  In scenario mode --trace is refused (exit 2, before anything
+   runs) when two scenarios share an app and variant, since they would
+   write the same files.  This is the only front end that writes traces.
 
    All execution goes through one Dpc_engine.Session: independent
    simulations fan out over OCaml domains (--jobs N; --jobs 1 is the
@@ -78,8 +82,10 @@ let read_file path =
 
 (* Run an explicit scenario list (from --scenario flags and/or a --sweep
    file), print one table row per outcome, and optionally export the
-   dpc-sweep-v1 snapshot.  Exit 1 if any scenario failed. *)
-let run_scenarios session ~verbose ~json_out scenario_args sweep_file =
+   dpc-sweep-v1 snapshot and each run's trace files.  Exit 1 if any
+   scenario failed. *)
+let run_scenarios session ~verbose ~json_out ~trace_dir scenario_args
+    sweep_file =
   let parsed = List.map Scenario.of_string scenario_args in
   let from_file =
     match sweep_file with
@@ -91,7 +97,28 @@ let run_scenarios session ~verbose ~json_out scenario_args sweep_file =
     prerr_endline "experiments: empty sweep (no scenarios given)";
     exit 2
   end;
-  let outcomes = Session.run_all session scs in
+  let slug (sc : Scenario.t) =
+    E.Suite.run_slug ~app:sc.Scenario.app sc.Scenario.variant
+  in
+  (match trace_dir with
+  | Some dir ->
+    let rec clash = function
+      | a :: rest ->
+        if List.exists (fun b -> slug b = slug a) rest then Some a
+        else clash rest
+      | [] -> None
+    in
+    Option.iter
+      (fun sc ->
+        Printf.eprintf
+          "experiments: --trace: two scenarios would both write \
+           %s.trace.json (one app and variant per traced batch)\n"
+          (Filename.concat dir (slug sc));
+        exit 2)
+      (clash scs)
+  | None -> ());
+  let inspect = Option.map E.Suite.trace_to trace_dir in
+  let outcomes = Session.run_all ?inspect session scs in
   let t =
     Dpc_util.Table.create ~title:"Scenario sweep"
       ~headers:[ "scenario"; "cycles"; "device launches"; "warp eff" ]
@@ -119,6 +146,10 @@ let run_scenarios session ~verbose ~json_out scenario_args sweep_file =
     E.Export.write_file path (E.Export.sweep_json outcomes);
     if verbose then Printf.eprintf "[sweep] outcome snapshot -> %s\n%!" path
   | None -> ());
+  (match trace_dir with
+  | Some dir when verbose ->
+    Printf.eprintf "[sweep] per-run traces and profiles -> %s/\n%!" dir
+  | _ -> ());
   if verbose then begin
     let s = Session.cache_stats session in
     Printf.eprintf "[sweep] program cache: %d hits, %d misses\n%!"
@@ -165,7 +196,9 @@ let run figures quiet scale jobs sched json_out trace_dir interp
       ?persist:cache_dir ()
   in
   if scenario_mode then (
-    try run_scenarios session ~verbose ~json_out scenario_args sweep_file
+    try
+      run_scenarios session ~verbose ~json_out ~trace_dir scenario_args
+        sweep_file
     with Invalid_argument msg | Failure msg ->
       Printf.eprintf "experiments: %s\n" msg;
       2)
@@ -173,9 +206,7 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     let reads_suite = List.exists needs_suite figures in
     (* The JSON snapshot and the trace files describe the shared run
        collection of figs 7-10, so they are refused when no requested
-       figure reads it.  A trace capture needs its own session (the
-       artifact hook is fixed at session creation), so only the
-       untraced path reuses the shared one. *)
+       figure reads it. *)
     if (not reads_suite) && (json_out <> None || trace_dir <> None) then begin
       Printf.eprintf
         "experiments: %s only with a figure that reads the suite (%s)\n"
@@ -189,9 +220,9 @@ let run figures quiet scale jobs sched json_out trace_dir interp
     let suite =
       if reads_suite then
         Some
-          (E.Suite.collect ~verbose ?scale ~jobs ~sched ?trace_dir
-             ?session:(if trace_dir = None then Some session else None)
-             ())
+          (E.Suite.collect ?scale
+             ?inspect:(Option.map E.Suite.trace_to trace_dir)
+             ~session ())
       else None
     in
     let get_suite () = Option.get suite in
@@ -274,10 +305,13 @@ let json_out =
 
 let trace_dir =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR"
-       ~doc:"Profile every suite run and write Chrome trace-event files \
-             (*.trace.json, for Perfetto/chrome://tracing) and per-kernel \
-             profiles (*.profile.json) into $(docv).  Needs a figure \
-             that reads the suite (fig7-10, summary, all).")
+       ~doc:"Profile every suite run (or, in scenario mode, every \
+             scenario) and write Chrome trace-event files \
+             (<app>-<variant>.trace.json, for Perfetto/chrome://tracing) \
+             and per-kernel profiles (<app>-<variant>.profile.json) into \
+             $(docv).  With figures, needs one that reads the suite \
+             (fig7-10, summary, all); in scenario mode, no two scenarios \
+             may share an app and variant.")
 
 let interp =
   let backend =

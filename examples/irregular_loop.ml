@@ -118,8 +118,11 @@ let () =
     let data = Device.of_int_array dev ~name:"data" data0 in
     Device.launch dev entry ~grid:((n + 127) / 128) ~block:128
       ([ V.Vbuf row_ptr.Mem.id; V.Vbuf data.Mem.id; V.Vint n ] @ extra);
+    (* One replay: the report is cached from the profiled one. *)
+    let events = Device.profile dev in
     Printf.printf "\n%s:\n%s" label
-      (Dpc_sim.Timeline.of_session (Device.session dev))
+      (Dpc_sim.Timeline.of_events (Device.config dev)
+         ~total_cycles:(Device.report dev).M.cycles events)
   in
   show "basic-dp utilization"
     (Dpc_minicu.Parser.parse_program (dp_source "grid"))

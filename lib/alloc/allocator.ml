@@ -165,8 +165,7 @@ let alloc ?(contention = 0) t mem ~name ~count =
 (** Release a buffer previously returned by [alloc]; returns the cycle
     cost.  The pool allocator reclaims nothing (bump allocation): within
     a run its bump pointer only grows, and once the pool is exhausted
-    every further allocation falls back to the default heap.  No run
-    calls {!reset_pool}. *)
+    every further allocation falls back to the default heap. *)
 let free t (buf : Memory.buf) =
   t.frees <- t.frees + 1;
   let on_heap = Hashtbl.mem t.heap_ids buf.Memory.id in
@@ -182,8 +181,3 @@ let free t (buf : Memory.buf) =
   | None -> ());
   (* Buffers that came from the default heap pay its release cost. *)
   if on_heap then default_costs.free_cycles else t.costs.free_cycles
-
-(** Reset the bump pointer of the pre-allocated pool; no-op for the
-    other allocators.  The simulator never calls it, so a run's pool
-    spans all of its host launches. *)
-let reset_pool t = if t.kind = Pool then t.pool_used <- 0

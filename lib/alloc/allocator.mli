@@ -53,8 +53,3 @@ val alloc :
     by the default heap — pool-exhaustion fallbacks and halloc oversize
     requests — pay the default heap's release cost. *)
 val free : t -> Dpc_gpu.Memory.buf -> int
-
-(** Reset the pool's bump pointer; no-op for the other allocators.  No
-    run calls it: a simulated run's pool spans all of its host
-    launches. *)
-val reset_pool : t -> unit

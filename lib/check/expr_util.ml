@@ -137,11 +137,3 @@ let rec single_thread_guard (cond : A.expr) : string option =
     | Some _ as g -> g
     | None -> single_thread_guard b)
   | _ -> None
-
-(** Does the expression mention any special register satisfying [pred]? *)
-let mentions_special pred (e : A.expr) =
-  let found = ref false in
-  A.iter_expr
-    (fun x -> match x with A.Special s when pred s -> found := true | _ -> ())
-    e;
-  !found

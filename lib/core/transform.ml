@@ -581,7 +581,6 @@ type result = {
   cons_kernel : string;
   post_kernel : string option;
   granularity : Pragma.granularity;
-  buffer_alloc : Pragma.buffer_alloc;
   nvars : int;
   policy : Cs.policy;
   threads : int;  (** block size of the consolidated kernel *)
@@ -654,7 +653,6 @@ let apply ?policy ~(cfg : Cfg.t) ~(parent : string) (prog : K.Program.t) :
       cons_kernel = cons;
       post_kernel;
       granularity = gran;
-      buffer_alloc = pragma.Pragma.buffer;
       nvars = site.nvars;
       policy;
       threads;

@@ -42,7 +42,6 @@ type result = {
   cons_kernel : string;
   post_kernel : string option;
   granularity : Dpc_kir.Pragma.granularity;
-  buffer_alloc : Dpc_kir.Pragma.buffer_alloc;
   nvars : int;  (** buffered variables per work item *)
   policy : Config_select.policy;
   threads : int;  (** consolidated kernel block size *)

@@ -15,7 +15,7 @@
 
     Each file is a one-line header followed by an [Marshal] payload:
 
-    {v dpc-kcache-v3 ocaml=<version> tier=<interp tier> cfg=<config digest> md5=<payload digest> len=<bytes> v}
+    {v dpc-kcache-v4 ocaml=<version> tier=<interp tier> cfg=<config digest> md5=<payload digest> len=<bytes> v}
 
     The header is the {b format-version guard}: a reader rejects (and a
     later write replaces) any file whose format tag, OCaml version,
@@ -45,7 +45,7 @@
 
 module Harness = Dpc_apps.Harness
 
-let format_version = "dpc-kcache-v3"
+let format_version = "dpc-kcache-v4"
 
 type stats = {
   loads : int;  (** successful loads *)

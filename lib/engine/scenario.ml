@@ -465,7 +465,7 @@ let label t =
 
 (** Lower to the harness-level run specification.  [preparer] threads the
     engine's compiled-program cache, [inputs] the session's input cache;
-    [inspect] the session's profiling hook. *)
+    [inspect] the batch's profiling hook. *)
 let to_spec ?(preparer = Harness.no_cache) ?(inputs = Harness.build_inputs)
     ?inspect ?(strict = false) t : Harness.spec =
   {

@@ -53,7 +53,6 @@ type t = {
   verbose : bool;
   verbose_lock : Mutex.t;
   strict_check : bool;
-  inspect : (Scenario.t -> Dpc_sim.Device.t -> unit) option;
 }
 
 (** [create ()] builds a session.  [jobs] bounds batch parallelism
@@ -62,12 +61,11 @@ type t = {
     (every run builds fresh);
     [persist] backs the cache with the on-disk store rooted at that
     directory (created when absent; ignored with [cache:false]);
-    [inspect] runs after each scenario's launches with its device (for
-    profiling capture); [strict_check] runs every scenario with a strict
+    [strict_check] runs every scenario with a strict
     spec, so each program the session builds is vetted
     ({!Dpc_check.Strict.vet}) before it is cached or run. *)
 let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
-    ?(verbose = false) ?inspect ?(strict_check = false) () =
+    ?(verbose = false) ?(strict_check = false) () =
   {
     cache =
       (if cache then
@@ -82,7 +80,6 @@ let create ?(jobs = 1) ?(sched = Pool.Shared) ?(cache = true) ?persist
     verbose;
     verbose_lock = Mutex.create ();
     strict_check;
-    inspect;
   }
 
 let sched t = Pool.sched t.pool
@@ -107,23 +104,25 @@ let changed_inputs t =
 
 (* Every in-memory cache entry was built, and under [strict_check]
    vetted, by this session; disk loads pass [verify_prep]. *)
-let run_one t (sc : Scenario.t) =
+let run_one ?inspect t (sc : Scenario.t) =
   let entry = Registry.find sc.Scenario.app in
   let preparer = Option.map Kcache.preparer t.cache in
-  let inspect = Option.map (fun f -> f sc) t.inspect in
+  let inspect = Option.map (fun f -> f sc) inspect in
   let inputs = Option.map Input_cache.hook t.inputs in
   let spec =
     Scenario.to_spec ?preparer ?inputs ?inspect ~strict:t.strict_check sc
   in
   entry.Registry.run_spec spec
 
+let outcome ?inspect t (sc : Scenario.t) : outcome =
+  let t0 = Unix.gettimeofday () in
+  let result = try Ok (run_one ?inspect t sc) with e -> Error e in
+  { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
+
 (** Execute one scenario, capturing its error and wall clock.  This is
     the unit both {!run_all} and the serve daemon's streaming executor
     are built on. *)
-let run_outcome t (sc : Scenario.t) : outcome =
-  let t0 = Unix.gettimeofday () in
-  let result = try Ok (run_one t sc) with e -> Error e in
-  { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
+let run_outcome t sc = outcome t sc
 
 (** Execute one scenario; exceptions propagate. *)
 let run t sc =
@@ -132,10 +131,11 @@ let run t sc =
 
 (** Execute a batch across the session's pool.  Outcomes keep submission
     order; a failing scenario yields [Error] without aborting its
-    siblings. *)
-let run_all t (scenarios : Scenario.t list) : outcome list =
+    siblings.  [inspect] runs after each scenario's launches with its
+    device, inside the worker that ran it (for profiling capture). *)
+let run_all ?inspect t (scenarios : Scenario.t list) : outcome list =
   let work sc =
-    let o = run_outcome t sc in
+    let o = outcome ?inspect t sc in
     if t.verbose then begin
       (* Progress goes to stderr: stdout carries the figure tables.  One
          pre-formatted line per outcome, written under a lock: worker

@@ -25,9 +25,9 @@ type t
     identical, only wall-clock scheduling changes); [cache:false]
     disables program and input reuse (every run builds fresh); [persist]
     backs the cache with the on-disk store rooted at that directory
-    (created when absent; ignored with [cache:false]); [verbose] prints a line per finished scenario
-    (writes are serialized across worker domains); [inspect] runs after
-    each scenario's launches with its device; [strict_check] vets every
+    (created when absent; ignored with [cache:false]); [verbose] prints a
+    line per finished scenario (writes are serialized across worker
+    domains); [strict_check] vets every
     program the session builds ({!Dpc_check.Strict.vet}) before it is
     cached or run, so a failing check is that scenario's
     {!Dpc_check.Check.Check_error}. *)
@@ -37,7 +37,6 @@ val create :
   ?cache:bool ->
   ?persist:string ->
   ?verbose:bool ->
-  ?inspect:(Scenario.t -> Dpc_sim.Device.t -> unit) ->
   ?strict_check:bool ->
   unit ->
   t
@@ -76,8 +75,14 @@ val run : t -> Scenario.t -> Dpc_sim.Metrics.report
 
 (** Execute a batch across the session's pool.  Outcomes keep submission
     order; a failing scenario yields [Error] without aborting its
-    siblings. *)
-val run_all : t -> Scenario.t list -> outcome list
+    siblings.  [inspect] runs after each scenario's launches with its
+    device, inside the worker that ran it: the one hook for profiling
+    capture (a failing hook fails that scenario). *)
+val run_all :
+  ?inspect:(Scenario.t -> Dpc_sim.Device.t -> unit) ->
+  t ->
+  Scenario.t list ->
+  outcome list
 
 (** Unwrap an outcome, re-raising a captured failure. *)
 val report : outcome -> Dpc_sim.Metrics.report

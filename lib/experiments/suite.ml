@@ -36,25 +36,30 @@ let run_slug ~app variant =
       | _ -> '-')
     raw
 
-(* Capture the device's event stream and drop the Chrome trace and the
-   per-kernel profile next to each other in [dir].  Runs inside the
-   worker domain; each task writes distinct files, so parallel collection
-   is race-free and the bytes depend only on the (deterministic) run. *)
-let write_run_artifacts ~dir ~app variant dev =
-  let slug = run_slug ~app variant in
-  let events = Dpc_sim.Device.profile dev in
-  let num_smx = (Dpc_sim.Device.config dev).Dpc_gpu.Config.num_smx in
-  let save name contents =
-    let oc = open_out (Filename.concat dir name) in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents)
-  in
-  save (slug ^ ".trace.json")
-    (Dpc_prof.Chrome_trace.to_string ~num_smx events);
-  save (slug ^ ".profile.json")
-    (Dpc_prof.Json.to_string_pretty
-       (Dpc_prof.Profile.to_json (Dpc_prof.Profile.of_events events)))
+(** The artifact hook for {!Session.run_all} (and {!collect}): creates
+    [dir] when absent, then captures every run's event stream and drops
+    its Chrome trace ([<slug>.trace.json]) and per-kernel profile
+    ([<slug>.profile.json]) next to each other in [dir], named by
+    {!run_slug}.  It runs inside the worker domain; runs of distinct
+    (app, variant) pairs write distinct files, so parallel collection is
+    race-free and the bytes depend only on the (deterministic) run. *)
+let trace_to dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  fun (sc : Scenario.t) dev ->
+    let slug = run_slug ~app:sc.Scenario.app sc.Scenario.variant in
+    let events = Dpc_sim.Device.profile dev in
+    let num_smx = (Dpc_sim.Device.config dev).Dpc_gpu.Config.num_smx in
+    let save name contents =
+      let oc = open_out (Filename.concat dir name) in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc contents)
+    in
+    save (slug ^ ".trace.json")
+      (Dpc_prof.Chrome_trace.to_string ~num_smx events);
+    save (slug ^ ".profile.json")
+      (Dpc_prof.Json.to_string_pretty
+         (Dpc_prof.Profile.to_json (Dpc_prof.Profile.of_events events)))
 
 (** The suite as a declarative scenario list: every registry app (or the
     [apps] subset) at every variant, at [scale], on the [cfg] device
@@ -67,42 +72,20 @@ let scenarios ?scale ?(cfg = "k20c") ?(apps = R.all) () =
         variant_order)
     apps
 
-(** Collect all runs through the engine.  [scale] overrides each app's
-    default problem size (interpreted per app); [cfg] names a device
-    preset.  The 35 (app x variant) simulations are independent, so the
-    session fans them out over its domain pool; every simulation builds
-    its own device and dataset from fixed seeds, so the collected reports
-    are identical regardless of the job count.  [apps] restricts the
-    collection to a subset of the registry (default: all seven).
-
-    [session] reuses a caller-owned {!Session.t} (sharing its
-    compiled-kernel cache with other figures); without one — or whenever
-    [trace_dir] is set, because the artifact hook is fixed at session
-    creation — a fresh session with [jobs] workers (and the [sched] pool
-    scheduler, when given) is built here.
-    [trace_dir] profiles every run and writes
-    [<app>-<variant>.trace.json] (Chrome trace-event format) and
-    [<app>-<variant>.profile.json] (per-kernel summary) there; the files
-    are byte-identical for any [jobs]. *)
-let collect ?(verbose = true) ?scale ?(cfg = "k20c") ?(jobs = 1) ?sched
-    ?(apps = R.all) ?trace_dir ?session () : t =
-  (match trace_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
-  let session =
-    match (session, trace_dir) with
-    | Some s, None -> s
-    | _, dir ->
-      let inspect =
-        Option.map
-          (fun dir (sc : Scenario.t) dev ->
-            write_run_artifacts ~dir ~app:sc.Scenario.app
-              sc.Scenario.variant dev)
-          dir
-      in
-      Session.create ~jobs ?sched ~verbose ?inspect ()
+(** Collect all runs through the caller's [session], which fans the
+    35 independent (app x variant) simulations over its pool and shares
+    its caches with other figures.  [scale] overrides each app's default
+    problem size (interpreted per app); [cfg] names a device preset;
+    [apps] restricts the collection to a subset of the registry (default:
+    all seven); [inspect] is handed to {!Session.run_all} (e.g.
+    {!trace_to}).  Every simulation builds its own device and dataset
+    from fixed seeds, so the collected reports are identical regardless
+    of the job count. *)
+let collect ?scale ?(cfg = "k20c") ?(apps = R.all) ?inspect ~session () :
+    t =
+  let outcomes =
+    Session.run_all ?inspect session (scenarios ?scale ~cfg ~apps ())
   in
-  let outcomes = Session.run_all session (scenarios ?scale ~cfg ~apps ()) in
   (* Reassemble per-app rows; [run_all] preserves submission order, so
      this grouping is deterministic.  [Scenario.make] canonicalized the
      app names against the registry, so matching on [e.name] is exact. *)

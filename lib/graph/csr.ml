@@ -98,17 +98,3 @@ let symmetrize g =
   let g' = of_adjacency (Array.map dedup adj) in
   validate g';
   g'
-
-(** Out-degree histogram as (bucket_upper_bound, count) pairs. *)
-let degree_histogram g =
-  let buckets = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; max_int ] in
-  let counts = Array.make (List.length buckets) 0 in
-  for v = 0 to g.n - 1 do
-    let d = degree g v in
-    let rec place i = function
-      | [] -> ()
-      | b :: rest -> if d <= b then counts.(i) <- counts.(i) + 1 else place (i + 1) rest
-    in
-    place 0 buckets
-  done;
-  List.mapi (fun i b -> (b, counts.(i))) buckets

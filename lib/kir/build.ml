@@ -38,8 +38,6 @@ let ( <>: ) a b = Binop (Ne, a, b)
 let ( &&: ) a b = Binop (And, a, b)
 let ( ||: ) a b = Binop (Or, a, b)
 let min_ a b = Binop (Min, a, b)
-let max_ a b = Binop (Max, a, b)
-let not_ a = Unop (Not, a)
 let neg a = Unop (Neg, a)
 let to_float a = Unop (To_float, a)
 let to_int a = Unop (To_int, a)

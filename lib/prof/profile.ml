@@ -140,36 +140,6 @@ let of_events (events : Event.t array) : row list =
 
 (* --- rendering ----------------------------------------------------------- *)
 
-let table rows =
-  let t =
-    Dpc_util.Table.create ~title:"per-kernel profile (nvprof GPU summary)"
-      ~headers:
-        [ "kernel"; "depth"; "launches"; "total cyc"; "mean cyc"; "max cyc";
-          "queue wait"; "warp eff"; "DRAM"; "allocs" ]
-      ~aligns:
-        Dpc_util.Table.
-          [ Left; Right; Right; Right; Right; Right; Right; Right; Right;
-            Right ]
-      ()
-  in
-  List.iter
-    (fun r ->
-      Dpc_util.Table.add_row t
-        [
-          r.kernel;
-          string_of_int r.depth;
-          string_of_int r.launches;
-          Printf.sprintf "%.0f" r.total_cycles;
-          Printf.sprintf "%.0f" r.mean_cycles;
-          Printf.sprintf "%.0f" r.max_cycles;
-          Printf.sprintf "%.0f" r.queue_wait;
-          Dpc_util.Table.fmt_pct r.warp_efficiency;
-          string_of_int r.dram_transactions;
-          string_of_int r.alloc_calls;
-        ])
-    rows;
-  t
-
 let row_to_json r =
   Json.Obj
     [

@@ -1,12 +1,32 @@
 (** ASCII device-utilization timelines.
 
-    Renders the timing model's resident-warp samples as a braille-free,
-    log-safe chart: one column per time bucket, height proportional to
-    resident warps.  Useful for eyeballing why a variant is slow — e.g.
-    basic-dp shows a long, almost-empty tail of serialized tiny kernels
-    where grid-level consolidation shows a few dense bursts. *)
+    Folds the replay's event stream ({!Device.profile}) into resident-warp
+    steps and renders them as a braille-free, log-safe chart: one column
+    per time bucket, height proportional to resident warps.  Useful for
+    eyeballing why a variant is slow — e.g. basic-dp shows a long,
+    almost-empty tail of serialized tiny kernels where grid-level
+    consolidation shows a few dense bursts. *)
 
 module Cfg = Dpc_gpu.Config
+module Ev = Dpc_prof.Event
+
+(** Resident-warp steps [(start_time, warps)] in time order, folded from
+    the [Block_placed]/[Block_removed] events: each starts a step.  The
+    device is empty before the first one, and events sharing a cycle
+    leave steps of zero length; {!bucketize} weighs both as nothing. *)
+let steps (events : Ev.t array) : (float * int) list =
+  let warps = ref 0 in
+  let step (ev : Ev.t) delta =
+    warps := !warps + delta;
+    Some (ev.Ev.cycles, !warps)
+  in
+  List.filter_map
+    (fun (ev : Ev.t) ->
+      match ev.Ev.kind with
+      | Ev.Block_placed { warps; _ } -> step ev warps
+      | Ev.Block_removed { warps; _ } -> step ev (-warps)
+      | _ -> None)
+    (Array.to_list events)
 
 (** Bucket step samples into [width] equal time slices; each bucket holds
     the time-weighted average of resident warps. *)
@@ -89,13 +109,7 @@ let render ?(width = 72) ?(height = 8) (cfg : Cfg.t)
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(** Run the timing replay (processor-sharing scheduler) for a device's
-    recorded session and render its utilization timeline. *)
-let of_session ?width ?height (s : Interp.session) : string =
-  let t =
-    Timing.create ~record_timeline:true s.Interp.cfg
-      (Interp.grids s) (Interp.roots s)
-  in
-  let result = Timing.run t in
-  render ?width ?height s.Interp.cfg
-    ~total_cycles:result.Timing.total_cycles (Timing.timeline t)
+(** Render the utilization chart of one replay from its event stream;
+    [total_cycles] is the replay's end (its report's [cycles]). *)
+let of_events ?width ?height cfg ~total_cycles events =
+  render ?width ?height cfg ~total_cycles (steps events)

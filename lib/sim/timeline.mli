@@ -1,10 +1,11 @@
 (** ASCII device-utilization timelines.
 
-    Renders the timing model's resident-warp samples as a braille-free,
-    log-safe chart: one column per time bucket, height proportional to
-    resident warps.  Useful for eyeballing why a variant is slow — e.g.
-    basic-dp shows a long, almost-empty tail of serialized tiny kernels
-    where grid-level consolidation shows a few dense bursts. *)
+    Folds the replay's event stream ({!Device.profile}) into resident-warp
+    steps and renders them as a braille-free, log-safe chart: one column
+    per time bucket, height proportional to resident warps.  Useful for
+    eyeballing why a variant is slow — e.g. basic-dp shows a long,
+    almost-empty tail of serialized tiny kernels where grid-level
+    consolidation shows a few dense bursts. *)
 
 (** Bucket step samples into [width] equal time slices; each bucket holds
     the time-weighted average of resident warps. *)
@@ -22,6 +23,12 @@ val render :
   (float * int) list ->
   string
 
-(** Run the timing replay (processor-sharing scheduler) for a device's
-    recorded session and render its utilization timeline. *)
-val of_session : ?width:int -> ?height:int -> Interp.session -> string
+(** Render the utilization chart of one replay from its event stream;
+    [total_cycles] is the replay's end (its report's [cycles]). *)
+val of_events :
+  ?width:int ->
+  ?height:int ->
+  Dpc_gpu.Config.t ->
+  total_cycles:float ->
+  Dpc_prof.Event.t array ->
+  string

@@ -242,7 +242,6 @@ type clock = {
 type t = {
   cfg : Cfg.t;
   scheduler : scheduler;
-  record_timeline : bool;
   sink : Ev.sink option;  (** per-run profiling sink; no global state *)
   debug_log : bool;  (** [DPC_TIMING_DEBUG] set: log event counts *)
   grids : grid_state array;
@@ -270,7 +269,6 @@ type t = {
   mutable virtualized : int;
   mutable max_pending : int;
   mutable swapped_syncs : int;
-  mutable samples : (float * int) list;  (** (time, resident warps), reversed *)
 }
 
 let tick_id t = Array.length t.smxs
@@ -336,7 +334,7 @@ let no_block =
     waiting_barrier = false;
   }
 
-let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
+let create ?(scheduler = Processor_sharing) ?sink
     cfg (grids : Trace.grid_exec array) (roots : int list) =
   let mk_grid (g : Trace.grid_exec) =
     {
@@ -356,7 +354,6 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
   {
     cfg;
     scheduler;
-    record_timeline;
     sink;
     debug_log = Sys.getenv_opt "DPC_TIMING_DEBUG" <> None;
     grids = Array.map mk_grid grids;
@@ -393,7 +390,6 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     virtualized = 0;
     max_pending = 0;
     swapped_syncs = 0;
-    samples = [];
   }
 
 (* --- event publication --------------------------------------------------- *)
@@ -436,8 +432,6 @@ let occ_note t =
   if dt > 0.0 then begin
     c.occ_integral <- c.occ_integral +. (Float.of_int t.device_warps *. dt);
     c.busy_integral <- c.busy_integral +. (Float.of_int t.busy_smxs *. dt);
-    if t.record_timeline then
-      t.samples <- (c.occ_last, t.device_warps) :: t.samples;
     c.occ_last <- c.now
   end
 
@@ -918,7 +912,3 @@ let run t =
 let simulate ?scheduler ?sink cfg grids roots =
   let t = create ?scheduler ?sink cfg grids roots in
   run t
-
-(** Resident-warp samples ((start_time, warps) steps, in time order);
-    empty unless created with [record_timeline:true]. *)
-let timeline t = List.rev t.samples

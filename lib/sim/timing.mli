@@ -72,7 +72,6 @@ exception Stuck of string
     their own sinks record independent, deterministic streams. *)
 val create :
   ?scheduler:scheduler ->
-  ?record_timeline:bool ->
   ?sink:Dpc_prof.Event.sink ->
   Dpc_gpu.Config.t ->
   Trace.grid_exec array ->
@@ -83,10 +82,6 @@ val create :
     @raise Stuck if any grid cannot complete (a model invariant
     violation). *)
 val run : t -> result
-
-(** Resident-warp step samples (start_time, warps) in time order; empty
-    unless the model was created with [record_timeline:true]. *)
-val timeline : t -> (float * int) list
 
 (** [simulate cfg grids roots] = [run (create cfg grids roots)]. *)
 val simulate :

@@ -70,15 +70,6 @@ let test_halloc_oversize_bypasses_slabs () =
   Alcotest.(check bool) "slab reuse unaffected" true (s2 < s1);
   ignore (Alloc.free h small)
 
-let test_pool_reset () =
-  let m = Mem.create () in
-  let pool = Alloc.create ~pool_bytes:(100 * Mem.elem_bytes) Alloc.Pool in
-  ignore (Alloc.alloc pool m ~name:"a" ~count:90);
-  Alloc.reset_pool pool;
-  Alcotest.(check int) "reset empties pool" 0 (Alloc.pool_used pool);
-  ignore (Alloc.alloc pool m ~name:"b" ~count:90);
-  Alcotest.(check int) "no fallback after reset" 0 (Alloc.pool_fallbacks pool)
-
 let test_halloc_slab_reuse () =
   let m = Mem.create () in
   let h = Alloc.create Alloc.Halloc in
@@ -118,7 +109,6 @@ let suite =
       test_pool_fallback_full_default_pricing;
     Alcotest.test_case "halloc oversize" `Quick
       test_halloc_oversize_bypasses_slabs;
-    Alcotest.test_case "pool reset" `Quick test_pool_reset;
     Alcotest.test_case "halloc slab reuse" `Quick test_halloc_slab_reuse;
     Alcotest.test_case "halloc free" `Quick test_halloc_free_returns_block;
     Alcotest.test_case "stats" `Quick test_stats;

@@ -187,7 +187,9 @@ let test_lowest_failure_unclaimed () =
 let test_fig7_tables_jobs_identical () =
   let apps = [ R.sssp; R.spmv; R.pagerank ] in
   let collect jobs =
-    Suite.collect ~verbose:false ~scale:500 ~jobs ~apps ()
+    Suite.collect ~scale:500 ~apps
+      ~session:(Dpc_engine.Session.create ~jobs ())
+      ()
   in
   let s1 = collect 1 and s4 = collect 4 in
   Alcotest.(check string) "fig7 byte-identical"

@@ -15,6 +15,7 @@ module Device = Dpc_sim.Device
 module H = Dpc_apps.Harness
 module R = Dpc_apps.Registry
 module Scenario = Dpc_engine.Scenario
+module Session = Dpc_engine.Session
 module Pragma = Dpc_kir.Pragma
 module Table = Dpc_util.Table
 module E = Dpc_experiments
@@ -319,8 +320,9 @@ let test_trace_files_jobs_identical () =
       with_temp_dir "dpc-prof-j4" (fun d4 ->
           let collect jobs dir =
             ignore
-              (E.Suite.collect ~verbose:false ~scale:700 ~jobs
-                 ~apps:[ R.sssp ] ~trace_dir:dir ())
+              (E.Suite.collect ~scale:700 ~apps:[ R.sssp ]
+                 ~inspect:(E.Suite.trace_to dir)
+                 ~session:(Session.create ~jobs ()) ())
           in
           collect 1 d1;
           collect 4 d4;
@@ -338,9 +340,40 @@ let test_trace_files_jobs_identical () =
                 (read_file (Filename.concat d4 n)))
             (names d1)))
 
+(* Scenario-mode tracing ([experiments --scenario ... --trace]: a parsed
+   scenario string through [Session.run_all] with the artifact hook)
+   writes the same two files, byte for byte, as the suite's traced run of
+   that app and variant, in a session that also ran untraced. *)
+let test_scenario_trace_matches_suite () =
+  with_temp_dir "dpc-prof-suite" (fun ds ->
+      with_temp_dir "dpc-prof-scenario" (fun dc ->
+          let session = Session.create () in
+          ignore
+            (E.Suite.collect ~scale:300 ~apps:[ R.sssp ]
+               ~inspect:(E.Suite.trace_to ds) ~session ());
+          let sc =
+            Scenario.of_string "app=SSSP,variant=grid-level,scale=300"
+          in
+          ignore (Session.report (List.hd (Session.run_all session [ sc ])));
+          ignore
+            (Session.report
+               (List.hd
+                  (Session.run_all ~inspect:(E.Suite.trace_to dc) session
+                     [ sc ])));
+          Alcotest.(check (list string)) "one run's files"
+            [ "sssp-grid-level.profile.json"; "sssp-grid-level.trace.json" ]
+            (List.sort compare (Array.to_list (Sys.readdir dc)));
+          Array.iter
+            (fun n ->
+              Alcotest.(check string) (n ^ " byte-identical")
+                (read_file (Filename.concat ds n))
+                (read_file (Filename.concat dc n)))
+            (Sys.readdir dc)))
+
 let test_suite_json_roundtrip () =
   let s =
-    E.Suite.collect ~verbose:false ~scale:700 ~jobs:1 ~apps:[ R.sssp ] ()
+    E.Suite.collect ~scale:700 ~apps:[ R.sssp ] ~session:(Session.create ())
+      ()
   in
   let fig7 = E.Figs7_10.fig7 s in
   let doc =
@@ -447,6 +480,8 @@ let suite =
       test_chrome_trace_invariants;
     Alcotest.test_case "trace files jobs-identical" `Slow
       test_trace_files_jobs_identical;
+    Alcotest.test_case "scenario trace matches suite" `Quick
+      test_scenario_trace_matches_suite;
     Alcotest.test_case "suite json round-trip" `Quick
       test_suite_json_roundtrip;
     Alcotest.test_case "timeline narrow width" `Quick

@@ -275,21 +275,34 @@ let suite =
     Alcotest.test_case "mshr stalls charged" `Quick test_mshr_stalls_charged;
   ]
 
+(* A chart is rendered as lines; each pinned chart is a list of them, so
+   trailing blanks stay visible. *)
+let chart_lines chart = String.split_on_char '\n' chart
+
+(* Rendered from the replay's event stream ([Device.profile]) and pinned
+   whole: a change to the fold or to the renderer shows here. *)
 let test_timeline_renders () =
   let dev =
     Device.create ~cfg:Cfg.test_device (mk_program [ busy_kernel "b" 200 ])
   in
   let out = Device.alloc_int dev ~name:"out" 4 in
   Device.launch dev "b" ~grid:4 ~block:32 [ V.Vbuf out.Dpc_gpu.Memory.id ];
-  ignore (Device.report dev);
+  let events = Device.profile dev in
   let chart =
-    Dpc_sim.Timeline.of_session ~width:40 ~height:4 (Device.session dev)
+    Dpc_sim.Timeline.of_events ~width:40 ~height:4 Cfg.test_device
+      ~total_cycles:(Device.report dev).M.cycles events
   in
-  let lines = String.split_on_char '\n' chart in
-  (* 4 rows + axis + caption *)
-  Alcotest.(check bool) "has rows" true (List.length lines >= 6);
-  Alcotest.(check bool) "shows some utilization" true
-    (String.exists (fun c -> c = '#' || c = '@' || c = '=') chart)
+  Alcotest.(check (list string)) "chart"
+    [
+      "   16w |                                        ";
+      "       |                                        ";
+      "       |                                        ";
+      "    0w |                                   #@@#@";
+      "       +----------------------------------------";
+      "        0 cycles 8021 cycles (resident warps over time)";
+      "";
+    ]
+    (chart_lines chart)
 
 let test_timeline_bucketize_conserves_mass () =
   (* Time-weighted warp mass is preserved by bucketing. *)
@@ -311,9 +324,10 @@ let suite =
 (* --- golden replay pins ----------------------------------------------------
 
    Exact fingerprints of the replay on a fixed set of cases: every
-   [Timing.result] field (floats in [%h], so bit-exact), the recorded
-   timeline and the Chrome-trace JSON of the profiled event stream
-   (lengths plus MD5s).  They were captured before the event queue was
+   [Timing.result] field (floats in [%h], so bit-exact) and the
+   Chrome-trace JSON of the profiled event stream (length plus MD5; it
+   carries every block placement and removal the utilization chart is
+   folded from).  They were captured before the event queue was
    rewritten without stale entries; the rewrite must not move a bit.
    A case that ends in [Timing.Stuck] pins its message and the events
    published up to that point. *)
@@ -333,19 +347,12 @@ let replay_pin ~scheduler cfg grids roots =
   in
   let outcome =
     match Timing.run traced with
-    | (_ : Timing.result) -> (
-      let tm = Timing.create ~scheduler ~record_timeline:true cfg grids roots in
-      let r = Timing.run tm in
-      let tl = Timing.timeline tm in
-      let buf = Buffer.create 256 in
-      List.iter (fun (t, w) -> Printf.bprintf buf "%h %d\n" t w) tl;
+    | r ->
       Printf.sprintf
-        "total=%h occ=%h extra_dram=%d virt=%d max_pending=%d swapped=%d \
-         timeline=%d/%s"
+        "total=%h occ=%h extra_dram=%d virt=%d max_pending=%d swapped=%d"
         r.Timing.total_cycles r.Timing.occupancy r.Timing.extra_dram
         r.Timing.virtualized_launches r.Timing.max_pending
-        r.Timing.swapped_syncs (List.length tl)
-        (md5 (Buffer.contents buf)))
+        r.Timing.swapped_syncs
     | exception Timing.Stuck msg -> "stuck: " ^ msg
   in
   let events = Dpc_prof.Event.events recorder in
@@ -396,50 +403,76 @@ let scenario_pin key =
   let inspect (sc : Scenario.t) dev =
     pin := session_pin ~scheduler:sc.Scenario.scheduler (Device.session dev)
   in
-  (try ignore (Session.run (Session.create ~inspect ()) sc : M.report)
-   with Timing.Stuck _ -> ());
+  ignore (Session.run_all ~inspect (Session.create ()) [ sc ]);
   !pin
 
 let golden_kernels =
   [
     ("waves", Timing.Processor_sharing,
-      "total=0x1.1118p+14 occ=0x1.ffe3d89aa6a04p-1 extra_dram=0 virt=0 max_pending=1 swapped=0 timeline=9/6fa3dfe1c0279660f74596bea9cb28e9 trace=69/9eab4271555235a3675d44813d22f766");
+      "total=0x1.1118p+14 occ=0x1.ffe3d89aa6a04p-1 extra_dram=0 virt=0 max_pending=1 swapped=0 trace=69/9eab4271555235a3675d44813d22f766");
     ("waves", Timing.Fcfs,
-      "total=0x1.7e9p+13 occ=0x1.ffc7b555dac3fp-1 extra_dram=0 virt=0 max_pending=1 swapped=0 timeline=9/376d7fd7312dd63bb03c929c71bf2761 trace=69/41c3eda6ab964df2371a078719c8e26f");
+      "total=0x1.7e9p+13 occ=0x1.ffc7b555dac3fp-1 extra_dram=0 virt=0 max_pending=1 swapped=0 trace=69/41c3eda6ab964df2371a078719c8e26f");
     ("pool overflow", Timing.Processor_sharing,
-      "total=0x1.ed834p+18 occ=0x1.c013844f808ffp-3 extra_dram=3840 virt=240 max_pending=254 swapped=0 timeline=519/3b6d9895ce9159caa4b75918df7404fa trace=2042/e7eb90ed6fe91e1f096716b6b9f30c72");
+      "total=0x1.ed834p+18 occ=0x1.c013844f808ffp-3 extra_dram=3840 virt=240 max_pending=254 swapped=0 trace=2042/e7eb90ed6fe91e1f096716b6b9f30c72");
     ("pool overflow", Timing.Fcfs,
-      "total=0x1.ed834p+18 occ=0x1.bed7aa1f919dfp-3 extra_dram=3840 virt=240 max_pending=254 swapped=0 timeline=517/1fc219889505387f4906906b946697d6 trace=2042/8231147a1d411478a22967e5b549c848");
+      "total=0x1.ed834p+18 occ=0x1.bed7aa1f919dfp-3 extra_dram=3840 virt=240 max_pending=254 swapped=0 trace=2042/8231147a1d411478a22967e5b549c848");
     ("sync swap", Timing.Processor_sharing,
-      "total=0x1.d9bp+13 occ=0x1.66e94b65650c5p-3 extra_dram=72 virt=0 max_pending=3 swapped=3 timeline=13/9c0a9ff1d4859b22f44cb645e35a717c trace=49/78d30f8dd990c7b307ac11e63db46e01");
+      "total=0x1.d9bp+13 occ=0x1.66e94b65650c5p-3 extra_dram=72 virt=0 max_pending=3 swapped=3 trace=49/78d30f8dd990c7b307ac11e63db46e01");
     ("sync swap", Timing.Fcfs,
-      "total=0x1.d9bp+13 occ=0x1.66e94b65650c5p-3 extra_dram=72 virt=0 max_pending=3 swapped=3 timeline=13/9c0a9ff1d4859b22f44cb645e35a717c trace=49/78d30f8dd990c7b307ac11e63db46e01");
+      "total=0x1.d9bp+13 occ=0x1.66e94b65650c5p-3 extra_dram=72 virt=0 max_pending=3 swapped=3 trace=49/78d30f8dd990c7b307ac11e63db46e01");
   ]
 
 let golden_scenarios =
   [
     (* device launches and parent swap-out at the device sync *)
     ( "app=TH,variant=block-level,scale=32",
-      "total=0x1.2fe4p+15 occ=0x1.16021b464b01dp-6 extra_dram=240 virt=0 max_pending=5 swapped=10 timeline=85/f7dbbe2e149860ac5f4f408f0e20ca2b trace=518/874e88153bbc70bbeae58cb009f78889" );
+      "total=0x1.2fe4p+15 occ=0x1.16021b464b01dp-6 extra_dram=240 virt=0 max_pending=5 swapped=10 trace=518/874e88153bbc70bbeae58cb009f78889" );
     ( "app=BFS-Rec,variant=block-level,scale=6",
-      "total=0x1.9d02p+14 occ=0x1.0203898d70a6bp-5 extra_dram=0 virt=0 max_pending=8 swapped=0 timeline=70/f75fc6670f954275c6eff540f15d3773 trace=524/b6e05ed927250a5f29ed8ea02d61022c" );
+      "total=0x1.9d02p+14 occ=0x1.0203898d70a6bp-5 extra_dram=0 virt=0 max_pending=8 swapped=0 trace=524/b6e05ed927250a5f29ed8ea02d61022c" );
     ( "app=TH,variant=block-level,scale=32,sched=fcfs",
-      "total=0x1.2fe4p+15 occ=0x1.16021b464b01dp-6 extra_dram=240 virt=0 max_pending=5 swapped=10 timeline=85/f7dbbe2e149860ac5f4f408f0e20ca2b trace=518/874e88153bbc70bbeae58cb009f78889" );
+      "total=0x1.2fe4p+15 occ=0x1.16021b464b01dp-6 extra_dram=240 virt=0 max_pending=5 swapped=10 trace=518/874e88153bbc70bbeae58cb009f78889" );
     (* grid-wide barrier *)
     ( "app=SSSP,variant=grid-level,scale=200",
-      "total=0x1.73e0cp+16 occ=0x1.f15c29d8361c7p-3 extra_dram=0 virt=0 max_pending=1 swapped=0 timeline=411/8e9a3250582bf60bec7e666014796fc6 trace=2587/0199eee77145bb2ef975a238ec84bf74" );
+      "total=0x1.73e0cp+16 occ=0x1.f15c29d8361c7p-3 extra_dram=0 virt=0 max_pending=1 swapped=0 trace=2587/0199eee77145bb2ef975a238ec84bf74" );
     (* virtualized pending pool *)
     ( "app=BFS-Rec,variant=basic-dp,scale=6,cfg.fixed_pool_capacity=4",
-      "total=0x1.b5d1cp+16 occ=0x1.633506458f1bfp-5 extra_dram=752 virt=47 max_pending=39 swapped=0 timeline=139/127d9193c1120423d249ecc118968e05 trace=404/6d6a7ada8ccb26051ebe8e5f4e736c08" );
+      "total=0x1.b5d1cp+16 occ=0x1.633506458f1bfp-5 extra_dram=752 virt=47 max_pending=39 swapped=0 trace=404/6d6a7ada8ccb26051ebe8e5f4e736c08" );
     (* deep memory-model presets *)
     ( "app=SpMV,variant=block-level,scale=200,cfg=k20c-deep",
-      "total=0x1.bc3p+13 occ=0x1.2b10f0dd7bb23p-5 extra_dram=0 virt=0 max_pending=2 swapped=0 timeline=33/3f97f3b6e88e4a8ed1d832d9d5f6c0ed trace=72/42593e8a103443e81b83568a1b3a63e6" );
+      "total=0x1.bc3p+13 occ=0x1.2b10f0dd7bb23p-5 extra_dram=0 virt=0 max_pending=2 swapped=0 trace=72/42593e8a103443e81b83568a1b3a63e6" );
     ( "app=PageRank,variant=warp-level,scale=200,cfg=milo832",
-      "total=0x1.8e204p+17 occ=0x1.02a504dc1ddcep-2 extra_dram=0 virt=0 max_pending=7 swapped=0 timeline=140/30ed63efbe0927be39f2b4e12df03a23 trace=337/9ea748cd5d45e1e5f7385c4d8944663f" );
+      "total=0x1.8e204p+17 occ=0x1.02a504dc1ddcep-2 extra_dram=0 virt=0 max_pending=7 swapped=0 trace=337/9ea748cd5d45e1e5f7385c4d8944663f" );
     (* a known deadlock of the model *)
     ( "app=TH,variant=block-level,alloc=default,scale=12",
       "stuck: timing model finished with 443 incomplete grids (deadlock?) trace=2997/034abb1fb4cef9943905f7e0d835b281" );
   ]
+
+(* A basic-dp app run's utilization chart, through the engine's per-batch
+   hook; pinned like [test_timeline_renders]. *)
+let test_app_timeline_pinned () =
+  let chart = ref "" in
+  let inspect _ dev =
+    let events = Device.profile dev in
+    chart :=
+      Dpc_sim.Timeline.of_events ~width:40 ~height:4 (Device.config dev)
+        ~total_cycles:(Device.report dev).M.cycles events
+  in
+  let sc =
+    Scenario.of_string "app=SSSP,variant=basic-dp,scale=200,cfg=milo832"
+  in
+  let outcomes = Session.run_all ~inspect (Session.create ()) [ sc ] in
+  ignore (Session.report (List.hd outcomes) : M.report);
+  Alcotest.(check (list string)) "chart"
+    [
+      "   32w |                                        ";
+      "       |                                        ";
+      "       |  ###    ###   ####   ###    ###    ### ";
+      "    0w |:#####:@#####.#####+=#####:*#####.@#####";
+      "       +----------------------------------------";
+      "        0 cycles 351252 cycles (resident warps over time)";
+      "";
+    ]
+    (chart_lines !chart)
 
 let test_golden_kernels () =
   List.iter
@@ -477,6 +510,7 @@ let suite =
         test_late_replay_finishes;
       Alcotest.test_case "golden replay scenarios" `Quick
         test_golden_scenarios;
+      Alcotest.test_case "app timeline pinned" `Quick test_app_timeline_pinned;
     ]
 
 (* --- the replay's event queue ----------------------------------------------
