@@ -114,15 +114,13 @@ let run_one ?inspect t (sc : Scenario.t) =
   in
   entry.Registry.run_spec spec
 
-let outcome ?inspect t (sc : Scenario.t) : outcome =
-  let t0 = Unix.gettimeofday () in
-  let result = try Ok (run_one ?inspect t sc) with e -> Error e in
-  { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
-
 (** Execute one scenario, capturing its error and wall clock.  This is
     the unit both {!run_all} and the serve daemon's streaming executor
     are built on. *)
-let run_outcome t sc = outcome t sc
+let run_outcome ?inspect t (sc : Scenario.t) : outcome =
+  let t0 = Unix.gettimeofday () in
+  let result = try Ok (run_one ?inspect t sc) with e -> Error e in
+  { scenario = sc; result; elapsed_s = Unix.gettimeofday () -. t0 }
 
 (** Execute one scenario; exceptions propagate. *)
 let run t sc =
@@ -135,7 +133,7 @@ let run t sc =
     device, inside the worker that ran it (for profiling capture). *)
 let run_all ?inspect t (scenarios : Scenario.t list) : outcome list =
   let work sc =
-    let o = outcome ?inspect t sc in
+    let o = run_outcome ?inspect t sc in
     if t.verbose then begin
       (* Progress goes to stderr: stdout carries the figure tables.  One
          pre-formatted line per outcome, written under a lock: worker

@@ -67,8 +67,13 @@ val input_stats : t -> Input_cache.stats
     always empty for cacheless sessions. *)
 val changed_inputs : t -> string list
 
-(** Execute one scenario, capturing its error and wall clock. *)
-val run_outcome : t -> Scenario.t -> outcome
+(** Execute one scenario, capturing its error and wall clock; [inspect]
+    is as for {!run_all}. *)
+val run_outcome :
+  ?inspect:(Scenario.t -> Dpc_sim.Device.t -> unit) ->
+  t ->
+  Scenario.t ->
+  outcome
 
 (** Execute one scenario; exceptions propagate. *)
 val run : t -> Scenario.t -> Dpc_sim.Metrics.report
